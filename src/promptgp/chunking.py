@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 LEVELS = ("word", "phrase", "sentence")
 
@@ -111,7 +111,7 @@ def _spans_phrase(text: str) -> list[tuple[int, int]]:
     return _spans_from_cuts(text, cuts)
 
 
-def _rule_based(text: str, level: str) -> ChunkList:
+def chunk(text: str, level: str) -> ChunkList:
     if level == "word":
         spans = _spans_word(text)
     elif level == "sentence":
@@ -128,30 +128,6 @@ def _rule_based(text: str, level: str) -> ChunkList:
         prev = e
     separators.append(text[prev:])
     return ChunkList(level=level, chunks=chunks, separators=separators)
-
-
-ChunkerFn = Callable[[str, str], ChunkList]
-
-_CHUNKERS: dict[str, ChunkerFn] = {"rule_based": _rule_based}
-
-
-def register_chunker(name: str, fn: ChunkerFn) -> None:
-    _CHUNKERS[name] = fn
-
-
-def get_chunker(name: str) -> ChunkerFn:
-    try:
-        return _CHUNKERS[name]
-    except KeyError:
-        known = ", ".join(sorted(_CHUNKERS))
-        raise ChunkingError(f"unknown chunker {name!r} (registered: {known})") from None
-
-
-def chunk(text: str, level: str, chunker: Union[str, ChunkerFn] = "rule_based") -> ChunkList:
-    if level not in LEVELS:
-        raise ChunkingError(f"unknown chunk level {level!r}")
-    fn = get_chunker(chunker) if isinstance(chunker, str) else chunker
-    return fn(text, level)
 
 
 def reassemble(cl: ChunkList) -> str:

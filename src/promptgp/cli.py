@@ -35,7 +35,7 @@ from .surrogate import (
     train,
     tune_hyperparameters,
 )
-from .tasks import TaskSpec, evaluate_prompt, load_dataset
+from .tasks import Dataset, EvalContext, TaskSpec, load_dataset
 from .template import BaseTemplate, RenderedPrompt, builtin_template, load_template
 
 log = logging.getLogger(__name__)
@@ -114,7 +114,28 @@ def build_task(cfg: RunConfig) -> TaskSpec:
         name=cfg.task.name,
         metric=cfg.task.metric,
         answer_key=cfg.task.answer_key,
-        labels=cfg.task.labels or None,
+    )
+
+
+def build_context(
+    cfg: RunConfig,
+    workdir: Path,
+    train: Dataset,
+    max_workers: int,
+    lexicons: Optional[Lexicons] = None,
+) -> EvalContext:
+    """The one evaluation context of a command; builds its gateway."""
+    gw = cfg.gateway
+    return EvalContext(
+        task=build_task(cfg),
+        gateway=build_gateway(cfg, workdir),
+        train=train,
+        icl_k=cfg.gp.icl_k,
+        model=gw.model,
+        edit_model=gw.edit_model or gw.model,
+        max_workers=max_workers,
+        lexicons=lexicons,
+        placeholder_guard=cfg.placeholder_guard,
     )
 
 
@@ -180,15 +201,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     grammar = build_grammar(cfg)
     base = build_template(cfg)
     lexicons = build_lexicons(cfg)
-    task = build_task(cfg)
     train_ds = load_dataset(_require(cfg.task.train_data, "train_data"), split="train")
     val_ds = load_dataset(_require(cfg.task.val_data, "val_data"), split="val")
-    gateway = build_gateway(cfg, workdir)
+    ctx = build_context(cfg, workdir, train_ds, cfg.gp.eval_workers, lexicons)
 
     journal_path = workdir / "journal.jsonl"
-    settings = cfg.gp
-    settings.model = cfg.gateway.model
-    settings.edit_model = cfg.gateway.edit_model or cfg.gateway.model
 
     if args.resume:
         state = load_checkpoint(args.resume)
@@ -202,16 +219,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     engine = EvolutionEngine(
         grammar,
         base,
-        task,
-        train_ds,
+        ctx,
         val_ds,
-        gateway,
-        settings=settings,
+        settings=cfg.gp,
         master_seed=cfg.master_seed,
         journal=journal,
-        lexicons=lexicons,
-        chunker=cfg.chunker,
-        placeholder_guard=cfg.placeholder_guard,
         checkpoint_path=str(workdir / "checkpoint.json"),
         config_digest=digest,
     )
@@ -261,10 +273,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         workdir / "stats.json",
         {
             "config_digest": digest,
-            "requests": gateway.stats.requests,
-            "cache_hits": gateway.stats.cache_hits,
-            "backend_calls": gateway.stats.backend_calls,
-            "failures": gateway.stats.failures,
+            "requests": ctx.gateway.stats.requests,
+            "cache_hits": ctx.gateway.stats.cache_hits,
+            "backend_calls": ctx.gateway.stats.backend_calls,
+            "failures": ctx.gateway.stats.failures,
         },
     )
     print(f"elite f_val: {elite.f_val}")
@@ -291,10 +303,9 @@ def cmd_local_search(args: argparse.Namespace) -> int:
     grammar = build_grammar(cfg)
     base = build_template(cfg)
     lexicons = build_lexicons(cfg)
-    task = build_task(cfg)
     train_ds = load_dataset(_require(cfg.task.train_data, "train_data"), split="train")
     val_ds = load_dataset(_require(cfg.task.val_data, "val_data"), split="val")
-    gateway = build_gateway(cfg, workdir)
+    ctx = build_context(cfg, workdir, train_ds, cfg.local_search.eval_workers, lexicons)
     embedder = build_embedder(cfg)
 
     sur = cfg.surrogate
@@ -326,23 +337,14 @@ def cmd_local_search(args: argparse.Namespace) -> int:
     elite_tree = decode(grammar, state["elite"]["genotype"])
     incumbent_ph = render_phenotype(elite_tree)
 
-    settings = cfg.local_search
-    settings.model = cfg.gateway.model
-    settings.edit_model = cfg.gateway.edit_model or cfg.gateway.model
-    settings.icl_k = cfg.gp.icl_k
     result = run_local_search(
         incumbent_ph,
         base,
         ensemble,
-        train_ds,
+        ctx,
         val_ds,
-        task,
-        gateway,
-        settings=settings,
+        settings=cfg.local_search,
         master_seed=cfg.master_seed,
-        lexicons=lexicons,
-        chunker=cfg.chunker,
-        placeholder_guard=cfg.placeholder_guard,
     )
 
     (workdir / "refined_prompt.txt").write_text(result.best.prompt.text, encoding="utf-8")
@@ -400,8 +402,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     workdir = Path(cfg.paths.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
 
-    task = build_task(cfg)
-    gateway = build_gateway(cfg, workdir)
     data_paths = {
         "train": cfg.task.train_data,
         "val": cfg.task.val_data,
@@ -411,22 +411,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not path:
         raise CliError(f"config has no {args.split} dataset")
     dataset = load_dataset(path, split=args.split)
-    train_rows = []
+    train = Dataset(rows=[], split="train")
     if cfg.task.train_data:
-        train_rows = load_dataset(cfg.task.train_data, split="train").rows
+        train = load_dataset(cfg.task.train_data, split="train")
+    ctx = build_context(cfg, workdir, train, cfg.gp.eval_workers)
 
     prompt_text = Path(args.prompt).read_text(encoding="utf-8")
     prompt = RenderedPrompt(sections={}, text=prompt_text, provenance=f"file:{args.prompt}")
-    report = evaluate_prompt(
-        prompt,
-        dataset.rows,
-        task,
-        gateway,
-        train_rows=train_rows,
-        icl_k=cfg.gp.icl_k,
-        model=cfg.gateway.model,
-        max_workers=cfg.gp.eval_workers,
-    )
+    report = ctx.score(prompt, dataset.rows)
     out = workdir / f"eval_{args.split}.tsv"
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(f"# config_digest={digest}\n")

@@ -27,7 +27,6 @@ class TaskSettings:
     name: str = "task"
     metric: str = "accuracy"
     answer_key: str = "Answer"
-    labels: tuple[str, ...] = ()
     template: str = "builtin:pubmedqa"
     train_data: str = ""
     val_data: str = ""
@@ -77,7 +76,6 @@ class SurrogateSettings:
 @dataclass
 class RunConfig:
     master_seed: int = 0
-    chunker: str = "rule_based"
     placeholder_guard: bool = True
     task: TaskSettings = field(default_factory=TaskSettings)
     paths: PathSettings = field(default_factory=PathSettings)
@@ -96,12 +94,6 @@ _SECTION_TARGETS = {
     "local_search": "local_search",
 }
 
-# Keys wired at build time from gateway settings, not set per section.
-_EXCLUDED_KEYS = {
-    "gp": {"model", "edit_model"},
-    "local_search": {"model", "edit_model"},
-}
-
 _BOOL_STRINGS = {
     "true": True, "yes": True, "on": True, "1": True,
     "false": False, "no": False, "off": False, "0": False,
@@ -118,16 +110,13 @@ def _coerce(raw: str, default) -> object:
         return int(raw)
     if isinstance(default, float):
         return float(raw)
-    if isinstance(default, tuple):
-        return tuple(part.strip() for part in raw.split(",") if part.strip())
     return raw
 
 
 def _apply(obj, section_name: str, items: dict[str, str]) -> None:
     known = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    excluded = _EXCLUDED_KEYS.get(section_name, set())
     for key, raw in items.items():
-        if key in excluded or key not in known:
+        if key not in known:
             raise ConfigError(f"unknown key {key!r} in section [{section_name}]")
         try:
             setattr(obj, key, _coerce(raw, known[key]))
@@ -146,7 +135,7 @@ def parse_config(text: str) -> RunConfig:
     for section in parser.sections():
         items = dict(parser.items(section))
         if section == "run":
-            run_keys = {"master_seed", "chunker", "placeholder_guard"}
+            run_keys = {"master_seed", "placeholder_guard"}
             for key, raw in items.items():
                 if key not in run_keys:
                     raise ConfigError(f"unknown key {key!r} in section [run]")

@@ -76,7 +76,6 @@ class _ExecState:
     trace: ExecutionTrace
     gateway: Optional[LlmGateway]
     lexicons: Lexicons
-    chunker: Union[str, chunking.ChunkerFn]
     placeholder_guard: bool
     edit_model: str
 
@@ -87,7 +86,6 @@ def execute_program(
     gateway: Optional[LlmGateway] = None,
     lexicons: Optional[Lexicons] = None,
     icl_items: Optional[list[str]] = None,
-    chunker: Union[str, chunking.ChunkerFn] = "rule_based",
     placeholder_guard: bool = True,
     edit_model: str = "mock",
 ) -> tuple[Union[str, list[str]], ExecutionTrace]:
@@ -100,7 +98,6 @@ def execute_program(
         trace=ExecutionTrace(),
         gateway=gateway,
         lexicons=lexicons or Lexicons(),
-        chunker=chunker,
         placeholder_guard=placeholder_guard,
         edit_model=edit_model,
     )
@@ -157,7 +154,7 @@ def _apply_list_op(call: Call, items: list[str], state: _ExecState) -> list[str]
 
 def _apply_text_op(call: Call, text: str, state: _ExecState) -> str:
     level = call.arg("level")
-    cl = chunking.chunk(text, level, state.chunker)
+    cl = chunking.chunk(text, level)
     n = len(cl.chunks)
     resolved = _resolved_indices(call, n)
     state.trace.records.append(TraceRecord(call.name, level, resolved, n))

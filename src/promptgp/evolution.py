@@ -18,9 +18,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .editops import ExecutionTrace, ProgramExecutionError
+from .editops import ProgramExecutionError
 from .exprlang import ProgramParseError
-from .gateway import LlmGateway
 from .grammar import (
     DerivationTree,
     Genotype,
@@ -34,10 +33,9 @@ from .grammar import (
     render_phenotype,
     sample_ptc2,
 )
-from .lexicons import Lexicons
 from .seeds import derive_seed
-from .tasks import Dataset, TaskSpec, evaluate_prompt, sample_rows
-from .template import BaseTemplate, RenderedPrompt, TemplateError, apply_phenotype
+from .tasks import Dataset, EvalContext, sample_rows
+from .template import BaseTemplate, RenderedPrompt, TemplateError
 
 log = logging.getLogger(__name__)
 
@@ -55,11 +53,9 @@ class GpSettings:
     sample_size: int = 20
     crossover_prob: float = 0.8
     mutation_prob: float = 0.2
-    icl_k: int = 5
+    icl_k: int = 5  # icl_k, eval_workers: read by cli.build_context, not the engine
     init_retries: int = 5
     eval_workers: int = 1
-    model: str = "mock"
-    edit_model: str = "mock"
 
 
 @dataclass
@@ -69,7 +65,6 @@ class Individual:
     born: int
     phenotype: Optional[Phenotype] = None
     prompt: Optional[RenderedPrompt] = None
-    trace: Optional[ExecutionTrace] = None
     f_train: Optional[float] = None
     f_val: Optional[float] = None
     failed: bool = False
@@ -86,7 +81,6 @@ class Individual:
             born=self.born,
             phenotype=self.phenotype,
             prompt=self.prompt,
-            trace=self.trace,
             f_train=self.f_train,
             f_val=self.f_val,
             failed=self.failed,
@@ -148,31 +142,21 @@ class EvolutionEngine:
         self,
         grammar: Grammar,
         base: BaseTemplate,
-        task: TaskSpec,
-        train_dataset: Dataset,
+        ctx: EvalContext,
         val_dataset: Dataset,
-        gateway: LlmGateway,
         settings: Optional[GpSettings] = None,
         master_seed: int = 0,
         journal: Optional[EvalJournal] = None,
-        lexicons: Optional[Lexicons] = None,
-        chunker: str = "rule_based",
-        placeholder_guard: bool = True,
         checkpoint_path: Optional[str] = None,
         config_digest: str = "",
     ):
         self.grammar = grammar
         self.base = base
-        self.task = task
-        self.train_dataset = train_dataset
+        self.ctx = ctx
         self.val_dataset = val_dataset
-        self.gateway = gateway
         self.settings = settings or GpSettings()
         self.master_seed = master_seed
         self.journal = journal if journal is not None else EvalJournal()
-        self.lexicons = lexicons
-        self.chunker = chunker
-        self.placeholder_guard = placeholder_guard
         self.checkpoint_path = checkpoint_path
         self.config_digest = config_digest
         self.elite: Optional[Individual] = None
@@ -188,17 +172,7 @@ class EvolutionEngine:
         ind = Individual(genotype=encode(tree), tree=tree, born=born)
         try:
             ind.phenotype = render_phenotype(tree)
-            prompt, trace = apply_phenotype(
-                self.base,
-                ind.phenotype,
-                gateway=self.gateway,
-                lexicons=self.lexicons,
-                chunker=self.chunker,
-                placeholder_guard=self.placeholder_guard,
-                edit_model=self.settings.edit_model,
-            )
-            ind.prompt = prompt
-            ind.trace = trace
+            ind.prompt, _ = self.ctx.render(self.base, ind.phenotype)
         except (ProgramParseError, ProgramExecutionError, MalformedTreeError, TemplateError) as exc:
             log.warning("individual %s failed to render: %s", ind.digest, exc)
             ind.failed = True
@@ -225,17 +199,7 @@ class EvolutionEngine:
         if ind.failed or ind.prompt is None:
             ind.f_train = 0.0
             return
-        report = evaluate_prompt(
-            ind.prompt,
-            rows,
-            self.task,
-            self.gateway,
-            train_rows=self.train_dataset.rows,
-            icl_k=self.settings.icl_k,
-            model=self.settings.model,
-            max_workers=self.settings.eval_workers,
-        )
-        ind.f_train = report.fitness
+        ind.f_train = self.ctx.score(ind.prompt, rows).fitness
         self.journal.append(
             {
                 "generation": gen,
@@ -257,17 +221,7 @@ class EvolutionEngine:
         if champion.failed or champion.prompt is None:
             champion.f_val = 0.0
         else:
-            report = evaluate_prompt(
-                champion.prompt,
-                self.val_dataset.rows,
-                self.task,
-                self.gateway,
-                train_rows=self.train_dataset.rows,
-                icl_k=self.settings.icl_k,
-                model=self.settings.model,
-                max_workers=self.settings.eval_workers,
-            )
-            champion.f_val = report.fitness
+            champion.f_val = self.ctx.score(champion.prompt, self.val_dataset.rows).fitness
             self.journal.append(
                 {
                     "generation": gen,
@@ -332,7 +286,7 @@ class EvolutionEngine:
     def _score_generation(self, pop: list[Individual], gen: int) -> Individual:
         """Steps 1-4: elite reinsertion, row sample, scoring, validation."""
         self._reinsert_elite(pop)
-        rows = sample_rows(self.train_dataset, self.settings.sample_size, self._derive("rows", gen))
+        rows = sample_rows(self.ctx.train, self.settings.sample_size, self._derive("rows", gen))
         for ind in pop:
             self._evaluate_train(ind, rows, gen)
         champion = self._champion(pop)

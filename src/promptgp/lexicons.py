@@ -50,12 +50,6 @@ def load_synonyms(path: str) -> dict[str, str]:
         return parse_synonyms(fh.read())
 
 
-def load_lexicons(stopword_path: str | None, synonym_path: str | None) -> Lexicons:
-    stop = load_stopwords(stopword_path) if stopword_path else frozenset()
-    syn = load_synonyms(synonym_path) if synonym_path else {}
-    return Lexicons(stopwords=stop, synonyms=syn)
-
-
 def _data_text(name: str) -> str:
     return resources.files("promptgp").joinpath("data", name).read_text(encoding="utf-8")
 

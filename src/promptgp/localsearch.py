@@ -19,13 +19,11 @@ from typing import Optional
 from . import SECTIONS
 from .editops import ExecutionTrace
 from .exprlang import Expr, iter_index_slots, parse, render, replace_index_slot
-from .gateway import LlmGateway
 from .grammar import Phenotype
-from .lexicons import Lexicons
 from .seeds import derive_seed
 from .surrogate import SurrogateEnsemble
-from .tasks import Dataset, TaskSpec, evaluate_prompt, sample_rows
-from .template import BaseTemplate, RenderedPrompt, apply_phenotype, phenotype_digest
+from .tasks import Dataset, EvalContext, sample_rows
+from .template import BaseTemplate, RenderedPrompt, phenotype_digest
 
 log = logging.getLogger(__name__)
 
@@ -39,10 +37,7 @@ class LocalSearchSettings:
     top_mean: int = 25
     top_variance: int = 25
     include_incumbent: bool = True
-    icl_k: int = 5
-    model: str = "mock"
-    edit_model: str = "mock"
-    eval_workers: int = 1
+    eval_workers: int = 1  # read by cli.build_context, not run_local_search
 
 
 @dataclass(frozen=True)
@@ -161,27 +156,19 @@ class Candidate:
 def finalize(
     candidates: list[Candidate],
     incumbent: Candidate,
+    ctx: EvalContext,
     val_rows,
-    train_dataset: Dataset,
-    task: TaskSpec,
-    gateway: LlmGateway,
     seed: int,
     include_incumbent: bool = True,
-    icl_k: int = 5,
-    model: str = "mock",
-    max_workers: int = 1,
 ) -> tuple[Candidate, list[Candidate]]:
     """Score candidates on D_val plus an equal-size train sample; pick argmax."""
-    d_train = sample_rows(train_dataset, len(val_rows), seed)
+    d_train = sample_rows(ctx.train, len(val_rows), seed)
     entries = list(candidates)
     if include_incumbent:
         entries.append(incumbent)
     for cand in entries:
-        kwargs = dict(
-            train_rows=train_dataset.rows, icl_k=icl_k, model=model, max_workers=max_workers
-        )
-        cand.f_val = evaluate_prompt(cand.prompt, val_rows, task, gateway, **kwargs).fitness
-        cand.f_train = evaluate_prompt(cand.prompt, d_train, task, gateway, **kwargs).fitness
+        cand.f_val = ctx.score(cand.prompt, val_rows).fitness
+        cand.f_train = ctx.score(cand.prompt, d_train).fitness
         cand.combined = (cand.f_val + cand.f_train) / 2.0
     ranked = sorted(
         entries, key=lambda c: (-c.combined, 0 if c.is_incumbent else 1, c.digest)
@@ -202,30 +189,13 @@ def run_local_search(
     incumbent_ph: Phenotype,
     base: BaseTemplate,
     ensemble: SurrogateEnsemble,
-    train_dataset: Dataset,
+    ctx: EvalContext,
     val_dataset: Dataset,
-    task: TaskSpec,
-    gateway: LlmGateway,
     settings: Optional[LocalSearchSettings] = None,
     master_seed: int = 0,
-    lexicons: Optional[Lexicons] = None,
-    chunker: str = "rule_based",
-    placeholder_guard: bool = True,
 ) -> LocalSearchResult:
     settings = settings or LocalSearchSettings()
-
-    def render_ph(ph: Phenotype) -> tuple[RenderedPrompt, ExecutionTrace]:
-        return apply_phenotype(
-            base,
-            ph,
-            gateway=gateway,
-            lexicons=lexicons,
-            chunker=chunker,
-            placeholder_guard=placeholder_guard,
-            edit_model=settings.edit_model,
-        )
-
-    prompt, trace = render_ph(incumbent_ph)
+    prompt, trace = ctx.render(base, incumbent_ph)
     incumbent = Candidate(
         incumbent_ph, prompt, phenotype_digest(incumbent_ph), is_incumbent=True
     )
@@ -244,7 +214,7 @@ def run_local_search(
         incumbent_ph, sites, bound, derive_seed(master_seed, "neighborhood"), settings.per_site
     )
     for neighbor in nb.neighbors:
-        neighbor.prompt, _ = render_ph(neighbor.phenotype)
+        neighbor.prompt, _ = ctx.render(base, neighbor.phenotype)
     survivors = screen(
         nb.neighbors, ensemble, settings.screen_limit, settings.top_mean, settings.top_variance
     )
@@ -258,14 +228,9 @@ def run_local_search(
     best, ranking = finalize(
         candidates,
         incumbent,
+        ctx,
         val_dataset.rows,
-        train_dataset,
-        task,
-        gateway,
         derive_seed(master_seed, "dtrain"),
         include_incumbent=settings.include_incumbent,
-        icl_k=settings.icl_k,
-        model=settings.model,
-        max_workers=settings.eval_workers,
     )
     return LocalSearchResult(best, ranking, sites, bound)

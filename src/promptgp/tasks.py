@@ -12,8 +12,18 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from .editops import ExecutionTrace
 from .gateway import GatewayError, LlmGateway, user_request
-from .template import RenderedPrompt, format_demo, instantiate, retrieve_icl
+from .grammar import Phenotype
+from .lexicons import Lexicons
+from .template import (
+    BaseTemplate,
+    RenderedPrompt,
+    apply_phenotype,
+    format_demo,
+    instantiate,
+    retrieve_icl,
+)
 from .textparse import extract_key
 
 log = logging.getLogger(__name__)
@@ -97,7 +107,6 @@ class TaskSpec:
     name: str
     metric: str = "accuracy"
     answer_key: str = "Answer"
-    labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
         if self.metric not in METRICS:
@@ -204,3 +213,46 @@ def evaluate_prompt(
         parse_failures=sum(1 for _, failed, _ in outcomes if failed),
         llm_calls=sum(calls for _, _, calls in outcomes),
     )
+
+
+@dataclass(frozen=True)
+class EvalContext:
+    """How a prompt-creating programme is judged, shared by GP, local search
+    and `evaluate`: its edits are applied to the base template with
+    `render`, and the rendered prompt is scored by the task LLM with `score`.
+
+    `train` is the ICL demonstration pool; GP and local search also sample
+    their training rows from it.
+    """
+
+    task: TaskSpec
+    gateway: LlmGateway
+    train: Dataset
+    icl_k: int = 5
+    model: str = "mock"
+    edit_model: str = "mock"
+    max_workers: int = 1
+    lexicons: Optional[Lexicons] = None
+    placeholder_guard: bool = True
+
+    def score(self, prompt: RenderedPrompt, rows: Sequence[DataRow]) -> FitnessReport:
+        return evaluate_prompt(
+            prompt,
+            rows,
+            self.task,
+            self.gateway,
+            train_rows=self.train.rows,
+            icl_k=self.icl_k,
+            model=self.model,
+            max_workers=self.max_workers,
+        )
+
+    def render(self, base: BaseTemplate, ph: Phenotype) -> tuple[RenderedPrompt, ExecutionTrace]:
+        return apply_phenotype(
+            base,
+            ph,
+            gateway=self.gateway,
+            lexicons=self.lexicons,
+            placeholder_guard=self.placeholder_guard,
+            edit_model=self.edit_model,
+        )

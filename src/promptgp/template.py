@@ -14,10 +14,9 @@ import logging
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import SECTIONS
-from .chunking import ChunkerFn
 from .editops import PLACEHOLDER_RE, ExecutionTrace, execute_program
 from .exprlang import parse
 from .gateway import LlmGateway
@@ -124,7 +123,6 @@ def apply_phenotype(
     ph: Phenotype,
     gateway: Optional[LlmGateway] = None,
     lexicons: Optional[Lexicons] = None,
-    chunker: Union[str, ChunkerFn] = "rule_based",
     placeholder_guard: bool = True,
     edit_model: str = "mock",
 ) -> tuple[RenderedPrompt, ExecutionTrace]:
@@ -148,7 +146,6 @@ def apply_phenotype(
             gateway=gateway,
             lexicons=lexicons,
             icl_items=icl_items,
-            chunker=chunker,
             placeholder_guard=placeholder_guard,
             edit_model=edit_model,
         )

@@ -50,7 +50,7 @@ from promptgp.surrogate import (
     predict_params,
     train,
 )
-from promptgp.tasks import DataRow, Dataset, TaskSpec, evaluate_prompt
+from promptgp.tasks import DataRow, Dataset, EvalContext, TaskSpec, evaluate_prompt
 from promptgp.template import (
     apply_phenotype,
     builtin_template,
@@ -376,13 +376,10 @@ def test_08_best_candidate_never_loses_to_incumbent():
             ph,
             base,
             ensemble,
-            train_rows,
+            EvalContext(TaskSpec(name="toy"), gateway, train_rows, icl_k=0, lexicons=LEX),
             val_rows,
-            TaskSpec(name="toy"),
-            gateway,
-            settings=LocalSearchSettings(per_site=4, icl_k=0),
+            settings=LocalSearchSettings(per_site=4),
             master_seed=seed,
-            lexicons=LEX,
         )
         if result.notice:
             assert result.best.is_incumbent
@@ -473,20 +470,19 @@ def make_synthetic_engine(seed):
         generations=10,
         max_nodes=120,
         sample_size=8,
-        icl_k=0,
         init_retries=3,
+    )
+    ctx = EvalContext(
+        TaskSpec(name="flag"), gateway, train_rows, icl_k=0, lexicons=synthetic_lexicons()
     )
     engine = EvolutionEngine(
         GRAMMAR,
         parse_template(SYNTHETIC_TEMPLATE),
-        TaskSpec(name="flag"),
-        train_rows,
+        ctx,
         val_rows,
-        gateway,
         settings=settings,
         master_seed=seed,
         journal=EvalJournal(),
-        lexicons=synthetic_lexicons(),
     )
     return engine, val_rows, gateway
 

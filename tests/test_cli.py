@@ -283,3 +283,42 @@ def test_evaluate_requires_configured_split(tmp_path):
         )
         == 2
     )
+
+
+@pytest.mark.parametrize("edit_model", ["edit-m", None])
+def test_models_reach_requests_and_evaluate_rescores_elite(tmp_path, monkeypatch, capsys, edit_model):
+    from promptgp import cli
+    from promptgp.gateway import PARAPHRASE_TEMPLATE, SUMMARISE_TEMPLATE
+
+    root = setup_run(tmp_path)
+    models = f"model = task-m\nedit_model = {edit_model}\n" if edit_model else "model = task-m\n"
+    config = root / "run.ini"
+    config.write_text(config.read_text().replace("backend = label_oracle\n", "backend = label_oracle\n" + models))
+
+    edit_prefixes = (PARAPHRASE_TEMPLATE.split(" ")[0], SUMMARISE_TEMPLATE.split(" ")[0])
+    seen = {"task": set(), "edit": set()}
+    build_gateway = cli.build_gateway
+
+    def recording_build_gateway(cfg, workdir):
+        gw = build_gateway(cfg, workdir)
+        complete = gw.complete
+
+        def record(req):
+            kind = "edit" if req.last_user_content().startswith(edit_prefixes) else "task"
+            seen[kind].add(req.model)
+            return complete(req)
+
+        gw.complete = record
+        return gw
+
+    monkeypatch.setattr(cli, "build_gateway", recording_build_gateway)
+    assert main(["optimize", "--config", str(config)]) == 0
+    assert seen == {"task": {"task-m"}, "edit": {edit_model or "task-m"}}
+
+    work = root / "work"
+    meta = json.loads((work / "elite_prompt.meta.json").read_text())
+    capsys.readouterr()
+    argv = ["evaluate", "--config", str(config), "--prompt", str(work / "elite_prompt.txt")]
+    assert main(argv + ["--split", "val"]) == 0
+    assert f"val fitness: {meta['f_val']:.6f} over 4 cases" in capsys.readouterr().out
+    assert seen["task"] == {"task-m"}

@@ -17,7 +17,6 @@ placeholder_guard = off
 [task]
 name = sentiment
 metric = token_f1
-labels = positive, negative
 template = builtin:ethos
 
 [gateway]
@@ -41,7 +40,6 @@ per_site = 6
 def test_defaults_without_file():
     cfg = RunConfig()
     assert cfg.master_seed == 0
-    assert cfg.chunker == "rule_based"
     assert cfg.placeholder_guard is True
     assert cfg.gp.population_size == 50
     assert cfg.gp.generations == 20
@@ -63,7 +61,6 @@ def test_parse_config_overrides():
     assert cfg.placeholder_guard is False
     assert cfg.task.name == "sentiment"
     assert cfg.task.metric == "token_f1"
-    assert cfg.task.labels == ("positive", "negative")
     assert cfg.gateway.backend == "label_oracle"
     assert cfg.gateway.max_attempts == 5
     assert cfg.gp.population_size == 10
@@ -82,6 +79,9 @@ def test_parse_config_rejects_unknown():
         parse_config("[gp]\nbanana = 1\n")
     with pytest.raises(ConfigError):
         parse_config("[run]\nbanana = 1\n")
+    # [gp] icl_k serves both phases; local search has no key of its own.
+    with pytest.raises(ConfigError):
+        parse_config("[local_search]\nicl_k = 0\n")
     with pytest.raises(ConfigError):
         parse_config("[gp]\npopulation_size = lots\n")
     with pytest.raises(ConfigError):

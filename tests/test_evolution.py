@@ -12,7 +12,7 @@ from promptgp.evolution import (
 from promptgp.gateway import LabelOracleBackend, LlmGateway
 from promptgp.grammar import default_grammar, sample_ptc2
 from promptgp.lexicons import default_lexicons
-from promptgp.tasks import DataRow, Dataset, TaskSpec
+from promptgp.tasks import DataRow, Dataset, EvalContext, TaskSpec
 from promptgp.template import parse_template
 
 GRAMMAR = default_grammar()
@@ -63,14 +63,11 @@ def make_engine(seed=0, gens=2, pop=6, journal=None, checkpoint=None, config_dig
     return EvolutionEngine(
         grammar=GRAMMAR,
         base=parse_template(TEMPLATE),
-        task=TaskSpec(name="toy"),
-        train_dataset=train,
+        ctx=EvalContext(TaskSpec(name="toy"), gateway, train, lexicons=default_lexicons()),
         val_dataset=val,
-        gateway=gateway,
         settings=settings,
         master_seed=seed,
         journal=journal if journal is not None else EvalJournal(),
-        lexicons=default_lexicons(),
         checkpoint_path=checkpoint,
         config_digest=config_digest,
     )

@@ -1,7 +1,8 @@
 from promptgp.lexicons import (
     Lexicons,
     default_lexicons,
-    load_lexicons,
+    load_stopwords,
+    load_synonyms,
     parse_stopwords,
     parse_synonyms,
 )
@@ -24,20 +25,16 @@ def test_parse_synonyms_skips_malformed_lines():
     assert table == {"ok": "fine"}
 
 
-def test_load_lexicons_from_files(tmp_path):
+def test_load_stopwords_from_file(tmp_path):
     stop = tmp_path / "stop.txt"
-    stop.write_text("a\nthe\n")
+    stop.write_text("# header\nA\nthe\n")
+    assert load_stopwords(str(stop)) == frozenset({"a", "the"})
+
+
+def test_load_synonyms_from_file(tmp_path):
     syn = tmp_path / "syn.tsv"
-    syn.write_text("big\tlarge\n")
-    lex = load_lexicons(str(stop), str(syn))
-    assert lex.stopwords == frozenset({"a", "the"})
-    assert lex.synonyms == {"big": "large"}
-
-
-def test_load_lexicons_none_paths_give_empty():
-    lex = load_lexicons(None, None)
-    assert lex.stopwords == frozenset()
-    assert lex.synonyms == {}
+    syn.write_text("big\tlarge,huge\n")
+    assert load_synonyms(str(syn)) == {"big": "large"}
 
 
 def test_default_lexicons_shipped_data():

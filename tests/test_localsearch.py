@@ -16,7 +16,7 @@ from promptgp.localsearch import (
     screen,
 )
 from promptgp.surrogate import HashingEmbedder, SurrogateEnsemble, SurrogateHp
-from promptgp.tasks import DataRow, Dataset, TaskSpec
+from promptgp.tasks import DataRow, Dataset, EvalContext, TaskSpec
 from promptgp.template import apply_phenotype, identity_phenotype, parse_template, phenotype_digest
 
 
@@ -179,11 +179,11 @@ def make_task_setup():
     )
     truth = {r.input: r.label for r in train.rows + val.rows}
     gateway = LlmGateway(LabelOracleBackend(truth))
-    return train, val, TaskSpec(name="toy"), gateway
+    return EvalContext(TaskSpec(name="toy"), gateway, train, lexicons=default_lexicons()), val
 
 
 def test_finalize_scores_and_ranks():
-    train, val, task, gateway = make_task_setup()
+    ctx, val = make_task_setup()
     base = parse_template(BASE_TEXT)
     ph = identity_phenotype()
     prompt, _ = apply_phenotype(base, ph, lexicons=default_lexicons())
@@ -194,7 +194,7 @@ def test_finalize_scores_and_ranks():
     other_prompt, _ = apply_phenotype(base, other_ph, lexicons=default_lexicons())
     other = Candidate(other_ph, other_prompt, phenotype_digest(other_ph))
 
-    best, ranked = finalize([other], incumbent, val.rows, train, task, gateway, seed=0)
+    best, ranked = finalize([other], incumbent, ctx, val.rows, seed=0)
     assert len(ranked) == 2
     for cand in ranked:
         assert cand.f_val == 1.0
@@ -205,7 +205,7 @@ def test_finalize_scores_and_ranks():
 
 
 def test_run_local_search_end_to_end():
-    train, val, task, gateway = make_task_setup()
+    ctx, val = make_task_setup()
     base = parse_template(BASE_TEXT)
     ph = make_phenotype(
         task="swap_elements(index1=[0,1], index2=[3], level=word, texts=BASE)",
@@ -214,13 +214,10 @@ def test_run_local_search_end_to_end():
         ph,
         base,
         constant_ensemble(0.5),
-        train,
+        ctx,
         val,
-        task,
-        gateway,
         settings=LocalSearchSettings(per_site=4),
         master_seed=13,
-        lexicons=default_lexicons(),
     )
     assert result.notice == ""
     assert len(result.sites) == 3
@@ -231,33 +228,26 @@ def test_run_local_search_end_to_end():
 
 
 def test_run_local_search_deterministic():
-    train, val, task, gateway = make_task_setup()
+    ctx, val = make_task_setup()
     base = parse_template(BASE_TEXT)
     ph = make_phenotype(task="remove_element(index=[2], level=word, texts=BASE)")
-    kwargs = dict(
-        settings=LocalSearchSettings(per_site=4),
-        master_seed=21,
-        lexicons=default_lexicons(),
-    )
-    r1 = run_local_search(ph, base, constant_ensemble(0.1), train, val, task, gateway, **kwargs)
-    r2 = run_local_search(ph, base, constant_ensemble(0.1), train, val, task, gateway, **kwargs)
+    kwargs = dict(settings=LocalSearchSettings(per_site=4), master_seed=21)
+    r1 = run_local_search(ph, base, constant_ensemble(0.1), ctx, val, **kwargs)
+    r2 = run_local_search(ph, base, constant_ensemble(0.1), ctx, val, **kwargs)
     assert [c.digest for c in r1.ranking] == [c.digest for c in r2.ranking]
     assert r1.best.digest == r2.best.digest
 
 
 def test_run_local_search_no_sites_returns_incumbent():
-    train, val, task, gateway = make_task_setup()
+    ctx, val = make_task_setup()
     base = parse_template(BASE_TEXT)
     result = run_local_search(
         identity_phenotype(),
         base,
         constant_ensemble(0.0),
-        train,
+        ctx,
         val,
-        task,
-        gateway,
         master_seed=0,
-        lexicons=default_lexicons(),
     )
     assert result.best.is_incumbent
     assert "no index sites" in result.notice
