@@ -28,6 +28,7 @@ from .lexicons import Lexicons, default_lexicons, load_stopwords, load_synonyms
 from .localsearch import run_local_search
 from .seeds import derive_seed
 from .surrogate import (
+    MIN_TUNE_POINTS,
     HashingEmbedder,
     RemoteEmbedder,
     SurrogateHp,
@@ -83,6 +84,8 @@ def build_gateway(cfg: RunConfig, workdir: Path) -> LlmGateway:
         max_attempts=gw.max_attempts,
         backoff_base=gw.backoff_base,
         max_inflight=gw.max_inflight,
+        temperature=gw.temperature,
+        max_new_tokens=gw.max_new_tokens,
     )
 
 
@@ -309,7 +312,7 @@ def cmd_local_search(args: argparse.Namespace) -> int:
     embedder = build_embedder(cfg)
 
     sur = cfg.surrogate
-    if len(points) >= 50:
+    if len(points) >= MIN_TUNE_POINTS:
         hp = tune_hyperparameters(
             points,
             derive_seed(cfg.master_seed, "hp_tune"),

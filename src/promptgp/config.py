@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field
 
 from .evolution import GpSettings
+from .gateway import DEFAULT_MAX_NEW_TOKENS, DEFAULT_TEMPERATURE
 from .localsearch import LocalSearchSettings
 
 
@@ -53,9 +54,8 @@ class GatewaySettings:
     max_inflight: int = 8
     max_attempts: int = 3
     backoff_base: float = 1.0
-    temperature: float = 0.0
-    max_new_tokens: int = 2048
-    sampling: bool = False
+    temperature: float = DEFAULT_TEMPERATURE
+    max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS
     cache_file: str = "cache.tsv"
     backend_data: str = ""
 
@@ -85,14 +85,7 @@ class RunConfig:
     local_search: LocalSearchSettings = field(default_factory=LocalSearchSettings)
 
 
-_SECTION_TARGETS = {
-    "task": "task",
-    "paths": "paths",
-    "gateway": "gateway",
-    "gp": "gp",
-    "surrogate": "surrogate",
-    "local_search": "local_search",
-}
+_SECTIONS = ("task", "paths", "gateway", "gp", "surrogate", "local_search")
 
 _BOOL_STRINGS = {
     "true": True, "yes": True, "on": True, "1": True,
@@ -140,8 +133,8 @@ def parse_config(text: str) -> RunConfig:
                 if key not in run_keys:
                     raise ConfigError(f"unknown key {key!r} in section [run]")
                 setattr(cfg, key, _coerce(raw, getattr(cfg, key)))
-        elif section in _SECTION_TARGETS:
-            _apply(getattr(cfg, _SECTION_TARGETS[section]), section, items)
+        elif section in _SECTIONS:
+            _apply(getattr(cfg, section), section, items)
         else:
             raise ConfigError(f"unknown section [{section}]")
     return cfg

@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import re
 import string
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -50,20 +51,6 @@ class ExecutionTrace:
         self.records.extend(other.records)
 
 
-class RemovalQueue:
-    def __init__(self) -> None:
-        self._items: list[str] = []
-
-    def push(self, item: str) -> None:
-        self._items.append(item)
-
-    def pop(self) -> str:
-        return self._items.pop(0)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
 def placeholders(text: str) -> set[str]:
     return set(PLACEHOLDER_RE.findall(text))
 
@@ -72,7 +59,7 @@ def placeholders(text: str) -> set[str]:
 class _ExecState:
     base_text: Union[str, list[str]]
     icl_items: list[str]
-    queue: RemovalQueue
+    queue: deque[str]
     trace: ExecutionTrace
     gateway: Optional[LlmGateway]
     lexicons: Lexicons
@@ -94,7 +81,7 @@ def execute_program(
     state = _ExecState(
         base_text=base_text,
         icl_items=list(icl_items or []),
-        queue=RemovalQueue(),
+        queue=deque(),
         trace=ExecutionTrace(),
         gateway=gateway,
         lexicons=lexicons or Lexicons(),
@@ -182,9 +169,9 @@ def _edit_chunks(
         return " ".join(t for t, _ in span)
 
     if name == "readd_element":
-        if len(state.queue) == 0:
+        if not state.queue:
             return items
-        entry = state.queue.pop()
+        entry = state.queue.popleft()
         pos = resolved[0] if n > 0 else 0
         return items[:pos] + [(entry, None)] + items[pos:]
 
@@ -207,7 +194,7 @@ def _edit_chunks(
 
     if name == "remove_element":
         lo, hi = _as_span(resolved[0])
-        state.queue.push(span_text(items[lo : hi + 1]))
+        state.queue.append(span_text(items[lo : hi + 1]))
         return items[:lo] + items[hi + 1 :]
 
     if name == "duplicate_element":

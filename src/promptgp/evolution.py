@@ -15,7 +15,7 @@ import logging
 import math
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .editops import ProgramExecutionError
@@ -75,16 +75,7 @@ class Individual:
         return hashlib.sha256(blob).hexdigest()[:16]
 
     def clone(self) -> "Individual":
-        return Individual(
-            genotype=self.genotype,
-            tree=self.tree,
-            born=self.born,
-            phenotype=self.phenotype,
-            prompt=self.prompt,
-            f_train=self.f_train,
-            f_val=self.f_val,
-            failed=self.failed,
-        )
+        return replace(self)
 
 
 class EvalJournal:
@@ -113,11 +104,16 @@ class EvalJournal:
 
     @classmethod
     def load(cls, path: str) -> "EvalJournal":
+        """Read a journal file; a last line without a newline was torn by a
+        killed append and is dropped."""
         journal = cls(path=None)
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    journal.records.append(json.loads(line))
+            lines = fh.readlines()
+        if lines and not lines[-1].endswith("\n"):
+            log.warning("%s: dropped a torn last line of %d characters", path, len(lines.pop()))
+        for line in lines:
+            if line.strip():
+                journal.records.append(json.loads(line))
         journal.path = path
         return journal
 

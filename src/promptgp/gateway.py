@@ -12,6 +12,7 @@ import base64
 import hashlib
 import json
 import logging
+import os
 import re
 import threading
 import time
@@ -69,7 +70,6 @@ class LlmRequest:
     messages: tuple[tuple[str, str], ...]  # (role, content) pairs
     temperature: float = DEFAULT_TEMPERATURE
     max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS
-    sampling: bool = False
 
     def last_user_content(self) -> str:
         for role, content in reversed(self.messages):
@@ -78,17 +78,12 @@ class LlmRequest:
         return ""
 
 
-def user_request(content: str, model: str = "mock") -> LlmRequest:
-    return LlmRequest(model=model, messages=(("user", content),))
-
-
 def request_digest(req: LlmRequest) -> str:
     payload = {
         "model": req.model,
         "messages": [[r, c] for r, c in req.messages],
         "temperature": req.temperature,
         "max_new_tokens": req.max_new_tokens,
-        "sampling": req.sampling,
     }
     blob = json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
@@ -104,7 +99,12 @@ class LlmResponse:
 
 
 class ResponseCache:
-    """digest -> response text; optionally persisted as digest<TAB>base64 lines."""
+    """digest -> response text; optionally persisted as digest<TAB>base64 lines.
+
+    A line is complete only when it ends in a newline.  A last line without
+    one was torn by a killed append: loading drops it and truncates the file
+    to its last newline, so the next append starts on a fresh line.
+    """
 
     def __init__(self, path: Optional[str] = None):
         self.path = path
@@ -112,15 +112,19 @@ class ResponseCache:
         self._mem: dict[str, str] = {}
         if path is not None:
             try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    for line in fh:
-                        line = line.rstrip("\n")
-                        if not line:
-                            continue
-                        digest, _, blob = line.partition("\t")
-                        self._mem[digest] = base64.b64decode(blob).decode("utf-8")
+                with open(path, "rb") as fh:
+                    data = fh.read()
             except FileNotFoundError:
-                pass
+                return
+            end = data.rfind(b"\n") + 1
+            if end < len(data):
+                log.warning("%s: dropped a torn last line of %d bytes", path, len(data) - end)
+                os.truncate(path, end)
+            for line in data[:end].decode("utf-8").splitlines():
+                if not line:
+                    continue
+                digest, _, blob = line.partition("\t")
+                self._mem[digest] = base64.b64decode(blob).decode("utf-8")
 
     def __len__(self) -> int:
         return len(self._mem)
@@ -280,7 +284,11 @@ class GatewayStats:
 
 
 class LlmGateway:
-    """Cache-first completion with bounded retries and bounded concurrency."""
+    """Cache-first completion with bounded retries and bounded concurrency.
+
+    `temperature` and `max_new_tokens` are the one decoding setting that
+    every request built by `ask` carries.
+    """
 
     def __init__(
         self,
@@ -290,7 +298,8 @@ class LlmGateway:
         backoff_base: float = 1.0,
         max_inflight: int = 8,
         sleep: Callable[[float], None] = time.sleep,
-        use_cache: bool = True,
+        temperature: float = DEFAULT_TEMPERATURE,
+        max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS,
     ):
         self.backend = backend
         self.cache = cache if cache is not None else ResponseCache()
@@ -298,7 +307,8 @@ class LlmGateway:
         self.backoff_base = backoff_base
         self._inflight = threading.BoundedSemaphore(max_inflight)
         self._sleep = sleep
-        self.use_cache = use_cache
+        self.temperature = temperature
+        self.max_new_tokens = max_new_tokens
         self.stats = GatewayStats()
         self._stats_lock = threading.Lock()
 
@@ -306,12 +316,11 @@ class LlmGateway:
         digest = request_digest(req)
         with self._stats_lock:
             self.stats.requests += 1
-        if self.use_cache:
-            hit = self.cache.get(digest)
-            if hit is not None:
-                with self._stats_lock:
-                    self.stats.cache_hits += 1
-                return LlmResponse(text=hit, cache_hit=True)
+        hit = self.cache.get(digest)
+        if hit is not None:
+            with self._stats_lock:
+                self.stats.cache_hits += 1
+            return LlmResponse(text=hit, cache_hit=True)
         started = time.monotonic()
         last_exc: Optional[Exception] = None
         for attempt in range(1, self.max_attempts + 1):
@@ -331,9 +340,18 @@ class LlmGateway:
             with self._stats_lock:
                 self.stats.failures += 1
             raise TransportError(f"backend failed after {self.max_attempts} attempts: {last_exc}")
-        if self.use_cache:
-            self.cache.put(digest, text)
+        self.cache.put(digest, text)
         return LlmResponse(text=text, latency=time.monotonic() - started)
+
+    def ask(self, content: str, model: str) -> str:
+        """Reply text to one user message under the gateway's decoding setting."""
+        req = LlmRequest(
+            model=model,
+            messages=(("user", content),),
+            temperature=self.temperature,
+            max_new_tokens=self.max_new_tokens,
+        )
+        return self.complete(req).text
 
 
 def _fill(template: str, **slots: str) -> str:
@@ -361,8 +379,7 @@ def _extract_answer(reply: str) -> Optional[str]:
 def paraphrase_call(gw: LlmGateway, text: str, model: str = "mock") -> str:
     """Ask the gateway to paraphrase; returns the parsed answer text."""
     prompt = _fill(PARAPHRASE_TEMPLATE, input_text=text)
-    reply = gw.complete(user_request(prompt, model=model)).text
-    answer = _extract_answer(reply)
+    answer = _extract_answer(gw.ask(prompt, model))
     if answer is None:
         raise ReplyFormatError("paraphrase reply carried no parseable answer")
     return answer
@@ -371,8 +388,7 @@ def paraphrase_call(gw: LlmGateway, text: str, model: str = "mock") -> str:
 def summarise_call(gw: LlmGateway, text: str, ratio: float, model: str = "mock") -> str:
     """Ask the gateway to shorten text to roughly `ratio` of its length."""
     prompt = _fill(SUMMARISE_TEMPLATE, ratio=str(int(round(ratio * 100))), input_text=text)
-    reply = gw.complete(user_request(prompt, model=model)).text
-    answer = _extract_answer(reply)
+    answer = _extract_answer(gw.ask(prompt, model))
     if answer is None:
         raise ReplyFormatError("summarise reply carried no parseable answer")
     return answer

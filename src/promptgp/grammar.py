@@ -54,10 +54,6 @@ class Grammar:
         }
         self._min_size = self._compute_min_sizes()
 
-    @property
-    def nonterminals(self) -> set[str]:
-        return set(self.productions)
-
     def _compute_min_sizes(self) -> dict[str, float]:
         sizes = {nt: math.inf for nt in self.productions}
         changed = True

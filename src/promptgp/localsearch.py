@@ -50,21 +50,25 @@ class IndexSite:
 
 
 @dataclass
-class Neighbor:
+class Candidate:
+    """The incumbent or one neighbour; `prompt` is None until rendered."""
+
     phenotype: Phenotype
-    site: IndexSite
-    value: int
+    prompt: Optional[RenderedPrompt]
     digest: str
-    prompt: Optional[RenderedPrompt] = None
-    mean: float = 0.0
-    variance: float = 0.0
+    is_incumbent: bool = False
+    site: Optional[IndexSite] = None
+    value: Optional[int] = None
+    mean: Optional[float] = None
+    variance: Optional[float] = None
+    f_val: Optional[float] = None
+    f_train: Optional[float] = None
+    combined: Optional[float] = None
 
 
 @dataclass
 class Neighborhood:
-    incumbent: Phenotype
-    neighbors: list[Neighbor]
-    bound: int
+    neighbors: list[Candidate]
 
 
 def enumerate_sites(ph: Phenotype) -> list[IndexSite]:
@@ -98,22 +102,24 @@ def build_neighborhood(
         raise ValueError("bound must be >= 1")
     rng = random.Random(seed)
     parsed = {section: parse(ph.programs[section]) for section in SECTIONS}
-    neighbors: list[Neighbor] = []
+    neighbors: list[Candidate] = []
     for site in sites:
         pool = [v for v in range(1, bound + 1) if v != site.value]
         for value in rng.sample(pool, min(per_site, len(pool))):
             mutated = _mutate_site(ph, parsed, site, value)
-            neighbors.append(Neighbor(mutated, site, value, phenotype_digest(mutated)))
-    return Neighborhood(ph, neighbors, bound)
+            neighbors.append(
+                Candidate(mutated, None, phenotype_digest(mutated), site=site, value=value)
+            )
+    return Neighborhood(neighbors)
 
 
 def screen(
-    neighbors: list[Neighbor],
+    neighbors: list[Candidate],
     ensemble: SurrogateEnsemble,
     limit: int = 50,
     top_mean: int = 25,
     top_variance: int = 25,
-) -> list[Neighbor]:
+) -> list[Candidate]:
     """Union of top-mean and top-variance predictions, backfilled by mean rank."""
     if not neighbors:
         return []
@@ -136,21 +142,6 @@ def screen(
             break
         chosen.setdefault(i)
     return [neighbors[i] for i in by_mean if i in chosen]
-
-
-@dataclass
-class Candidate:
-    phenotype: Phenotype
-    prompt: RenderedPrompt
-    digest: str
-    is_incumbent: bool = False
-    site: Optional[IndexSite] = None
-    value: Optional[int] = None
-    mean: Optional[float] = None
-    variance: Optional[float] = None
-    f_val: Optional[float] = None
-    f_train: Optional[float] = None
-    combined: Optional[float] = None
 
 
 def finalize(
@@ -215,16 +206,9 @@ def run_local_search(
     )
     for neighbor in nb.neighbors:
         neighbor.prompt, _ = ctx.render(base, neighbor.phenotype)
-    survivors = screen(
+    candidates = screen(
         nb.neighbors, ensemble, settings.screen_limit, settings.top_mean, settings.top_variance
     )
-    candidates = [
-        Candidate(
-            n.phenotype, n.prompt, n.digest,
-            site=n.site, value=n.value, mean=n.mean, variance=n.variance,
-        )
-        for n in survivors
-    ]
     best, ranking = finalize(
         candidates,
         incumbent,

@@ -241,7 +241,6 @@ def fit_models(
     submodels: int = 10,
     epochs: int = 200,
     train_fraction: float = 0.7,
-    submodel_seeds: Optional[Sequence[int]] = None,
 ) -> tuple[list[Params], int, list[float]]:
     """Train the ensemble; return (models at best epoch, best epoch, val-loss history)."""
     n = len(y)
@@ -255,8 +254,7 @@ def fit_models(
 
     states: list[_SubmodelState] = []
     for i in range(submodels):
-        sub_seed = submodel_seeds[i] if submodel_seeds is not None else derive_seed(seed, "submodel", i)
-        rng = np.random.default_rng(sub_seed)
+        rng = np.random.default_rng(derive_seed(seed, "submodel", i))
         boot = rng.integers(0, n_train, n_train)
         params = init_params(X.shape[1], hp.widths, rng)
         states.append(_SubmodelState(params, AdamState(params), rng, X[train_idx][boot], y[train_idx][boot]))
@@ -311,7 +309,6 @@ def train(
     submodels: int = 10,
     epochs: int = 200,
     train_fraction: float = 0.7,
-    submodel_seeds: Optional[Sequence[int]] = None,
 ) -> SurrogateEnsemble:
     if len(points) < MIN_TRAIN_POINTS:
         raise SurrogateError(f"need at least {MIN_TRAIN_POINTS} data points, got {len(points)}")
@@ -321,7 +318,6 @@ def train(
     models, best_epoch, history = fit_models(
         X, y, hp, seed,
         submodels=submodels, epochs=epochs, train_fraction=train_fraction,
-        submodel_seeds=submodel_seeds,
     )
     return SurrogateEnsemble(models, embedder, hp, best_epoch, tuple(history))
 

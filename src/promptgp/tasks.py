@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .editops import ExecutionTrace
-from .gateway import GatewayError, LlmGateway, user_request
+from .gateway import GatewayError, LlmGateway
 from .grammar import Phenotype
 from .lexicons import Lexicons
 from .template import (
@@ -192,11 +192,11 @@ def evaluate_prompt(
         demos = [format_demo(r, task.answer_key) for r in retrieve_icl(row.input, train_rows, icl_k)]
         bound = instantiate(prompt, row, demos)
         try:
-            response = gateway.complete(user_request(bound.text, model=model))
+            reply = gateway.ask(bound.text, model)
         except GatewayError as exc:
             log.warning("case %s: gateway failure: %s", row.id, exc)
             return 0.0, True, 1
-        pred = extract_answer(response.text, task.answer_key)
+        pred = extract_answer(reply, task.answer_key)
         return score_case(pred, row.label, task.metric), pred is None, 1
 
     if max_workers > 1:

@@ -30,6 +30,7 @@ _HEADER_NAMES = {section.upper(): section for section in SECTIONS}
 
 TASK_INPUT_PLACEHOLDER = "__TASK_INPUT_0__"
 CONTEXT_PLACEHOLDER = "__CONTEXT__"
+_ICL_SLOT_RE = re.compile(r"__ICL_\d+__")
 
 
 class TemplateError(ValueError):
@@ -181,7 +182,11 @@ def format_demo(row, answer_key: str = "Answer") -> str:
 
 
 def instantiate(rp: RenderedPrompt, case, demos: Sequence[str]) -> InstantiatedPrompt:
-    """Bind one case: task input, context, surviving demo placeholders."""
+    """Bind one case: task input, context, surviving demo placeholders.
+
+    An ICL slot beyond the demonstrations given is empty by design; any
+    other unbound placeholder is substituted empty with a warning.
+    """
     bindings = {
         TASK_INPUT_PLACEHOLDER: case.input,
         CONTEXT_PLACEHOLDER: getattr(case, "context", "") or "",
@@ -195,7 +200,8 @@ def instantiate(rp: RenderedPrompt, case, demos: Sequence[str]) -> InstantiatedP
         token = match.group(0)
         if token in bindings:
             return bindings[token]
-        unbound.append(token)
+        if not _ICL_SLOT_RE.fullmatch(token):
+            unbound.append(token)
         return ""
 
     text = PLACEHOLDER_RE.sub(substitute, rp.text)

@@ -5,6 +5,7 @@ import pytest
 
 from promptgp.cli import main
 from promptgp.config import load_config, config_digest
+from promptgp.gateway import LabelOracleBackend
 from promptgp.grammar import decode, default_grammar, render_phenotype
 
 TEMPLATE = """== PERSONA ==
@@ -285,6 +286,14 @@ def test_evaluate_requires_configured_split(tmp_path):
     )
 
 
+def demo_dependent_oracle(root):
+    """Right label only when the prompt shows `Input:` demonstration lines."""
+    truth = json.loads((root / "truth.json").read_text())
+    return LabelOracleBackend(
+        truth, answer_fn=lambda label, prompt: "{'Answer': '%s'}" % (label if "Input: " in prompt else "maybe")
+    )
+
+
 @pytest.mark.parametrize("edit_model", ["edit-m", None])
 def test_models_reach_requests_and_evaluate_rescores_elite(tmp_path, monkeypatch, capsys, edit_model):
     from promptgp import cli
@@ -292,6 +301,7 @@ def test_models_reach_requests_and_evaluate_rescores_elite(tmp_path, monkeypatch
 
     root = setup_run(tmp_path)
     models = f"model = task-m\nedit_model = {edit_model}\n" if edit_model else "model = task-m\n"
+    models += "temperature = 0.5\nmax_new_tokens = 64\n"
     config = root / "run.ini"
     config.write_text(config.read_text().replace("backend = label_oracle\n", "backend = label_oracle\n" + models))
 
@@ -301,11 +311,12 @@ def test_models_reach_requests_and_evaluate_rescores_elite(tmp_path, monkeypatch
 
     def recording_build_gateway(cfg, workdir):
         gw = build_gateway(cfg, workdir)
+        gw.backend = demo_dependent_oracle(root)
         complete = gw.complete
 
         def record(req):
             kind = "edit" if req.last_user_content().startswith(edit_prefixes) else "task"
-            seen[kind].add(req.model)
+            seen[kind].add((req.model, req.temperature, req.max_new_tokens))
             return complete(req)
 
         gw.complete = record
@@ -313,12 +324,14 @@ def test_models_reach_requests_and_evaluate_rescores_elite(tmp_path, monkeypatch
 
     monkeypatch.setattr(cli, "build_gateway", recording_build_gateway)
     assert main(["optimize", "--config", str(config)]) == 0
-    assert seen == {"task": {"task-m"}, "edit": {edit_model or "task-m"}}
+    assert seen == {"task": {("task-m", 0.5, 64)}, "edit": {(edit_model or "task-m", 0.5, 64)}}
 
     work = root / "work"
     meta = json.loads((work / "elite_prompt.meta.json").read_text())
+    # The elite shows demonstrations, so re-scoring it without them would differ.
+    assert meta["f_val"] > 0
     capsys.readouterr()
     argv = ["evaluate", "--config", str(config), "--prompt", str(work / "elite_prompt.txt")]
     assert main(argv + ["--split", "val"]) == 0
     assert f"val fitness: {meta['f_val']:.6f} over 4 cases" in capsys.readouterr().out
-    assert seen["task"] == {"task-m"}
+    assert seen["task"] == {("task-m", 0.5, 64)}

@@ -23,7 +23,6 @@ template = builtin:ethos
 backend = label_oracle
 max_attempts = 5
 temperature = 0.0
-sampling = false
 
 [gp]
 population_size = 10
@@ -45,7 +44,6 @@ def test_defaults_without_file():
     assert cfg.gp.generations == 20
     assert cfg.gateway.temperature == 0.0
     assert cfg.gateway.max_new_tokens == 2048
-    assert cfg.gateway.sampling is False
     assert cfg.surrogate.submodels == 10
     assert cfg.surrogate.epochs == 200
     assert cfg.surrogate.train_fraction == 0.7
@@ -82,6 +80,9 @@ def test_parse_config_rejects_unknown():
     # [gp] icl_k serves both phases; local search has no key of its own.
     with pytest.raises(ConfigError):
         parse_config("[local_search]\nicl_k = 0\n")
+    # Temperature 0 is greedy decoding; there is no separate sampling switch.
+    with pytest.raises(ConfigError):
+        parse_config("[gateway]\nsampling = false\n")
     with pytest.raises(ConfigError):
         parse_config("[gp]\npopulation_size = lots\n")
     with pytest.raises(ConfigError):

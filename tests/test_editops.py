@@ -3,7 +3,6 @@ import pytest
 from promptgp.editops import (
     ExecutionTrace,
     ProgramExecutionError,
-    RemovalQueue,
     TraceRecord,
     execute_program,
     placeholders,
@@ -59,15 +58,6 @@ def test_synonimise_keeps_capitalisation_and_punctuation():
     out = run("synonimise(index=[0], level=sentence, texts=BASE)", "Classify the text, please.")
     assert out.startswith("Categorise")
     assert out.endswith(",") or "," in out
-
-
-def test_removal_queue_is_fifo():
-    q = RemovalQueue()
-    q.push("first")
-    q.push("second")
-    assert q.pop() == "first"
-    assert q.pop() == "second"
-    assert len(q) == 0
 
 
 def test_fifo_order_across_nested_removes_and_readds():

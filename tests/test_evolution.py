@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -111,6 +112,22 @@ def test_journal_file_round_trip(tmp_path):
     lines = open(path, encoding="utf-8").read().splitlines()
     assert json.loads(lines[0]) == journal.records[0]
     assert lines[0] == json.dumps(journal.records[0], sort_keys=True)
+
+
+def test_journal_load_drops_torn_last_line(tmp_path, caplog):
+    path = tmp_path / "journal.jsonl"
+    journal = EvalJournal(str(path))
+    journal.append({"generation": 0})
+    journal.append({"generation": 1, "prompt": "cut short"})
+    path.write_text(path.read_text(encoding="utf-8")[:-10], encoding="utf-8")
+    with caplog.at_level(logging.WARNING, logger="promptgp.evolution"):
+        loaded = EvalJournal.load(str(path))
+    assert loaded.records == [{"generation": 0}]
+    assert [r.name for r in caplog.records] == ["promptgp.evolution"]
+    # A malformed line that ends in a newline is not a torn append.
+    path.write_text('{"generation": 0}\n{"gen\n', encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError):
+        EvalJournal.load(str(path))
 
 
 def test_journal_truncate_file(tmp_path):

@@ -1,9 +1,11 @@
 import json
+import logging
 
 import pytest
 
 from promptgp.gateway import (
     EchoBackend,
+    HttpBackend,
     LabelOracleBackend,
     LlmGateway,
     LlmRequest,
@@ -14,8 +16,11 @@ from promptgp.gateway import (
     paraphrase_call,
     request_digest,
     summarise_call,
-    user_request,
 )
+
+
+def user_request(content, model="mock"):
+    return LlmRequest(model=model, messages=(("user", content),))
 
 
 class FlakyBackend:
@@ -62,6 +67,37 @@ def test_cache_round_trip_file_format(tmp_path):
     assert reloaded.get("missing") is None
 
 
+@pytest.mark.parametrize(
+    "blob_chars",
+    [8, 7],  # torn at a 4-character base64 boundary, and anywhere else
+)
+def test_cache_drops_torn_last_line_and_appends_on_a_fresh_line(tmp_path, caplog, blob_chars):
+    path = tmp_path / "cache.tsv"
+    cache = ResponseCache(str(path))
+    cache.put("d1", "first")
+    cache.put("d2", "{'Answer': 'yes'} because the text says so")
+    first_line = path.read_bytes().split(b"\n")[0] + b"\n"
+    path.write_bytes(path.read_bytes()[: len(first_line) + len("d2\t") + blob_chars])
+
+    with caplog.at_level(logging.WARNING, logger="promptgp.gateway"):
+        reloaded = ResponseCache(str(path))
+    assert [r.name for r in caplog.records] == ["promptgp.gateway"]
+    assert reloaded.get("d1") == "first"
+    assert reloaded.get("d2") is None
+    assert path.read_bytes() == first_line
+
+    reloaded.put("d3", "third")
+    again = ResponseCache(str(path))
+    assert (again.get("d1"), again.get("d3")) == ("first", "third")
+
+
+def test_cache_malformed_complete_line_still_raises(tmp_path):
+    path = tmp_path / "cache.tsv"
+    path.write_text("d1\tabc\n", encoding="utf-8")
+    with pytest.raises(ValueError):
+        ResponseCache(str(path))
+
+
 def test_cache_put_is_append_only(tmp_path):
     path = str(tmp_path / "cache.tsv")
     cache = ResponseCache(path)
@@ -103,6 +139,38 @@ def test_gateway_raises_after_final_attempt():
     assert backend.calls == 3
     assert delays == [0.5, 1.0]
     assert gw.stats.failures == 1
+
+
+class StubSession:
+    """Records POST bodies and answers with one chat-completions reply."""
+
+    def __init__(self):
+        self.bodies = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.bodies.append(json)
+        return self
+
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return {"choices": [{"message": {"content": "pong"}}]}
+
+
+def test_ask_posts_the_gateway_decoding_setting():
+    stub = StubSession()
+    backend = HttpBackend("http://localhost:9/v1/chat/completions", session=stub)
+    gw = LlmGateway(backend, temperature=0.5, max_new_tokens=64)
+    assert gw.ask("ping", "small-model") == "pong"
+    assert stub.bodies == [
+        {
+            "model": "small-model",
+            "messages": [{"role": "user", "content": "ping"}],
+            "temperature": 0.5,
+            "max_tokens": 64,
+        }
+    ]
 
 
 def test_echo_backend_returns_last_user_message():
@@ -182,15 +250,6 @@ def test_truncate_backend_paraphrase_echoes_fenced_text():
 def test_truncate_backend_plain_request_echoes():
     req = user_request("no fence here")
     assert TruncateBackend().send(req) == "no fence here"
-
-
-def test_gateway_cache_disabled():
-    backend = FlakyBackend(failures=0, reply="r")
-    gw = LlmGateway(backend, use_cache=False)
-    gw.complete(user_request("q"))
-    gw.complete(user_request("q"))
-    assert backend.calls == 2
-    assert gw.stats.cache_hits == 0
 
 
 def test_truncate_summarise_reply_is_json():

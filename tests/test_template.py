@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 
 from promptgp import SECTIONS
@@ -9,6 +11,7 @@ from promptgp.template import (
     CONTEXT_PLACEHOLDER,
     TASK_INPUT_PLACEHOLDER,
     BaseTemplate,
+    RenderedPrompt,
     TemplateError,
     apply_phenotype,
     builtin_template,
@@ -200,6 +203,22 @@ def test_instantiate_unbound_placeholders_become_empty():
     inst = instantiate(rp, case, demos=[])
     assert "__ICL_0__" not in inst.text
     assert "__CONTEXT__" not in inst.text
+
+
+def test_instantiate_warns_only_for_unbound_non_icl_placeholders(caplog):
+    rp, _ = apply_phenotype(make_template(), identity_phenotype(), lexicons=LEX)
+    case = DataRow(id="c1", input="Q?", label="a")
+    # ICL slots beyond the demonstrations given are empty by design.
+    with caplog.at_level(logging.WARNING, logger="promptgp.template"):
+        instantiate(rp, case, demos=[])
+    assert [r for r in caplog.records if r.name == "promptgp.template"] == []
+
+    stray = RenderedPrompt(sections={}, text="__TASK_INPUT_0__ __FOO__ __ICL_0__", provenance="x")
+    with caplog.at_level(logging.WARNING, logger="promptgp.template"):
+        inst = instantiate(stray, case, demos=[])
+    assert inst.text == "Q?  "
+    warnings = [r.getMessage() for r in caplog.records if r.name == "promptgp.template"]
+    assert len(warnings) == 1 and "__FOO__" in warnings[0] and "__ICL_0__" not in warnings[0]
 
 
 def test_echo_gateway_end_to_end_render():
