@@ -30,9 +30,8 @@ class ChunkingError(ValueError):
 
 @dataclass
 class ChunkList:
-    """Level-tagged segmentation; len(separators) == len(chunks) + 1."""
+    """One segmentation of a text; len(separators) == len(chunks) + 1."""
 
-    level: str
     chunks: list[str]
     separators: list[str]
 
@@ -127,7 +126,7 @@ def chunk(text: str, level: str) -> ChunkList:
         separators.append(text[prev:s])
         prev = e
     separators.append(text[prev:])
-    return ChunkList(level=level, chunks=chunks, separators=separators)
+    return ChunkList(chunks=chunks, separators=separators)
 
 
 def reassemble(cl: ChunkList) -> str:
@@ -139,8 +138,8 @@ def reassemble(cl: ChunkList) -> str:
     return "".join(parts)
 
 
-# Edited chunks are (text, provenance) pairs; provenance is the chunk's index
-# in the original ChunkList, or None for chunks created by an edit.
+# Edited chunks are (text, origin) pairs; origin is the chunk's index in the
+# original ChunkList, or None for chunks created by an edit.
 EditedChunk = tuple[str, Optional[int]]
 
 

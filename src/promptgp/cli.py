@@ -113,11 +113,7 @@ def build_lexicons(cfg: RunConfig) -> Lexicons:
 
 
 def build_task(cfg: RunConfig) -> TaskSpec:
-    return TaskSpec(
-        name=cfg.task.name,
-        metric=cfg.task.metric,
-        answer_key=cfg.task.answer_key,
-    )
+    return TaskSpec(metric=cfg.task.metric, answer_key=cfg.task.answer_key)
 
 
 def build_context(
@@ -204,8 +200,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     grammar = build_grammar(cfg)
     base = build_template(cfg)
     lexicons = build_lexicons(cfg)
-    train_ds = load_dataset(_require(cfg.task.train_data, "train_data"), split="train")
-    val_ds = load_dataset(_require(cfg.task.val_data, "val_data"), split="val")
+    train_ds = load_dataset(_require(cfg.task.train_data, "train_data"))
+    val_ds = load_dataset(_require(cfg.task.val_data, "val_data"))
     ctx = build_context(cfg, workdir, train_ds, cfg.gp.eval_workers, lexicons)
 
     journal_path = workdir / "journal.jsonl"
@@ -306,8 +302,8 @@ def cmd_local_search(args: argparse.Namespace) -> int:
     grammar = build_grammar(cfg)
     base = build_template(cfg)
     lexicons = build_lexicons(cfg)
-    train_ds = load_dataset(_require(cfg.task.train_data, "train_data"), split="train")
-    val_ds = load_dataset(_require(cfg.task.val_data, "val_data"), split="val")
+    train_ds = load_dataset(_require(cfg.task.train_data, "train_data"))
+    val_ds = load_dataset(_require(cfg.task.val_data, "val_data"))
     ctx = build_context(cfg, workdir, train_ds, cfg.local_search.eval_workers, lexicons)
     embedder = build_embedder(cfg)
 
@@ -413,15 +409,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     path = data_paths[args.split]
     if not path:
         raise CliError(f"config has no {args.split} dataset")
-    dataset = load_dataset(path, split=args.split)
-    train = Dataset(rows=[], split="train")
-    if cfg.task.train_data:
-        train = load_dataset(cfg.task.train_data, split="train")
+    dataset = load_dataset(path)
+    train = load_dataset(cfg.task.train_data) if cfg.task.train_data else Dataset(rows=[])
     ctx = build_context(cfg, workdir, train, cfg.gp.eval_workers)
 
     prompt_text = Path(args.prompt).read_text(encoding="utf-8")
-    prompt = RenderedPrompt(sections={}, text=prompt_text, provenance=f"file:{args.prompt}")
-    report = ctx.score(prompt, dataset.rows)
+    report = ctx.score(RenderedPrompt(prompt_text), dataset.rows)
     out = workdir / f"eval_{args.split}.tsv"
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(f"# config_digest={digest}\n")

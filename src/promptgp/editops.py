@@ -2,9 +2,9 @@
 
 Evaluation is innermost-first: an operator's `texts` argument is evaluated,
 the result is re-chunked at the operator's own level, edited, and
-reassembled.  A FIFO removal queue and an execution trace are scoped to one
-program execution.  Errors in LLM-backed operations degrade to identity
-with a warning; they never abort an execution.
+reassembled.  A FIFO removal queue and the largest chunk count any operator
+saw are scoped to one program execution.  Errors in LLM-backed operations
+degrade to identity with a warning; they never abort an execution.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import logging
 import re
 import string
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import chunking
@@ -31,64 +31,44 @@ class ProgramExecutionError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    op: str
-    level: str
-    indices: tuple[Union[int, tuple[int, int], None], ...]
-    chunk_count: int
-
-
-@dataclass
-class ExecutionTrace:
-    records: list[TraceRecord] = field(default_factory=list)
-
-    @property
-    def max_chunk_count(self) -> int:
-        return max((r.chunk_count for r in self.records), default=0)
-
-    def extend(self, other: "ExecutionTrace") -> None:
-        self.records.extend(other.records)
-
-
 def placeholders(text: str) -> set[str]:
     return set(PLACEHOLDER_RE.findall(text))
 
 
 @dataclass
 class _ExecState:
-    base_text: Union[str, list[str]]
+    base_text: str
     icl_items: list[str]
     queue: deque[str]
-    trace: ExecutionTrace
     gateway: Optional[LlmGateway]
     lexicons: Lexicons
     placeholder_guard: bool
     edit_model: str
+    max_chunks: int = 0
 
 
 def execute_program(
     program: Union[str, Expr],
-    base_text: Union[str, list[str]],
+    base_text: str,
     gateway: Optional[LlmGateway] = None,
     lexicons: Optional[Lexicons] = None,
     icl_items: Optional[list[str]] = None,
     placeholder_guard: bool = True,
     edit_model: str = "mock",
-) -> tuple[Union[str, list[str]], ExecutionTrace]:
-    """Run one section program; returns (edited text or list, trace)."""
+) -> tuple[Union[str, list[str]], int]:
+    """Run one section program; returns (edited text or list, largest chunk
+    count any operator saw)."""
     expr = parse(program) if isinstance(program, str) else program
     state = _ExecState(
         base_text=base_text,
         icl_items=list(icl_items or []),
         queue=deque(),
-        trace=ExecutionTrace(),
         gateway=gateway,
         lexicons=lexicons or Lexicons(),
         placeholder_guard=placeholder_guard,
         edit_model=edit_model,
     )
-    return _eval(expr, state), state.trace
+    return _eval(expr, state), state.max_chunks
 
 
 def _eval(expr: Expr, state: _ExecState) -> Union[str, list[str]]:
@@ -134,17 +114,16 @@ def _apply_list_op(call: Call, items: list[str], state: _ExecState) -> list[str]
     n = len(items)
     edited: list[EditedChunk] = [(s, i) for i, s in enumerate(items)]
     resolved = _resolved_indices(call, n)
-    state.trace.records.append(TraceRecord(call.name, call.arg("level"), resolved, n))
+    state.max_chunks = max(state.max_chunks, n)
     result = _edit_chunks(call, edited, resolved, state, original=None)
     return [text for text, _ in result]
 
 
 def _apply_text_op(call: Call, text: str, state: _ExecState) -> str:
-    level = call.arg("level")
-    cl = chunking.chunk(text, level)
+    cl = chunking.chunk(text, call.arg("level"))
     n = len(cl.chunks)
     resolved = _resolved_indices(call, n)
-    state.trace.records.append(TraceRecord(call.name, level, resolved, n))
+    state.max_chunks = max(state.max_chunks, n)
     edited: list[EditedChunk] = [(c, i) for i, c in enumerate(cl.chunks)]
     result = _edit_chunks(call, edited, resolved, state, original=cl)
     if result is edited:
@@ -220,13 +199,13 @@ def _remove_stopwords(
 ) -> list[EditedChunk]:
     lo, hi = span
     out: list[EditedChunk] = []
-    for pos, (text, prov) in enumerate(items):
+    for pos, (text, origin) in enumerate(items):
         if lo <= pos <= hi:
             kept = [t for t in text.split() if t.lower() not in stopwords]
             if not kept:
                 continue  # chunk reduced to nothing
             text = " ".join(kept)
-        out.append((text, prov))
+        out.append((text, origin))
     return out
 
 
@@ -241,7 +220,7 @@ def _synonimise(
 ) -> list[EditedChunk]:
     lo, hi = span
     out: list[EditedChunk] = []
-    for pos, (text, prov) in enumerate(items):
+    for pos, (text, origin) in enumerate(items):
         if lo <= pos <= hi:
             tokens = []
             for token in text.split():
@@ -252,7 +231,7 @@ def _synonimise(
                     token = token[:start] + _swap_case(core, hit) + token[start + len(core) :]
                 tokens.append(token)
             text = " ".join(tokens)
-        out.append((text, prov))
+        out.append((text, origin))
     return out
 
 

@@ -157,7 +157,6 @@ class EvolutionEngine:
         self.config_digest = config_digest
         self.elite: Optional[Individual] = None
         self.history: list[dict] = []
-        self._rows_cache: list = []
 
     def _derive(self, *labels) -> int:
         return derive_seed(self.master_seed, *labels)
@@ -168,7 +167,7 @@ class EvolutionEngine:
         ind = Individual(genotype=encode(tree), tree=tree, born=born)
         try:
             ind.phenotype = render_phenotype(tree)
-            ind.prompt, _ = self.ctx.render(self.base, ind.phenotype)
+            ind.prompt = self.ctx.render(self.base, ind.phenotype)
         except (ProgramParseError, ProgramExecutionError, MalformedTreeError, TemplateError) as exc:
             log.warning("individual %s failed to render: %s", ind.digest, exc)
             ind.failed = True
@@ -279,8 +278,9 @@ class EvolutionEngine:
 
     # ---- generation loop ---------------------------------------------
 
-    def _score_generation(self, pop: list[Individual], gen: int) -> Individual:
-        """Steps 1-4: elite reinsertion, row sample, scoring, validation."""
+    def _score_generation(self, pop: list[Individual], gen: int) -> list:
+        """Steps 1-4: elite reinsertion, row sample, scoring, validation;
+        returns the sampled rows, on which the offspring are scored too."""
         self._reinsert_elite(pop)
         rows = sample_rows(self.ctx.train, self.settings.sample_size, self._derive("rows", gen))
         for ind in pop:
@@ -296,14 +296,13 @@ class EvolutionEngine:
                 "elite_f_val": self.elite.f_val if self.elite else None,
             }
         )
-        self._rows_cache = rows
-        return champion
+        return rows
 
     def run_generation(self, pop: list[Individual], gen: int) -> list[Individual]:
-        self._score_generation(pop, gen)
+        rows = self._score_generation(pop, gen)
         offspring = self._variation(pop, gen)
         for ind in offspring:
-            self._evaluate_train(ind, self._rows_cache, gen)
+            self._evaluate_train(ind, rows, gen)
         return self._survivors(pop, offspring, gen)
 
     def run(

@@ -16,7 +16,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
 
 import requests
@@ -60,6 +60,11 @@ class TransportError(GatewayError):
     pass
 
 
+class RequestRejectedError(TransportError):
+    """The endpoint refused the request itself (HTTP 4xx other than 408 and
+    429); sending it again cannot succeed, so the gateway does not retry."""
+
+
 class ReplyFormatError(GatewayError):
     pass
 
@@ -87,15 +92,6 @@ def request_digest(req: LlmRequest) -> str:
     }
     blob = json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
-
-
-@dataclass
-class LlmResponse:
-    text: str
-    cache_hit: bool = False
-    latency: float = 0.0
-    prompt_tokens: Optional[int] = None
-    completion_tokens: Optional[int] = None
 
 
 class ResponseCache:
@@ -269,6 +265,11 @@ class HttpBackend:
             resp.raise_for_status()
             payload = resp.json()
             return payload["choices"][0]["message"]["content"]
+        except requests.HTTPError as exc:
+            status = exc.response.status_code if exc.response is not None else 0
+            if 400 <= status < 500 and status not in (408, 429):
+                raise RequestRejectedError(f"chat endpoint rejected the request: {exc}") from exc
+            raise TransportError(f"chat endpoint failure: {exc}") from exc
         except (requests.RequestException, ValueError) as exc:
             raise TransportError(f"chat endpoint failure: {exc}") from exc
         except (KeyError, IndexError, TypeError) as exc:
@@ -286,8 +287,9 @@ class GatewayStats:
 class LlmGateway:
     """Cache-first completion with bounded retries and bounded concurrency.
 
-    `temperature` and `max_new_tokens` are the one decoding setting that
-    every request built by `ask` carries.
+    A request whose digest is already in flight waits for that call and is
+    then served from the cache.  `temperature` and `max_new_tokens` are the
+    one decoding setting that every request built by `ask` carries.
     """
 
     def __init__(
@@ -310,38 +312,57 @@ class LlmGateway:
         self.temperature = temperature
         self.max_new_tokens = max_new_tokens
         self.stats = GatewayStats()
-        self._stats_lock = threading.Lock()
+        # Guards `stats` and `_pending` (digest -> set when its call ends).
+        self._lock = threading.Lock()
+        self._pending: dict[str, threading.Event] = {}
 
-    def complete(self, req: LlmRequest) -> LlmResponse:
+    def complete(self, req: LlmRequest) -> str:
         digest = request_digest(req)
-        with self._stats_lock:
+        with self._lock:
             self.stats.requests += 1
-        hit = self.cache.get(digest)
-        if hit is not None:
-            with self._stats_lock:
-                self.stats.cache_hits += 1
-            return LlmResponse(text=hit, cache_hit=True)
-        started = time.monotonic()
-        last_exc: Optional[Exception] = None
+        while True:
+            with self._lock:
+                hit = self.cache.get(digest)
+                if hit is not None:
+                    self.stats.cache_hits += 1
+                    return hit
+                pending = self._pending.get(digest)
+                if pending is None:
+                    done = self._pending[digest] = threading.Event()
+                    break
+            pending.wait()  # then a hit, or a retry of our own if that call failed
+        try:
+            text = self._send(req)
+            self.cache.put(digest, text)
+        finally:
+            with self._lock:
+                del self._pending[digest]
+            done.set()
+        return text
+
+    def _send(self, req: LlmRequest) -> str:
+        """The backend's reply, retried with exponential backoff unless the
+        endpoint rejected the request itself."""
+        last_exc: Optional[GatewayError] = None
         for attempt in range(1, self.max_attempts + 1):
             try:
                 with self._inflight:
-                    with self._stats_lock:
+                    with self._lock:
                         self.stats.backend_calls += 1
-                    text = self.backend.send(req)
-                break
+                    return self.backend.send(req)
             except GatewayError as exc:
                 last_exc = exc
+                if isinstance(exc, RequestRejectedError):
+                    break
                 if attempt < self.max_attempts:
                     delay = self.backoff_base * (2 ** (attempt - 1))
                     log.warning("backend attempt %d failed (%s); retrying in %.1fs", attempt, exc, delay)
                     self._sleep(delay)
-        else:
-            with self._stats_lock:
-                self.stats.failures += 1
-            raise TransportError(f"backend failed after {self.max_attempts} attempts: {last_exc}")
-        self.cache.put(digest, text)
-        return LlmResponse(text=text, latency=time.monotonic() - started)
+        with self._lock:
+            self.stats.failures += 1
+        if isinstance(last_exc, RequestRejectedError):
+            raise last_exc
+        raise TransportError(f"backend failed after {self.max_attempts} attempts: {last_exc}")
 
     def ask(self, content: str, model: str) -> str:
         """Reply text to one user message under the gateway's decoding setting."""
@@ -351,7 +372,7 @@ class LlmGateway:
             temperature=self.temperature,
             max_new_tokens=self.max_new_tokens,
         )
-        return self.complete(req).text
+        return self.complete(req)
 
 
 def _fill(template: str, **slots: str) -> str:

@@ -49,9 +49,6 @@ class Grammar:
     def __init__(self, productions: dict[str, list[tuple[Sym, ...]]], start_symbol: str):
         self.productions = productions
         self.start_symbol = start_symbol
-        self.terminals: set[str] = {
-            s.name for alts in productions.values() for alt in alts for s in alt if s.terminal
-        }
         self._min_size = self._compute_min_sizes()
 
     def _compute_min_sizes(self) -> dict[str, float]:

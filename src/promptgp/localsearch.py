@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import SECTIONS
-from .editops import ExecutionTrace
 from .exprlang import Expr, iter_index_slots, parse, render, replace_index_slot
 from .grammar import Phenotype
 from .seeds import derive_seed
@@ -26,8 +25,6 @@ from .tasks import Dataset, EvalContext, sample_rows
 from .template import BaseTemplate, RenderedPrompt, phenotype_digest
 
 log = logging.getLogger(__name__)
-
-FALLBACK_BOUND = 10
 
 
 @dataclass
@@ -79,12 +76,6 @@ def enumerate_sites(ph: Phenotype) -> list[IndexSite]:
         for path, param, slot, value in iter_index_slots(expr):
             sites.append(IndexSite(section, path, param, slot, value))
     return sites
-
-
-def compute_bound(trace: ExecutionTrace) -> int:
-    if not trace.records:
-        return FALLBACK_BOUND
-    return 2 * trace.max_chunk_count
 
 
 def _mutate_site(ph: Phenotype, parsed: dict[str, Expr], site: IndexSite, value: int) -> Phenotype:
@@ -186,7 +177,7 @@ def run_local_search(
     master_seed: int = 0,
 ) -> LocalSearchResult:
     settings = settings or LocalSearchSettings()
-    prompt, trace = ctx.render(base, incumbent_ph)
+    prompt = ctx.render(base, incumbent_ph)
     incumbent = Candidate(
         incumbent_ph, prompt, phenotype_digest(incumbent_ph), is_incumbent=True
     )
@@ -195,7 +186,7 @@ def run_local_search(
         return LocalSearchResult(
             incumbent, [incumbent], sites, 0, notice="no index sites; incumbent returned"
         )
-    bound = compute_bound(trace)
+    bound = 2 * prompt.max_chunks
     if bound < 1:
         return LocalSearchResult(
             incumbent, [incumbent], sites, bound,
@@ -205,7 +196,7 @@ def run_local_search(
         incumbent_ph, sites, bound, derive_seed(master_seed, "neighborhood"), settings.per_site
     )
     for neighbor in nb.neighbors:
-        neighbor.prompt, _ = ctx.render(base, neighbor.phenotype)
+        neighbor.prompt = ctx.render(base, neighbor.phenotype)
     candidates = screen(
         nb.neighbors, ensemble, settings.screen_limit, settings.top_mean, settings.top_variance
     )

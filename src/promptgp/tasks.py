@@ -12,7 +12,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .editops import ExecutionTrace
 from .gateway import GatewayError, LlmGateway
 from .grammar import Phenotype
 from .lexicons import Lexicons
@@ -46,7 +45,6 @@ class DataRow:
 @dataclass
 class Dataset:
     rows: list[DataRow]
-    split: str = "train"
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
@@ -63,7 +61,7 @@ class Dataset:
         return len(self.rows)
 
 
-def parse_dataset(text: str, split: str = "train") -> Dataset:
+def parse_dataset(text: str) -> Dataset:
     """Parse JSONL rows with fields id, input, label, optional context."""
     rows: list[DataRow] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -86,12 +84,12 @@ def parse_dataset(text: str, split: str = "train") -> Dataset:
             )
         except KeyError as exc:
             raise DatasetError(f"line {lineno}: missing field {exc}") from exc
-    return Dataset(rows=rows, split=split)
+    return Dataset(rows=rows)
 
 
-def load_dataset(path: str, split: str = "train") -> Dataset:
+def load_dataset(path: str) -> Dataset:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_dataset(fh.read(), split=split)
+        return parse_dataset(fh.read())
 
 
 def sample_rows(dataset: Dataset, n: int, seed: int) -> list[DataRow]:
@@ -104,7 +102,6 @@ def sample_rows(dataset: Dataset, n: int, seed: int) -> list[DataRow]:
 
 @dataclass
 class TaskSpec:
-    name: str
     metric: str = "accuracy"
     answer_key: str = "Answer"
 
@@ -168,7 +165,6 @@ class FitnessReport:
     fitness: float
     per_case: list[tuple[str, float]] = field(default_factory=list)
     parse_failures: int = 0
-    llm_calls: int = 0
 
 
 def evaluate_prompt(
@@ -188,16 +184,15 @@ def evaluate_prompt(
     if not rows:
         raise ValueError("cannot evaluate on zero rows")
 
-    def eval_case(row: DataRow) -> tuple[float, bool, int]:
+    def eval_case(row: DataRow) -> tuple[float, bool]:
         demos = [format_demo(r, task.answer_key) for r in retrieve_icl(row.input, train_rows, icl_k)]
-        bound = instantiate(prompt, row, demos)
         try:
-            reply = gateway.ask(bound.text, model)
+            reply = gateway.ask(instantiate(prompt, row, demos), model)
         except GatewayError as exc:
             log.warning("case %s: gateway failure: %s", row.id, exc)
-            return 0.0, True, 1
+            return 0.0, True
         pred = extract_answer(reply, task.answer_key)
-        return score_case(pred, row.label, task.metric), pred is None, 1
+        return score_case(pred, row.label, task.metric), pred is None
 
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
@@ -205,13 +200,12 @@ def evaluate_prompt(
     else:
         outcomes = [eval_case(row) for row in rows]
 
-    per_case = [(row.id, score) for row, (score, _, _) in zip(rows, outcomes)]
+    per_case = [(row.id, score) for row, (score, _) in zip(rows, outcomes)]
     fitness = sum(score for _, score in per_case) / len(per_case)
     return FitnessReport(
         fitness=fitness,
         per_case=per_case,
-        parse_failures=sum(1 for _, failed, _ in outcomes if failed),
-        llm_calls=sum(calls for _, _, calls in outcomes),
+        parse_failures=sum(1 for _, failed in outcomes if failed),
     )
 
 
@@ -247,7 +241,7 @@ class EvalContext:
             max_workers=self.max_workers,
         )
 
-    def render(self, base: BaseTemplate, ph: Phenotype) -> tuple[RenderedPrompt, ExecutionTrace]:
+    def render(self, base: BaseTemplate, ph: Phenotype) -> RenderedPrompt:
         return apply_phenotype(
             base,
             ph,

@@ -17,7 +17,7 @@ from importlib import resources
 from typing import Optional, Sequence
 
 from . import SECTIONS
-from .editops import PLACEHOLDER_RE, ExecutionTrace, execute_program
+from .editops import PLACEHOLDER_RE, execute_program
 from .exprlang import parse
 from .gateway import LlmGateway
 from .grammar import Phenotype
@@ -108,15 +108,11 @@ def phenotype_digest(ph: Phenotype) -> str:
 
 @dataclass
 class RenderedPrompt:
-    sections: dict[str, str]
-    text: str
-    provenance: str
+    """Prompt text plus the largest chunk count any of its edit operators
+    saw; local search draws replacement indices from twice that."""
 
-
-@dataclass
-class InstantiatedPrompt:
     text: str
-    case_id: str
+    max_chunks: int = 0
 
 
 def apply_phenotype(
@@ -126,7 +122,7 @@ def apply_phenotype(
     lexicons: Optional[Lexicons] = None,
     placeholder_guard: bool = True,
     edit_model: str = "mock",
-) -> tuple[RenderedPrompt, ExecutionTrace]:
+) -> RenderedPrompt:
     """Execute each section's program on its base text; join with newlines.
 
     Raises ProgramParseError if any section program is malformed; callers
@@ -137,11 +133,11 @@ def apply_phenotype(
         raise TemplateError(f"phenotype lacks sections: {missing}")
     # Parse everything first so a malformed program fails before any edit runs.
     parsed = {s: parse(ph.programs[s]) for s in SECTIONS}
-    trace = ExecutionTrace()
-    edited: dict[str, str] = {}
+    edited: list[str] = []
+    max_chunks = 0
     for section in SECTIONS:
         icl_items = icl_placeholders(base.icl_slot_count) if section == "icl" else None
-        result, section_trace = execute_program(
+        result, chunks = execute_program(
             parsed[section],
             base.sections[section],
             gateway=gateway,
@@ -150,10 +146,9 @@ def apply_phenotype(
             placeholder_guard=placeholder_guard,
             edit_model=edit_model,
         )
-        trace.extend(section_trace)
-        edited[section] = "\n".join(result) if isinstance(result, list) else result
-    text = "\n".join(edited[s] for s in SECTIONS)
-    return RenderedPrompt(sections=edited, text=text, provenance=phenotype_digest(ph)), trace
+        max_chunks = max(max_chunks, chunks)
+        edited.append("\n".join(result) if isinstance(result, list) else result)
+    return RenderedPrompt("\n".join(edited), max_chunks)
 
 
 def _word_set(text: str) -> frozenset[str]:
@@ -181,7 +176,7 @@ def format_demo(row, answer_key: str = "Answer") -> str:
     return f"Input: {row.input}\nOutput: {{'{answer_key}': '{row.label}'}}"
 
 
-def instantiate(rp: RenderedPrompt, case, demos: Sequence[str]) -> InstantiatedPrompt:
+def instantiate(rp: RenderedPrompt, case, demos: Sequence[str]) -> str:
     """Bind one case: task input, context, surviving demo placeholders.
 
     An ICL slot beyond the demonstrations given is empty by design; any
@@ -207,4 +202,4 @@ def instantiate(rp: RenderedPrompt, case, demos: Sequence[str]) -> InstantiatedP
     text = PLACEHOLDER_RE.sub(substitute, rp.text)
     if unbound:
         log.warning("unbound placeholders substituted empty: %s", sorted(set(unbound)))
-    return InstantiatedPrompt(text=text, case_id=getattr(case, "id", ""))
+    return text

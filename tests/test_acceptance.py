@@ -344,7 +344,7 @@ def test_08_neighborhood_combinatorics():
             assert changed == {
                 (n.site.section, n.site.path, n.site.param, n.site.slot): n.value
             }
-            n.prompt, _ = apply_phenotype(base, n.phenotype, lexicons=LEX)
+            n.prompt = apply_phenotype(base, n.phenotype, lexicons=LEX)
 
         out = screen(nb.neighbors, ArbitraryEnsemble(), limit=50)
         assert len(out) == min(50, len(nb.neighbors))
@@ -355,11 +355,9 @@ def test_08_best_candidate_never_loses_to_incumbent():
     base = builtin_template("pubmedqa")
     train_rows = Dataset(
         rows=[DataRow(id=f"t{i}", input=f"train q {i}", label="yes") for i in range(6)],
-        split="train",
     )
     val_rows = Dataset(
         rows=[DataRow(id=f"v{i}", input=f"val q {i}", label="yes") for i in range(4)],
-        split="val",
     )
     truth = {r.input: r.label for r in train_rows.rows + val_rows.rows}
     gateway = LlmGateway(LabelOracleBackend(truth))
@@ -376,7 +374,7 @@ def test_08_best_candidate_never_loses_to_incumbent():
             ph,
             base,
             ensemble,
-            EvalContext(TaskSpec(name="toy"), gateway, train_rows, icl_k=0, lexicons=LEX),
+            EvalContext(TaskSpec(), gateway, train_rows, icl_k=0, lexicons=LEX),
             val_rows,
             settings=LocalSearchSettings(per_site=4),
             master_seed=seed,
@@ -449,7 +447,6 @@ def make_synthetic_engine(seed):
             DataRow(id=f"t{i}", input=f"case {i}: is the flag up?", label="yes" if i % 2 else "no")
             for i in range(24)
         ],
-        split="train",
     )
     val_rows = Dataset(
         rows=[
@@ -460,7 +457,6 @@ def make_synthetic_engine(seed):
             )
             for i in range(12)
         ],
-        split="val",
     )
     truth = {r.input: r.label for r in train_rows.rows + val_rows.rows}
     gateway = LlmGateway(LabelOracleBackend(truth, answer_fn=synthetic_answer_fn))
@@ -473,7 +469,7 @@ def make_synthetic_engine(seed):
         init_retries=3,
     )
     ctx = EvalContext(
-        TaskSpec(name="flag"), gateway, train_rows, icl_k=0, lexicons=synthetic_lexicons()
+        TaskSpec(), gateway, train_rows, icl_k=0, lexicons=synthetic_lexicons()
     )
     engine = EvolutionEngine(
         GRAMMAR,
@@ -506,10 +502,10 @@ def synthetic_sweep():
 
 def test_09_unedited_template_scores_zero():
     engine, val_rows, gateway = make_synthetic_engine(0)
-    prompt, _ = apply_phenotype(
+    prompt = apply_phenotype(
         parse_template(SYNTHETIC_TEMPLATE), identity_phenotype(), lexicons=synthetic_lexicons()
     )
-    report = evaluate_prompt(prompt, val_rows.rows, TaskSpec(name="flag"), gateway, icl_k=0)
+    report = evaluate_prompt(prompt, val_rows.rows, TaskSpec(), gateway, icl_k=0)
     assert report.fitness == 0.0
 
 

@@ -1,12 +1,6 @@
 import pytest
 
-from promptgp.editops import (
-    ExecutionTrace,
-    ProgramExecutionError,
-    TraceRecord,
-    execute_program,
-    placeholders,
-)
+from promptgp.editops import ProgramExecutionError, execute_program, placeholders
 from promptgp.gateway import PARAPHRASE_TEMPLATE, LlmGateway, ScriptedBackend
 from promptgp.lexicons import default_lexicons
 
@@ -120,28 +114,26 @@ def test_nested_program_applies_innermost_first():
         "remove_stopwords(index=[0], level=word, texts="
         "synonimise(index=[2], level=sentence, texts=BASE))"
     )
-    out, trace = execute_program(prog, SENTENCE, lexicons=LEX)
+    out, max_chunks = execute_program(prog, SENTENCE, lexicons=LEX)
     assert out == "Provided passage, categorise its feeling as favourable or unfavourable."
-    assert [r.op for r in trace.records] == ["synonimise", "remove_stopwords"]
-    assert trace.records[0].chunk_count == 1
-    assert trace.records[1].chunk_count == 9
-    assert trace.max_chunk_count == 9
+    # The inner op sees one sentence, the outer one the nine words.
+    inner = "synonimise(index=[2], level=sentence, texts=BASE)"
+    assert execute_program(inner, SENTENCE, lexicons=LEX)[1] == 1
+    assert max_chunks == 9
 
 
-def test_trace_records_fields():
-    _, trace = execute_program(
+def test_list_op_reports_demonstration_count():
+    _, max_chunks = execute_program(
         "swap_elements(index1=[0,1], index2=[3], level=word, texts=ICL_LIST)",
         "",
         icl_items=ITEMS,
         lexicons=LEX,
     )
-    assert trace.records == [
-        TraceRecord(op="swap_elements", level="word", indices=((0, 1), 3), chunk_count=4)
-    ]
+    assert max_chunks == 4
 
 
-def test_empty_trace_max_chunk_count():
-    assert ExecutionTrace().max_chunk_count == 0
+def test_program_without_operators_reports_zero_chunks():
+    assert execute_program("BASE", SENTENCE, lexicons=LEX)[1] == 0
 
 
 def test_concat_joins_parts_and_drops_blank():

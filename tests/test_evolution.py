@@ -37,14 +37,12 @@ def make_datasets(n_train=8, n_val=4):
             DataRow(id=f"t{i}", input=f"training question {i}?", label="yes" if i % 2 else "no")
             for i in range(n_train)
         ],
-        split="train",
     )
     val = Dataset(
         rows=[
             DataRow(id=f"v{i}", input=f"validation question {i}?", label="yes" if i % 2 else "no")
             for i in range(n_val)
         ],
-        split="val",
     )
     return train, val
 
@@ -64,7 +62,7 @@ def make_engine(seed=0, gens=2, pop=6, journal=None, checkpoint=None, config_dig
     return EvolutionEngine(
         grammar=GRAMMAR,
         base=parse_template(TEMPLATE),
-        ctx=EvalContext(TaskSpec(name="toy"), gateway, train, lexicons=default_lexicons()),
+        ctx=EvalContext(TaskSpec(), gateway, train, lexicons=default_lexicons()),
         val_dataset=val,
         settings=settings,
         master_seed=seed,

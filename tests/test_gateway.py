@@ -1,7 +1,11 @@
 import json
 import logging
+import sys
+import threading
+import time
 
 import pytest
+import requests
 
 from promptgp.gateway import (
     EchoBackend,
@@ -9,6 +13,7 @@ from promptgp.gateway import (
     LabelOracleBackend,
     LlmGateway,
     LlmRequest,
+    RequestRejectedError,
     ResponseCache,
     ScriptedBackend,
     TransportError,
@@ -112,8 +117,7 @@ def test_gateway_serves_second_request_from_cache():
     gw = LlmGateway(backend)
     first = gw.complete(user_request("q"))
     second = gw.complete(user_request("q"))
-    assert first.text == second.text == "answer"
-    assert not first.cache_hit and second.cache_hit
+    assert first == second == "answer"
     assert backend.calls == 1
     assert gw.stats.requests == 2
     assert gw.stats.cache_hits == 1
@@ -124,8 +128,7 @@ def test_gateway_retries_with_exponential_backoff():
     delays = []
     backend = FlakyBackend(failures=2)
     gw = LlmGateway(backend, max_attempts=3, backoff_base=1.0, sleep=delays.append)
-    resp = gw.complete(user_request("q"))
-    assert resp.text == "ok"
+    assert gw.complete(user_request("q")) == "ok"
     assert backend.calls == 3
     assert delays == [1.0, 2.0]
 
@@ -142,17 +145,20 @@ def test_gateway_raises_after_final_attempt():
 
 
 class StubSession:
-    """Records POST bodies and answers with one chat-completions reply."""
+    """Records POST bodies and answers each with one HTTP status and, on
+    success, one chat-completions reply."""
 
-    def __init__(self):
+    def __init__(self, status_code=200):
         self.bodies = []
+        self.status_code = status_code
 
     def post(self, url, json=None, headers=None, timeout=None):
         self.bodies.append(json)
         return self
 
     def raise_for_status(self):
-        pass
+        if self.status_code >= 400:
+            raise requests.HTTPError(f"HTTP {self.status_code}", response=self)
 
     def json(self):
         return {"choices": [{"message": {"content": "pong"}}]}
@@ -171,6 +177,188 @@ def test_ask_posts_the_gateway_decoding_setting():
             "max_tokens": 64,
         }
     ]
+
+
+@pytest.mark.parametrize("status", [400, 404])
+def test_client_errors_are_not_retried(status):
+    delays = []
+    stub = StubSession(status)
+    backend = HttpBackend("http://localhost:9/v1/chat/completions", session=stub)
+    gw = LlmGateway(backend, max_attempts=3, sleep=delays.append)
+    with pytest.raises(RequestRejectedError):
+        gw.ask("ping", "m")
+    assert len(stub.bodies) == 1
+    assert delays == []
+    assert (gw.stats.backend_calls, gw.stats.failures) == (1, 1)
+
+
+@pytest.mark.parametrize("status", [408, 429, 500])
+def test_timeouts_rate_limits_and_server_errors_are_retried(status):
+    delays = []
+    stub = StubSession(status)
+    backend = HttpBackend("http://localhost:9/v1/chat/completions", session=stub)
+    gw = LlmGateway(backend, max_attempts=3, sleep=delays.append)
+    with pytest.raises(TransportError) as info:
+        gw.ask("ping", "m")
+    assert not isinstance(info.value, RequestRejectedError)
+    assert len(stub.bodies) == 3
+    assert delays == [1.0, 2.0]
+    assert gw.stats.failures == 1
+
+
+def _waiting_on_event(thread):
+    """True once `thread` is blocked in a `threading` wait."""
+    frame = sys._current_frames().get(thread.ident)
+    return (
+        frame is not None
+        and frame.f_code.co_name == "wait"
+        and frame.f_code.co_filename == threading.__file__
+    )
+
+
+class HoldingBackend:
+    """Holds its first call until a second identical request has either
+    reached the backend or is waiting on the first one."""
+
+    name = "holding"
+
+    def __init__(self):
+        self.calls = 0
+        self.second = None  # the thread of the second request
+        self._lock = threading.Lock()
+
+    def send(self, req):
+        with self._lock:
+            self.calls += 1
+            first = self.calls == 1
+        if first:
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                if self.calls > 1 or (self.second is not None and _waiting_on_event(self.second)):
+                    break
+                time.sleep(0.001)
+        return "reply"
+
+
+def test_identical_requests_in_flight_share_one_backend_call():
+    backend = HoldingBackend()
+    gw = LlmGateway(backend)
+    replies = []
+    first = threading.Thread(target=lambda: replies.append(gw.ask("same", "m")))
+    first.start()
+    while backend.calls == 0:
+        time.sleep(0.001)
+    second = threading.Thread(target=lambda: replies.append(gw.ask("same", "m")))
+    backend.second = second
+    second.start()
+    first.join(15)
+    second.join(15)
+    assert not first.is_alive() and not second.is_alive()
+    assert replies == ["reply", "reply"]
+    assert backend.calls == 1
+    assert (gw.stats.requests, gw.stats.cache_hits, gw.stats.backend_calls) == (2, 1, 1)
+
+
+def test_waiting_request_retries_when_the_call_it_waited_for_fails():
+    class FailOnceBackend(HoldingBackend):
+        def send(self, req):
+            reply = super().send(req)
+            if threading.current_thread() is not self.second:
+                raise TransportError("down")
+            return reply
+
+    backend = FailOnceBackend()
+    gw = LlmGateway(backend, max_attempts=1)
+    outcomes = []
+
+    def ask():
+        try:
+            outcomes.append(gw.ask("same", "m"))
+        except TransportError:
+            outcomes.append("failed")
+
+    first = threading.Thread(target=ask)
+    first.start()
+    while backend.calls == 0:
+        time.sleep(0.001)
+    second = threading.Thread(target=ask)
+    backend.second = second
+    second.start()
+    first.join(15)
+    second.join(15)
+    assert not first.is_alive() and not second.is_alive()
+    assert sorted(outcomes) == ["failed", "reply"]
+    assert backend.calls == 2
+    assert (gw.stats.backend_calls, gw.stats.failures) == (2, 1)
+
+
+def test_requests_with_different_digests_do_not_wait_on_each_other():
+    release = threading.Event()
+
+    class BlockOnSlow:
+        name = "block"
+
+        def send(self, req):
+            if req.last_user_content() == "slow":
+                release.wait(10)
+            return req.last_user_content()
+
+    gw = LlmGateway(BlockOnSlow())
+    slow = threading.Thread(target=gw.ask, args=("slow", "m"))
+    slow.start()
+    try:
+        assert gw.ask("fast", "m") == "fast"  # returns while "slow" is held
+    finally:
+        release.set()
+        slow.join(15)
+    assert not slow.is_alive()
+
+
+def test_concurrent_identical_requests_reach_the_backend_once_each():
+    class CountingBackend:
+        name = "counting"
+
+        def __init__(self):
+            self.calls = {}
+            self._lock = threading.Lock()
+
+        def send(self, req):
+            time.sleep(0.001)
+            with self._lock:
+                content = req.last_user_content()
+                self.calls[content] = self.calls.get(content, 0) + 1
+            return content
+
+    backend = CountingBackend()
+    gw = LlmGateway(backend)
+    contents = [f"q{i}" for i in range(5)]
+    errors = []
+
+    def worker():
+        try:
+            for _ in range(20):
+                for content in contents:
+                    assert gw.ask(content, "m") == content
+        except BaseException as exc:  # reported through `errors`
+            errors.append(exc)
+            raise
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert backend.calls == {content: 1 for content in contents}
+    stats = gw.stats
+    assert stats.requests == 8 * 20 * len(contents)
+    assert stats.requests == stats.cache_hits + stats.backend_calls
 
 
 def test_echo_backend_returns_last_user_message():

@@ -7,6 +7,7 @@ from promptgp.exprlang import parse, render
 from promptgp.grammar import (
     DecodeError,
     GrammarError,
+    Sym,
     crossover,
     decode,
     default_grammar,
@@ -24,8 +25,9 @@ def test_default_grammar_shape():
     assert G.start_symbol == "prompt"
     assert len(G.productions) == 33
     assert G.min_size("prompt") == 20.0
+    symbols = {s for alts in G.productions.values() for alt in alts for s in alt}
     for terminal in ("BASE", "NULL", "ICL_LIST", "word", "sentence"):
-        assert terminal in G.terminals
+        assert Sym(terminal, terminal=True) in symbols
 
 
 def test_section_roots_follow_fixed_order():

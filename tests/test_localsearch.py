@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
 
-from promptgp.editops import ExecutionTrace, TraceRecord
 from promptgp.gateway import LabelOracleBackend, LlmGateway
 from promptgp.grammar import Phenotype
 from promptgp.lexicons import default_lexicons
 from promptgp.localsearch import (
-    FALLBACK_BOUND,
     LocalSearchSettings,
     build_neighborhood,
-    compute_bound,
     enumerate_sites,
     finalize,
     run_local_search,
@@ -44,15 +41,18 @@ def test_enumerate_sites_identity_has_none():
     assert enumerate_sites(identity_phenotype()) == []
 
 
-def test_compute_bound():
-    assert compute_bound(ExecutionTrace()) == FALLBACK_BOUND
-    trace = ExecutionTrace(
-        records=[
-            TraceRecord("remove_element", "word", (1,), 7),
-            TraceRecord("remove_element", "word", (1,), 3),
-        ]
+def test_bound_is_twice_the_largest_chunk_count():
+    ctx, val = make_task_setup()
+    base = parse_template(
+        "== PERSONA ==\none two three four five six seven\n"
+        "== TASK ==\n__TASK_INPUT_0__\n== COT ==\na b c\n"
     )
-    assert compute_bound(trace) == 14
+    op = "remove_element(index=[1], level=word, texts=BASE)"
+    ph = make_phenotype(persona=op, cot=op)  # the ops see 7 and 3 words
+    result = run_local_search(ph, base, constant_ensemble(0.5), ctx, val, master_seed=2)
+    assert result.bound == 14
+    values = [c.value for c in result.ranking if not c.is_incumbent]
+    assert values and all(1 <= v <= 14 for v in values)
 
 
 def test_build_neighborhood_single_digit_changes():
@@ -127,7 +127,7 @@ def rendered_neighbors(per_site=10, bound=60):
     sites = enumerate_sites(ph)
     nb = build_neighborhood(ph, sites, bound, seed=3, per_site=per_site)
     for n in nb.neighbors:
-        n.prompt, _ = apply_phenotype(base, n.phenotype, lexicons=default_lexicons())
+        n.prompt = apply_phenotype(base, n.phenotype, lexicons=default_lexicons())
     return nb.neighbors
 
 
@@ -171,27 +171,25 @@ def test_screen_requires_rendered_prompts():
 def make_task_setup():
     train = Dataset(
         rows=[DataRow(id=f"t{i}", input=f"train q {i}", label="yes") for i in range(6)],
-        split="train",
     )
     val = Dataset(
         rows=[DataRow(id=f"v{i}", input=f"val q {i}", label="yes") for i in range(4)],
-        split="val",
     )
     truth = {r.input: r.label for r in train.rows + val.rows}
     gateway = LlmGateway(LabelOracleBackend(truth))
-    return EvalContext(TaskSpec(name="toy"), gateway, train, lexicons=default_lexicons()), val
+    return EvalContext(TaskSpec(), gateway, train, lexicons=default_lexicons()), val
 
 
 def test_finalize_scores_and_ranks():
     ctx, val = make_task_setup()
     base = parse_template(BASE_TEXT)
     ph = identity_phenotype()
-    prompt, _ = apply_phenotype(base, ph, lexicons=default_lexicons())
+    prompt = apply_phenotype(base, ph, lexicons=default_lexicons())
     from promptgp.localsearch import Candidate
 
     incumbent = Candidate(ph, prompt, phenotype_digest(ph), is_incumbent=True)
     other_ph = make_phenotype(cot="NULL")
-    other_prompt, _ = apply_phenotype(base, other_ph, lexicons=default_lexicons())
+    other_prompt = apply_phenotype(base, other_ph, lexicons=default_lexicons())
     other = Candidate(other_ph, other_prompt, phenotype_digest(other_ph))
 
     best, ranked = finalize([other], incumbent, ctx, val.rows, seed=0)

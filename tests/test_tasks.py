@@ -26,11 +26,10 @@ JSONL = """{"id": "a", "input": "Is grass green?", "label": "yes"}
 
 
 def test_parse_dataset_rows_and_blank_lines():
-    ds = parse_dataset(JSONL, split="train")
+    ds = parse_dataset(JSONL)
     assert [r.id for r in ds.rows] == ["a", "b", "c"]
     assert ds.rows[1].context == "Snow is cold."
     assert ds.rows[0].context == ""
-    assert ds.split == "train"
 
 
 def test_parse_dataset_errors():
@@ -64,7 +63,7 @@ def test_sample_rows_deterministic_without_replacement():
 
 def test_taskspec_rejects_unknown_metric():
     with pytest.raises(ValueError):
-        TaskSpec(name="t", metric="bleu")
+        TaskSpec(metric="bleu")
 
 
 def test_extract_answer_dict_and_fallback():
@@ -112,7 +111,7 @@ __TASK_INPUT_0__
 
 def rendered():
     base = parse_template(TEMPLATE)
-    rp, _ = apply_phenotype(base, identity_phenotype(), lexicons=default_lexicons())
+    rp = apply_phenotype(base, identity_phenotype(), lexicons=default_lexicons())
     return rp
 
 
@@ -123,17 +122,16 @@ def test_evaluate_prompt_with_label_oracle():
     ]
     truth = {r.input: r.label for r in rows}
     gw = LlmGateway(LabelOracleBackend(truth))
-    report = evaluate_prompt(rendered(), rows, TaskSpec(name="t"), gw)
+    report = evaluate_prompt(rendered(), rows, TaskSpec(), gw)
     assert report.fitness == 1.0
     assert report.per_case == [("a", 1.0), ("b", 1.0)]
     assert report.parse_failures == 0
-    assert report.llm_calls == 2
 
 
 def test_evaluate_prompt_counts_parse_failures():
     rows = [DataRow(id="a", input="Q1", label="yes"), DataRow(id="b", input="Q2", label="no")]
     gw = LlmGateway(ScriptedBackend({}, default="gibberish with no dict"))
-    report = evaluate_prompt(rendered(), rows, TaskSpec(name="t"), gw)
+    report = evaluate_prompt(rendered(), rows, TaskSpec(), gw)
     assert report.fitness == 0.0
     assert report.parse_failures == 2
 
@@ -147,7 +145,7 @@ def test_evaluate_prompt_gateway_failure_scores_zero():
 
     gw = LlmGateway(Broken(), max_attempts=1, sleep=lambda _: None)
     rows = [DataRow(id="a", input="Q", label="yes")]
-    report = evaluate_prompt(rendered(), rows, TaskSpec(name="t"), gw)
+    report = evaluate_prompt(rendered(), rows, TaskSpec(), gw)
     assert report.fitness == 0.0
     assert report.parse_failures == 1
 
@@ -155,7 +153,7 @@ def test_evaluate_prompt_gateway_failure_scores_zero():
 def test_evaluate_prompt_requires_rows():
     gw = LlmGateway(ScriptedBackend({}, default="x"))
     with pytest.raises(ValueError):
-        evaluate_prompt(rendered(), [], TaskSpec(name="t"), gw)
+        evaluate_prompt(rendered(), [], TaskSpec(), gw)
 
 
 def test_evaluate_prompt_includes_retrieved_demos():
@@ -173,7 +171,7 @@ def test_evaluate_prompt_includes_retrieved_demos():
         DataRow(id="t2", input="Do fish fly?", label="no"),
     ]
     rows = [DataRow(id="a", input="Is grass green?", label="yes")]
-    evaluate_prompt(rendered(), rows, TaskSpec(name="t"), LlmGateway(Spy()), train_rows=train, icl_k=1)
+    evaluate_prompt(rendered(), rows, TaskSpec(), LlmGateway(Spy()), train_rows=train, icl_k=1)
     assert "Input: Is grass green in summer?\nOutput: {'Answer': 'yes'}" in seen[0]
     assert "Do fish fly?" not in seen[0]
 
@@ -182,10 +180,10 @@ def test_evaluate_prompt_parallel_matches_serial():
     rows = [DataRow(id=f"r{i}", input=f"Question {i}", label="yes") for i in range(6)]
     truth = {r.input: r.label for r in rows}
     serial = evaluate_prompt(
-        rendered(), rows, TaskSpec(name="t"), LlmGateway(LabelOracleBackend(truth))
+        rendered(), rows, TaskSpec(), LlmGateway(LabelOracleBackend(truth))
     )
     parallel = evaluate_prompt(
-        rendered(), rows, TaskSpec(name="t"), LlmGateway(LabelOracleBackend(truth)), max_workers=4
+        rendered(), rows, TaskSpec(), LlmGateway(LabelOracleBackend(truth)), max_workers=4
     )
     assert serial.fitness == parallel.fitness
     assert serial.per_case == parallel.per_case

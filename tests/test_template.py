@@ -114,30 +114,29 @@ def test_phenotype_digest_stable_and_sensitive():
 
 def test_apply_identity_phenotype_joins_sections():
     t = make_template()
-    rp, trace = apply_phenotype(t, identity_phenotype(), lexicons=LEX)
-    assert rp.sections["persona"] == t.sections["persona"]
+    rp = apply_phenotype(t, identity_phenotype(), lexicons=LEX)
     expected_icl = "\n".join([t.sections["icl"]] + icl_placeholders(5))
-    assert rp.sections["icl"] == expected_icl
-    assert rp.text == "\n".join(rp.sections[s] for s in SECTIONS)
-    assert trace.records == []
-    assert rp.provenance == phenotype_digest(identity_phenotype())
+    sections = {**t.sections, "icl": expected_icl}
+    assert rp.text == "\n".join(sections[s] for s in SECTIONS)
+    assert rp.max_chunks == 0
 
 
 def test_apply_phenotype_null_section():
     t = make_template()
     ph = identity_phenotype()
     ph.programs["cot"] = "NULL"
-    rp, _ = apply_phenotype(t, ph, lexicons=LEX)
-    assert rp.sections["cot"] == " "
+    rp = apply_phenotype(t, ph, lexicons=LEX)
+    identity = apply_phenotype(t, identity_phenotype(), lexicons=LEX)
+    assert rp.text == identity.text.replace(t.sections["cot"], " ")
 
 
 def test_apply_phenotype_edit_section():
     t = make_template()
     ph = identity_phenotype()
     ph.programs["persona"] = "remove_stopwords(index=[0], level=sentence, texts=BASE)"
-    rp, trace = apply_phenotype(t, ph, lexicons=LEX)
-    assert rp.sections["persona"] == "careful assistant."
-    assert [r.op for r in trace.records] == ["remove_stopwords"]
+    rp = apply_phenotype(t, ph, lexicons=LEX)
+    assert rp.text.startswith("careful assistant.\n")
+    assert rp.max_chunks == 1  # the one persona sentence
 
 
 def test_apply_phenotype_fails_before_any_edit_on_parse_error():
@@ -184,39 +183,38 @@ def test_format_demo_shape():
 
 def test_instantiate_binds_case_and_demos():
     t = make_template()
-    rp, _ = apply_phenotype(t, identity_phenotype(), lexicons=LEX)
+    rp = apply_phenotype(t, identity_phenotype(), lexicons=LEX)
     case = DataRow(id="c1", input="What is 2+2?", label="4", context="Basic arithmetic.")
     demos = ["Input: 1+1?\nOutput: {'Answer': '2'}"]
     inst = instantiate(rp, case, demos)
-    assert "What is 2+2?" in inst.text
-    assert "Basic arithmetic." in inst.text
-    assert demos[0] in inst.text
-    assert "__ICL_" not in inst.text
-    assert "__TASK_INPUT_0__" not in inst.text
-    assert inst.case_id == "c1"
+    assert "What is 2+2?" in inst
+    assert "Basic arithmetic." in inst
+    assert demos[0] in inst
+    assert "__ICL_" not in inst
+    assert "__TASK_INPUT_0__" not in inst
 
 
 def test_instantiate_unbound_placeholders_become_empty():
     t = make_template()
-    rp, _ = apply_phenotype(t, identity_phenotype(), lexicons=LEX)
+    rp = apply_phenotype(t, identity_phenotype(), lexicons=LEX)
     case = DataRow(id="c1", input="Q?", label="a")
     inst = instantiate(rp, case, demos=[])
-    assert "__ICL_0__" not in inst.text
-    assert "__CONTEXT__" not in inst.text
+    assert "__ICL_0__" not in inst
+    assert "__CONTEXT__" not in inst
 
 
 def test_instantiate_warns_only_for_unbound_non_icl_placeholders(caplog):
-    rp, _ = apply_phenotype(make_template(), identity_phenotype(), lexicons=LEX)
+    rp = apply_phenotype(make_template(), identity_phenotype(), lexicons=LEX)
     case = DataRow(id="c1", input="Q?", label="a")
     # ICL slots beyond the demonstrations given are empty by design.
     with caplog.at_level(logging.WARNING, logger="promptgp.template"):
         instantiate(rp, case, demos=[])
     assert [r for r in caplog.records if r.name == "promptgp.template"] == []
 
-    stray = RenderedPrompt(sections={}, text="__TASK_INPUT_0__ __FOO__ __ICL_0__", provenance="x")
+    stray = RenderedPrompt("__TASK_INPUT_0__ __FOO__ __ICL_0__")
     with caplog.at_level(logging.WARNING, logger="promptgp.template"):
         inst = instantiate(stray, case, demos=[])
-    assert inst.text == "Q?  "
+    assert inst == "Q?  "
     warnings = [r.getMessage() for r in caplog.records if r.name == "promptgp.template"]
     assert len(warnings) == 1 and "__FOO__" in warnings[0] and "__ICL_0__" not in warnings[0]
 
@@ -228,5 +226,5 @@ def test_echo_gateway_end_to_end_render():
     gw = LlmGateway(EchoBackend())
     # Echo replies carry no parseable answer, so the rewrite degrades to the
     # original text instead of failing the render.
-    rp, _ = apply_phenotype(t, ph, gateway=gw, lexicons=LEX)
-    assert rp.sections["task"] == t.sections["task"]
+    rp = apply_phenotype(t, ph, gateway=gw, lexicons=LEX)
+    assert rp.text == apply_phenotype(t, identity_phenotype(), lexicons=LEX).text
