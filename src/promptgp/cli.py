@@ -423,6 +423,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             fh.write(f"{case_id}\t{score:.6f}\n")
     print(f"{args.split} fitness: {report.fitness:.6f} over {len(report.per_case)} cases")
     print(f"parse failures: {report.parse_failures}")
+    print(f"gateway failures: {ctx.gateway.stats.failures}")
     print(f"per-case file: {out}")
     return 0
 

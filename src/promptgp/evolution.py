@@ -119,11 +119,17 @@ class EvalJournal:
 
     @staticmethod
     def truncate_file(path: str, lines: int) -> None:
-        """Drop trailing lines past `lines` (partial-generation leftovers)."""
+        """Drop trailing lines past `lines` (partial-generation leftovers).
+
+        The kept lines go to a temporary file that replaces the journal, so
+        a failure part-way leaves the journal as it was.
+        """
         with open(path, "r", encoding="utf-8") as fh:
             kept = fh.readlines()[:lines]
-        with open(path, "w", encoding="utf-8") as fh:
+        tmp = path + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
             fh.writelines(kept)
+        os.replace(tmp, path)
 
 
 @dataclass

@@ -12,6 +12,7 @@ import base64
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import threading
@@ -57,7 +58,12 @@ class GatewayError(RuntimeError):
 
 
 class TransportError(GatewayError):
-    pass
+    """The backend gave no reply; `retry_after` is the wait in seconds the
+    endpoint asked for, if it named one."""
+
+    def __init__(self, message: str, retry_after: Optional[float] = None):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class RequestRejectedError(TransportError):
@@ -233,6 +239,16 @@ class LabelOracleBackend:
         return "UNKNOWN CASE"
 
 
+def _retry_after(response) -> Optional[float]:
+    """Seconds from a `Retry-After` header given as a number; None when the
+    header is missing or an HTTP date."""
+    try:
+        seconds = float(response.headers.get("Retry-After", ""))
+    except ValueError:
+        return None
+    return seconds if 0 <= seconds < math.inf else None
+
+
 class HttpBackend:
     """POSTs the de-facto chat-completions JSON shape."""
 
@@ -269,7 +285,8 @@ class HttpBackend:
             status = exc.response.status_code if exc.response is not None else 0
             if 400 <= status < 500 and status not in (408, 429):
                 raise RequestRejectedError(f"chat endpoint rejected the request: {exc}") from exc
-            raise TransportError(f"chat endpoint failure: {exc}") from exc
+            retry_after = _retry_after(exc.response) if status in (429, 503) else None
+            raise TransportError(f"chat endpoint failure: {exc}", retry_after) from exc
         except (requests.RequestException, ValueError) as exc:
             raise TransportError(f"chat endpoint failure: {exc}") from exc
         except (KeyError, IndexError, TypeError) as exc:
@@ -356,6 +373,8 @@ class LlmGateway:
                     break
                 if attempt < self.max_attempts:
                     delay = self.backoff_base * (2 ** (attempt - 1))
+                    if isinstance(exc, TransportError) and exc.retry_after is not None:
+                        delay = max(delay, exc.retry_after)
                     log.warning("backend attempt %d failed (%s); retrying in %.1fs", attempt, exc, delay)
                     self._sleep(delay)
         with self._lock:

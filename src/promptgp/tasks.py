@@ -10,7 +10,7 @@ import string
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .gateway import GatewayError, LlmGateway
 from .grammar import Phenotype
@@ -167,45 +167,51 @@ class FitnessReport:
     parse_failures: int = 0
 
 
+def _no_demos(row: DataRow) -> list[str]:
+    return []
+
+
 def evaluate_prompt(
     prompt: RenderedPrompt,
     rows: Sequence[DataRow],
     task: TaskSpec,
     gateway: LlmGateway,
-    train_rows: Sequence[DataRow] = (),
-    icl_k: int = 5,
+    demos: Callable[[DataRow], list[str]] = _no_demos,
     model: str = "mock",
     max_workers: int = 1,
 ) -> FitnessReport:
     """Mean per-case score of one rendered prompt over the given rows.
 
-    Transport failures and unparseable replies score zero for that case.
+    `demos` gives a case's formatted ICL demonstrations; it is called for
+    every row, in row order, before any case is sent.  Transport failures
+    and unparseable replies score zero for that case; only the latter are
+    counted as parse failures.
     """
     if not rows:
         raise ValueError("cannot evaluate on zero rows")
+    row_demos = [demos(row) for row in rows]
 
-    def eval_case(row: DataRow) -> tuple[float, bool]:
-        demos = [format_demo(r, task.answer_key) for r in retrieve_icl(row.input, train_rows, icl_k)]
+    def eval_case(row: DataRow, case_demos: list[str]) -> tuple[float, bool]:
         try:
-            reply = gateway.ask(instantiate(prompt, row, demos), model)
+            reply = gateway.ask(instantiate(prompt, row, case_demos), model)
         except GatewayError as exc:
             log.warning("case %s: gateway failure: %s", row.id, exc)
-            return 0.0, True
+            return 0.0, False
         pred = extract_answer(reply, task.answer_key)
         return score_case(pred, row.label, task.metric), pred is None
 
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(eval_case, rows))
+            outcomes = list(pool.map(eval_case, rows, row_demos))
     else:
-        outcomes = [eval_case(row) for row in rows]
+        outcomes = list(map(eval_case, rows, row_demos))
 
     per_case = [(row.id, score) for row, (score, _) in zip(rows, outcomes)]
     fitness = sum(score for _, score in per_case) / len(per_case)
     return FitnessReport(
         fitness=fitness,
         per_case=per_case,
-        parse_failures=sum(1 for _, failed in outcomes if failed),
+        parse_failures=sum(1 for _, unparsed in outcomes if unparsed),
     )
 
 
@@ -216,7 +222,9 @@ class EvalContext:
     `render`, and the rendered prompt is scored by the task LLM with `score`.
 
     `train` is the ICL demonstration pool; GP and local search also sample
-    their training rows from it.
+    their training rows from it.  Each case's demonstrations are retrieved
+    once per context and kept in `_demos`, keyed on the row itself: ids are
+    unique only within one file.
     """
 
     task: TaskSpec
@@ -228,6 +236,15 @@ class EvalContext:
     max_workers: int = 1
     lexicons: Optional[Lexicons] = None
     placeholder_guard: bool = True
+    _demos: dict[DataRow, list[str]] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def demos(self, row: DataRow) -> list[str]:
+        """The formatted demonstrations shown with `row`, retrieved on first use."""
+        found = self._demos.get(row)
+        if found is None:
+            nearest = retrieve_icl(row.input, self.train.rows, self.icl_k)
+            found = self._demos[row] = [format_demo(r, self.task.answer_key) for r in nearest]
+        return found
 
     def score(self, prompt: RenderedPrompt, rows: Sequence[DataRow]) -> FitnessReport:
         return evaluate_prompt(
@@ -235,8 +252,7 @@ class EvalContext:
             rows,
             self.task,
             self.gateway,
-            train_rows=self.train.rows,
-            icl_k=self.icl_k,
+            demos=self.demos,
             model=self.model,
             max_workers=self.max_workers,
         )

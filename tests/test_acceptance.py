@@ -505,7 +505,7 @@ def test_09_unedited_template_scores_zero():
     prompt = apply_phenotype(
         parse_template(SYNTHETIC_TEMPLATE), identity_phenotype(), lexicons=synthetic_lexicons()
     )
-    report = evaluate_prompt(prompt, val_rows.rows, TaskSpec(), gateway, icl_k=0)
+    report = evaluate_prompt(prompt, val_rows.rows, TaskSpec(), gateway)
     assert report.fitness == 0.0
 
 

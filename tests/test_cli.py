@@ -249,6 +249,7 @@ def test_evaluate_prompt_file(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert "test fitness:" in out
+    assert "gateway failures: 0" in out
     eval_lines = (work / "eval_test.tsv").read_text().splitlines()
     assert eval_lines[1] == "case_id\tscore"
     assert len(eval_lines) == 6  # digest comment + header + 4 cases

@@ -137,6 +137,41 @@ def test_journal_truncate_file(tmp_path):
     assert len(EvalJournal.load(path).records) == 3
 
 
+def test_journal_truncate_failure_keeps_the_journal(tmp_path, monkeypatch):
+    path = str(tmp_path / "journal.jsonl")
+    journal = EvalJournal(path)
+    for i in range(5):
+        journal.append({"generation": i})
+    before = open(path, encoding="utf-8").read()
+
+    class FailingWriter:
+        """A real write handle whose first write raises, as a full disk would."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def writelines(self, lines):
+            self.fh.write(lines[0])
+            raise OSError("disk full")
+
+    real_open = open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return FailingWriter(fh) if "w" in mode else fh
+
+    monkeypatch.setattr("promptgp.evolution.open", failing_open, raising=False)
+    with pytest.raises(OSError):
+        EvalJournal.truncate_file(path, 3)
+    assert open(path, encoding="utf-8").read() == before
+
+
 def test_initialise_is_deterministic_and_renders():
     pop_a = make_engine(seed=7).initialise()
     pop_b = make_engine(seed=7).initialise()

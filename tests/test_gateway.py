@@ -145,12 +145,13 @@ def test_gateway_raises_after_final_attempt():
 
 
 class StubSession:
-    """Records POST bodies and answers each with one HTTP status and, on
-    success, one chat-completions reply."""
+    """Records POST bodies and answers each with one HTTP status and
+    headers and, on success, one chat-completions reply."""
 
-    def __init__(self, status_code=200):
+    def __init__(self, status_code=200, headers=None):
         self.bodies = []
         self.status_code = status_code
+        self.headers = headers or {}
 
     def post(self, url, json=None, headers=None, timeout=None):
         self.bodies.append(json)
@@ -204,6 +205,28 @@ def test_timeouts_rate_limits_and_server_errors_are_retried(status):
     assert len(stub.bodies) == 3
     assert delays == [1.0, 2.0]
     assert gw.stats.failures == 1
+
+
+@pytest.mark.parametrize(
+    "status, retry_after, delays",
+    [
+        (429, "5", [5.0, 5.0]),
+        (503, "1.5", [1.5, 2.0]),
+        (503, "0", [1.0, 2.0]),
+        (429, "Wed, 21 Oct 2026 07:28:00 GMT", [1.0, 2.0]),
+        (429, "nan", [1.0, 2.0]),
+        (500, "5", [1.0, 2.0]),
+    ],
+)
+def test_numeric_retry_after_extends_the_backoff(status, retry_after, delays):
+    slept = []
+    stub = StubSession(status, headers={"Retry-After": retry_after})
+    backend = HttpBackend("http://localhost:9/v1/chat/completions", session=stub)
+    gw = LlmGateway(backend, max_attempts=3, sleep=slept.append)
+    with pytest.raises(TransportError):
+        gw.ask("ping", "m")
+    assert len(stub.bodies) == 3
+    assert slept == delays
 
 
 def _waiting_on_event(thread):

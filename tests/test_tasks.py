@@ -1,11 +1,13 @@
 import pytest
 
+from promptgp import tasks
 from promptgp.gateway import LabelOracleBackend, LlmGateway, ScriptedBackend, TransportError
 from promptgp.lexicons import default_lexicons
 from promptgp.tasks import (
     DataRow,
     Dataset,
     DatasetError,
+    EvalContext,
     FitnessReport,
     TaskSpec,
     evaluate_prompt,
@@ -16,7 +18,7 @@ from promptgp.tasks import (
     score_case,
     token_f1,
 )
-from promptgp.template import apply_phenotype, identity_phenotype, parse_template
+from promptgp.template import RenderedPrompt, apply_phenotype, identity_phenotype, parse_template
 
 JSONL = """{"id": "a", "input": "Is grass green?", "label": "yes"}
 {"id": "b", "input": "Is snow hot?", "label": "no", "context": "Snow is cold."}
@@ -147,7 +149,8 @@ def test_evaluate_prompt_gateway_failure_scores_zero():
     rows = [DataRow(id="a", input="Q", label="yes")]
     report = evaluate_prompt(rendered(), rows, TaskSpec(), gw)
     assert report.fitness == 0.0
-    assert report.parse_failures == 1
+    assert report.parse_failures == 0
+    assert gw.stats.failures == 1
 
 
 def test_evaluate_prompt_requires_rows():
@@ -171,7 +174,8 @@ def test_evaluate_prompt_includes_retrieved_demos():
         DataRow(id="t2", input="Do fish fly?", label="no"),
     ]
     rows = [DataRow(id="a", input="Is grass green?", label="yes")]
-    evaluate_prompt(rendered(), rows, TaskSpec(), LlmGateway(Spy()), train_rows=train, icl_k=1)
+    ctx = EvalContext(TaskSpec(), LlmGateway(Spy()), Dataset(rows=train), icl_k=1)
+    evaluate_prompt(rendered(), rows, TaskSpec(), ctx.gateway, demos=ctx.demos)
     assert "Input: Is grass green in summer?\nOutput: {'Answer': 'yes'}" in seen[0]
     assert "Do fish fly?" not in seen[0]
 
@@ -187,6 +191,63 @@ def test_evaluate_prompt_parallel_matches_serial():
     )
     assert serial.fitness == parallel.fitness
     assert serial.per_case == parallel.per_case
+
+
+class Recorder:
+    """Answers every case and records each request text."""
+
+    name = "recorder"
+
+    def __init__(self):
+        self.seen = []
+
+    def send(self, req):
+        self.seen.append(req.last_user_content())
+        return "{'Answer': 'yes'}"
+
+
+def icl_context(train, backend, **kwargs):
+    return EvalContext(TaskSpec(), LlmGateway(backend), Dataset(rows=train), icl_k=2, **kwargs)
+
+
+TRAIN = [DataRow(id=f"t{i}", input=f"is colour {i} a warm colour", label="yes") for i in range(6)]
+
+
+def test_context_retrieves_each_case_once(monkeypatch):
+    calls = []
+    retrieve = tasks.retrieve_icl
+
+    def counting_retrieve(case_input, rows, k):
+        calls.append(case_input)
+        return retrieve(case_input, rows, k)
+
+    monkeypatch.setattr(tasks, "retrieve_icl", counting_retrieve)
+    backend = Recorder()
+    ctx = icl_context(TRAIN, backend)
+    rows = [DataRow(id=f"r{i}", input=f"is colour {i} warm", label="yes") for i in range(3)]
+    first = ctx.score(rendered(), rows)
+    second = ctx.score(RenderedPrompt("Q: __TASK_INPUT_0__ __ICL_0__"), rows + rows[:1])
+    assert sorted(calls) == sorted(row.input for row in rows)
+    assert first.fitness == second.fitness == 1.0
+    assert "Input: is colour 0 a warm colour" in backend.seen[0]
+
+
+def test_parallel_context_sends_the_serial_requests():
+    prompt = RenderedPrompt("Q: __TASK_INPUT_0__\n__ICL_0__\n__ICL_1__")
+    rows = [DataRow(id=f"r{i}", input=f"is colour {i % 4} warm", label="yes") for i in range(8)]
+    serial, parallel = Recorder(), Recorder()
+    icl_context(TRAIN, serial).score(prompt, rows)
+    icl_context(TRAIN, parallel, max_workers=4).score(prompt, rows)
+    assert sorted(parallel.seen) == sorted(serial.seen)
+    assert len(set(serial.seen)) == 4
+
+
+def test_rows_sharing_an_id_get_their_own_demonstrations():
+    ctx = icl_context(TRAIN, Recorder())
+    train_row = TRAIN[3]
+    val_row = DataRow(id=train_row.id, input="is colour 5 a warm colour", label="yes")
+    assert ctx.demos(train_row)[0].startswith("Input: is colour 3 a warm colour")
+    assert ctx.demos(val_row)[0].startswith("Input: is colour 5 a warm colour")
 
 
 def test_fitness_report_defaults():
