@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import SECTIONS, __version__
 from .config import RunConfig, config_digest, load_config
 from .evolution import EvalJournal, EvolutionEngine, load_checkpoint
@@ -28,11 +30,12 @@ from .lexicons import Lexicons, default_lexicons, load_stopwords, load_synonyms
 from .localsearch import run_local_search
 from .seeds import derive_seed
 from .surrogate import (
+    MIN_TRAIN_POINTS,
     MIN_TUNE_POINTS,
     HashingEmbedder,
     RemoteEmbedder,
     SurrogateHp,
-    save_ensemble,
+    require_points,
     train,
     tune_hyperparameters,
 )
@@ -308,11 +311,14 @@ def cmd_local_search(args: argparse.Namespace) -> int:
     embedder = build_embedder(cfg)
 
     sur = cfg.surrogate
+    require_points(len(points), MIN_TRAIN_POINTS)
+    X = np.stack([embedder.embed(text) for text, _ in points])
+    y = np.asarray([target for _, target in points], dtype=np.float64)
     if len(points) >= MIN_TUNE_POINTS:
         hp = tune_hyperparameters(
-            points,
+            X,
+            y,
             derive_seed(cfg.master_seed, "hp_tune"),
-            embedder=embedder,
             folds=sur.cv_folds,
             combos=sur.cv_combos,
             submodels=sur.submodels,
@@ -323,15 +329,15 @@ def cmd_local_search(args: argparse.Namespace) -> int:
         hp = SurrogateHp()
         log.warning("only %d journal points; skipping CV, using default hp", len(points))
     ensemble = train(
-        points,
+        X,
+        y,
         hp,
         derive_seed(cfg.master_seed, "surrogate_train"),
-        embedder=embedder,
+        embedder,
         submodels=sur.submodels,
         epochs=sur.epochs,
         train_fraction=sur.train_fraction,
     )
-    save_ensemble(ensemble, str(workdir / "surrogate.npz"))
 
     elite_tree = decode(grammar, state["elite"]["genotype"])
     incumbent_ph = render_phenotype(elite_tree)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import random
 import re
 from dataclasses import dataclass
@@ -39,7 +38,6 @@ class SurrogateError(ValueError):
 
 
 class Embedder(Protocol):
-    name: str
     dim: int
 
     def embed(self, text: str) -> np.ndarray: ...
@@ -50,8 +48,6 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 class HashingEmbedder:
     """Deterministic bag of word 1-/2-grams hashed into `dim` buckets."""
-
-    name = "hashing"
 
     def __init__(self, dim: int = 384, seed: int = 0):
         if dim < 1:
@@ -80,20 +76,20 @@ class HashingEmbedder:
 class RemoteEmbedder:
     """Embedding-endpoint client: POST {"texts": [...]} -> {"embeddings": [[...]]}."""
 
-    name = "remote"
-
     def __init__(self, endpoint: str, dim: int = 384, timeout: float = 60.0):
         self.endpoint = endpoint
         self.dim = dim
         self.timeout = timeout
-        self.seed = 0
 
     def embed(self, text: str) -> np.ndarray:
         import requests
 
         reply = requests.post(self.endpoint, json={"texts": [text]}, timeout=self.timeout)
         reply.raise_for_status()
-        vec = np.asarray(reply.json()["embeddings"][0], dtype=np.float64)
+        try:
+            vec = np.asarray(reply.json()["embeddings"][0], dtype=np.float64)
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise SurrogateError(f"endpoint reply has no numeric embeddings[0]: {exc!r}") from exc
         if vec.shape != (self.dim,):
             raise SurrogateError(f"endpoint returned dimension {vec.shape}, expected {self.dim}")
         norm = float(np.linalg.norm(vec))
@@ -241,8 +237,8 @@ def fit_models(
     submodels: int = 10,
     epochs: int = 200,
     train_fraction: float = 0.7,
-) -> tuple[list[Params], int, list[float]]:
-    """Train the ensemble; return (models at best epoch, best epoch, val-loss history)."""
+) -> list[Params]:
+    """Train the ensemble; return the models at the epoch of least validation loss."""
     n = len(y)
     if n < 2:
         raise SurrogateError("need at least 2 data points to split")
@@ -260,30 +256,23 @@ def fit_models(
         states.append(_SubmodelState(params, AdamState(params), rng, X[train_idx][boot], y[train_idx][boot]))
 
     best_loss = float("inf")
-    best_epoch = -1
     best_params: Optional[list[Params]] = None
-    history: list[float] = []
-    for epoch in range(epochs):
+    for _ in range(epochs):
         for state in states:
             _run_epoch(state, hp)
         val_loss = float(np.mean([mse(predict_params(s.params, X_val), y_val) for s in states]))
-        history.append(val_loss)
         if val_loss < best_loss:
             best_loss = val_loss
-            best_epoch = epoch
             best_params = [_copy_params(s.params) for s in states]
     if best_params is None:
         best_params = [_copy_params(s.params) for s in states]
-    return best_params, best_epoch, history
+    return best_params
 
 
 @dataclass
 class SurrogateEnsemble:
     models: list[Params]
     embedder: Embedder
-    hp: SurrogateHp
-    best_epoch: int = -1
-    val_history: tuple[float, ...] = ()
 
     def predict_embedded(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         outputs = np.stack([predict_params(params, X) for params in self.models])
@@ -298,28 +287,28 @@ class SurrogateEnsemble:
         return float(means[0]), float(variances[0])
 
 
-JournalPoints = Sequence[tuple[str, float]]
+def require_points(n: int, minimum: int) -> None:
+    if n < minimum:
+        raise SurrogateError(f"need at least {minimum} data points, got {n}")
 
 
 def train(
-    points: JournalPoints,
+    X: np.ndarray,
+    y: np.ndarray,
     hp: SurrogateHp,
     seed: int,
-    embedder: Optional[Embedder] = None,
+    embedder: Embedder,
     submodels: int = 10,
     epochs: int = 200,
     train_fraction: float = 0.7,
 ) -> SurrogateEnsemble:
-    if len(points) < MIN_TRAIN_POINTS:
-        raise SurrogateError(f"need at least {MIN_TRAIN_POINTS} data points, got {len(points)}")
-    embedder = embedder or HashingEmbedder()
-    X = np.stack([embedder.embed(text) for text, _ in points])
-    y = np.asarray([target for _, target in points], dtype=np.float64)
-    models, best_epoch, history = fit_models(
+    """Fit on embedded points `X` (one row per text of `embedder`) and targets `y`."""
+    require_points(len(y), MIN_TRAIN_POINTS)
+    models = fit_models(
         X, y, hp, seed,
         submodels=submodels, epochs=epochs, train_fraction=train_fraction,
     )
-    return SurrogateEnsemble(models, embedder, hp, best_epoch, tuple(history))
+    return SurrogateEnsemble(models, embedder)
 
 
 def hp_grid() -> list[SurrogateHp]:
@@ -335,9 +324,9 @@ def cv_folds(n: int, folds: int, seed: int) -> list[np.ndarray]:
 
 
 def tune_hyperparameters(
-    points: JournalPoints,
+    X: np.ndarray,
+    y: np.ndarray,
     seed: int,
-    embedder: Optional[Embedder] = None,
     folds: int = 5,
     combos: int = 10,
     submodels: int = 10,
@@ -345,11 +334,11 @@ def tune_hyperparameters(
     train_fraction: float = 0.7,
 ) -> SurrogateHp:
     """Sample unique grid combos; pick the one with the lowest 5-fold CV MSE."""
-    if len(points) < MIN_TUNE_POINTS:
-        raise SurrogateError(f"need at least {MIN_TUNE_POINTS} data points, got {len(points)}")
-    embedder = embedder or HashingEmbedder()
-    X = np.stack([embedder.embed(text) for text, _ in points])
-    y = np.asarray([target for _, target in points], dtype=np.float64)
+    require_points(len(y), MIN_TUNE_POINTS)
+    if combos < 1:
+        raise SurrogateError(f"surrogate.cv_combos must be >= 1, got {combos}")
+    if folds < 2:
+        raise SurrogateError(f"surrogate.cv_folds must be >= 2, got {folds}")
 
     grid = hp_grid()
     rng = random.Random(derive_seed(seed, "hp"))
@@ -362,7 +351,7 @@ def tune_hyperparameters(
         fold_scores = []
         for fold_index, held_out in enumerate(partitions):
             train_idx = np.setdiff1d(np.arange(len(y)), held_out)
-            models, _, _ = fit_models(
+            models = fit_models(
                 X[train_idx], y[train_idx], hp,
                 derive_seed(seed, "cv", combo_index, fold_index),
                 submodels=submodels, epochs=epochs, train_fraction=train_fraction,
@@ -375,58 +364,3 @@ def tune_hyperparameters(
             best_score = score
             best_hp = hp
     return best_hp
-
-
-SERIALIZATION_VERSION = 1
-
-
-def save_ensemble(ens: SurrogateEnsemble, path: str) -> None:
-    meta = {
-        "version": SERIALIZATION_VERSION,
-        "hp": {
-            "widths": list(ens.hp.widths),
-            "dropout": ens.hp.dropout,
-            "batch": ens.hp.batch,
-            "lr": ens.hp.lr,
-        },
-        "embedder": {
-            "name": ens.embedder.name,
-            "dim": ens.embedder.dim,
-            "seed": getattr(ens.embedder, "seed", 0),
-        },
-        "submodels": len(ens.models),
-        "layers": len(ens.models[0]),
-        "best_epoch": ens.best_epoch,
-        "val_history": list(ens.val_history),
-    }
-    arrays = {"meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)}
-    for i, params in enumerate(ens.models):
-        for l, (W, b) in enumerate(params):
-            arrays[f"W_{i}_{l}"] = W
-            arrays[f"b_{i}_{l}"] = b
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-
-
-def load_ensemble(path: str, embedder: Optional[Embedder] = None) -> SurrogateEnsemble:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"].tolist()).decode("utf-8"))
-        if meta["version"] != SERIALIZATION_VERSION:
-            raise SurrogateError(f"unsupported ensemble file version {meta['version']}")
-        models: list[Params] = []
-        for i in range(meta["submodels"]):
-            models.append([[data[f"W_{i}_{l}"], data[f"b_{i}_{l}"]] for l in range(meta["layers"])])
-    hp = SurrogateHp(
-        widths=tuple(meta["hp"]["widths"]),
-        dropout=meta["hp"]["dropout"],
-        batch=meta["hp"]["batch"],
-        lr=meta["hp"]["lr"],
-    )
-    if embedder is None:
-        if meta["embedder"]["name"] != "hashing":
-            raise SurrogateError("non-hashing embedder requires an explicit embedder argument")
-        embedder = HashingEmbedder(dim=meta["embedder"]["dim"], seed=meta["embedder"]["seed"])
-    return SurrogateEnsemble(
-        models, embedder, hp,
-        best_epoch=meta["best_epoch"], val_history=tuple(meta["val_history"]),
-    )

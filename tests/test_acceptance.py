@@ -224,7 +224,8 @@ def test_06_ensemble_mean_is_submodel_average():
     points = [(" ".join(rng.choice(vocab, size=5)), float(rng.random())) for _ in range(20)]
     emb = HashingEmbedder(dim=32)
     ens = train(
-        points,
+        np.stack([emb.embed(t) for t, _ in points]),
+        np.asarray([v for _, v in points]),
         SurrogateHp(widths=(8, 1), dropout=0.0, batch=8, lr=1e-3),
         seed=1,
         embedder=emb,
@@ -246,7 +247,7 @@ def test_06_ensemble_mean_is_submodel_average():
 
 def test_06_ensemble_population_variance_value():
     values = [i / 10 for i in range(10)]
-    ens = SurrogateEnsemble(constant_models(values), HashingEmbedder(dim=4), SurrogateHp())
+    ens = SurrogateEnsemble(constant_models(values), HashingEmbedder(dim=4))
     mean, variance = ens.predict("any text")
     assert mean == pytest.approx(0.45, abs=1e-12)
     assert variance == pytest.approx(0.0825, abs=1e-12)
@@ -293,12 +294,11 @@ def test_07_surrogate_learns_linear_target():
     for _ in range(600):
         size = int(rng.integers(4, 13))
         texts.append(" ".join(rng.choice(vocab, size=size)))
-    targets = [0.25 * float(embedder.embed(t) @ w) + 0.5 for t in texts]
-    points = list(zip(texts, targets))
+    X = np.stack([embedder.embed(t) for t in texts])
+    y = np.asarray([0.25 * float(x @ w) + 0.5 for x in X])
 
-    ens = train(points[:500], SurrogateHp(), seed=7, embedder=embedder)
-    held_X = np.stack([embedder.embed(t) for t in texts[500:]])
-    held_y = np.asarray(targets[500:])
+    ens = train(X[:500], y[:500], SurrogateHp(), seed=7, embedder=embedder)
+    held_X, held_y = X[500:], y[500:]
     preds = np.stack([predict_params(p, held_X) for p in ens.models]).mean(axis=0)
     assert mse(preds, held_y) < 1e-3
     assert time.monotonic() - start < 120.0
@@ -361,7 +361,7 @@ def test_08_best_candidate_never_loses_to_incumbent():
     )
     truth = {r.input: r.label for r in train_rows.rows + val_rows.rows}
     gateway = LlmGateway(LabelOracleBackend(truth))
-    ensemble = SurrogateEnsemble(constant_models([0.5], dim=8), HashingEmbedder(dim=8), SurrogateHp())
+    ensemble = SurrogateEnsemble(constant_models([0.5], dim=8), HashingEmbedder(dim=8))
 
     scored_runs = 0
     seed = 0

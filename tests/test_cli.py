@@ -174,12 +174,13 @@ def test_local_search_after_optimize(tmp_path, capsys):
     assert main(["local-search", "--config", config]) == 0
     work = root / "work"
     for artifact in (
-        "surrogate.npz",
         "refined_prompt.txt",
         "refined_prompt.meta.json",
         "candidates.tsv",
     ):
         assert (work / artifact).exists(), artifact
+    # The surrogate lives only inside the command; nothing is serialised.
+    assert not (work / "surrogate.npz").exists()
     meta = json.loads((work / "refined_prompt.meta.json").read_text())
     # A siteless or degenerate elite short-circuits with a notice; otherwise
     # the winner carries its combined validation score.
@@ -193,13 +194,9 @@ def test_local_search_after_optimize(tmp_path, capsys):
         assert first[0] == "0"
 
 
-def test_local_search_full_path_with_sited_elite(tmp_path):
+def site_elite(work):
+    """Replace the checkpointed elite with one whose task program has an index site."""
     from promptgp.grammar import encode, sample_ptc2
-
-    root = setup_run(tmp_path)
-    config = str(root / "run.ini")
-    assert main(["optimize", "--config", config]) == 0
-    work = root / "work"
 
     grammar = default_grammar()
     sited = None
@@ -214,6 +211,14 @@ def test_local_search_full_path_with_sited_elite(tmp_path):
     state["elite"]["genotype"] = list(encode(sited))
     (work / "checkpoint.json").write_text(json.dumps(state, sort_keys=True))
 
+
+def test_local_search_full_path_with_sited_elite(tmp_path):
+    root = setup_run(tmp_path)
+    config = str(root / "run.ini")
+    assert main(["optimize", "--config", config]) == 0
+    work = root / "work"
+    site_elite(work)
+
     assert main(["local-search", "--config", config]) == 0
     meta = json.loads((work / "refined_prompt.meta.json").read_text())
     assert meta["notice"] == ""
@@ -225,6 +230,88 @@ def test_local_search_full_path_with_sited_elite(tmp_path):
     combined = [float(r[-1]) for r in rows]
     assert combined[0] == max(combined)
     assert rows[0][1] == meta["digest"][:16]
+
+
+def write_journal(path, n):
+    """A journal of `n` distinct training points, enough to drive the surrogate alone."""
+    write_jsonl(
+        path,
+        [
+            {"split": "train", "prompt": f"Answer question {i} with care, case {i * 7}.", "fitness": (i % 5) / 4}
+            for i in range(n)
+        ],
+    )
+    return str(path)
+
+
+def with_cv(root, folds=2, combos=1):
+    config = root / "run.ini"
+    text = config.read_text().replace(
+        "[surrogate]\n", f"[surrogate]\ncv_folds = {folds}\ncv_combos = {combos}\ncv_epochs = 2\n"
+    )
+    config.write_text(text)
+    return str(config)
+
+
+def test_local_search_embeds_each_journal_point_once(tmp_path, monkeypatch):
+    from promptgp import cli, localsearch
+
+    root = setup_run(tmp_path)
+    config = with_cv(root)
+    assert main(["optimize", "--config", config]) == 0
+    site_elite(root / "work")
+    # 60 points: enough for hyperparameter tuning as well as the final fit.
+    journal = write_journal(root / "points.jsonl", 60)
+
+    embedded = []
+    build_embedder = cli.build_embedder
+
+    def counting_build_embedder(cfg):
+        embedder = build_embedder(cfg)
+        embed = embedder.embed
+
+        def count(text):
+            embedded.append(text)
+            return embed(text)
+
+        embedder.embed = count
+        return embedder
+
+    neighbors = []
+    build_neighborhood = localsearch.build_neighborhood
+
+    def recording_build_neighborhood(*args, **kwargs):
+        nb = build_neighborhood(*args, **kwargs)
+        neighbors.extend(nb.neighbors)
+        return nb
+
+    monkeypatch.setattr(cli, "build_embedder", counting_build_embedder)
+    monkeypatch.setattr(localsearch, "build_neighborhood", recording_build_neighborhood)
+    assert main(["local-search", "--config", config, "--journal", journal]) == 0
+    assert neighbors
+    assert len(embedded) == 60 + len(neighbors)
+    assert embedded[60:] == [n.prompt.text for n in neighbors]
+
+
+def test_local_search_needs_ten_journal_points(tmp_path, capsys):
+    root = setup_run(tmp_path)
+    config = str(root / "run.ini")
+    assert main(["optimize", "--config", config]) == 0
+    journal = write_journal(root / "points.jsonl", 9)
+    capsys.readouterr()
+    assert main(["local-search", "--config", config, "--journal", journal]) == 2
+    assert "need at least 10 data points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting, folds, combos", [("cv_combos", 2, 0), ("cv_folds", 1, 1)])
+def test_local_search_rejects_unusable_cv_settings(tmp_path, capsys, setting, folds, combos):
+    root = setup_run(tmp_path)
+    config = with_cv(root, folds=folds, combos=combos)
+    assert main(["optimize", "--config", config]) == 0
+    journal = write_journal(root / "points.jsonl", 60)
+    capsys.readouterr()
+    assert main(["local-search", "--config", config, "--journal", journal]) == 2
+    assert f"surrogate.{setting}" in capsys.readouterr().err
 
 
 def test_evaluate_prompt_file(tmp_path, capsys):

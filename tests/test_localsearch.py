@@ -12,7 +12,7 @@ from promptgp.localsearch import (
     run_local_search,
     screen,
 )
-from promptgp.surrogate import HashingEmbedder, SurrogateEnsemble, SurrogateHp
+from promptgp.surrogate import HashingEmbedder, SurrogateEnsemble
 from promptgp.tasks import DataRow, Dataset, EvalContext, TaskSpec
 from promptgp.template import apply_phenotype, identity_phenotype, parse_template, phenotype_digest
 
@@ -97,7 +97,7 @@ def test_build_neighborhood_multi_digit_values_render():
 
 def constant_ensemble(value, dim=8):
     models = [[[np.zeros((dim, 1)), np.array([float(value)])]]]
-    return SurrogateEnsemble(models, HashingEmbedder(dim=dim), SurrogateHp())
+    return SurrogateEnsemble(models, HashingEmbedder(dim=dim))
 
 
 class LengthEnsemble:

@@ -5,6 +5,7 @@ from promptgp.seeds import derive_seed
 from promptgp.surrogate import (
     AdamState,
     HashingEmbedder,
+    RemoteEmbedder,
     SurrogateEnsemble,
     SurrogateError,
     SurrogateHp,
@@ -13,11 +14,9 @@ from promptgp.surrogate import (
     forward,
     hp_grid,
     init_params,
-    load_ensemble,
     loss_and_grads,
     mse,
     predict_params,
-    save_ensemble,
     train,
     tune_hyperparameters,
 )
@@ -52,6 +51,51 @@ def test_embedder_seed_changes_buckets():
 def test_embedder_rejects_bad_dim():
     with pytest.raises(SurrogateError):
         HashingEmbedder(dim=0)
+
+
+class FakeReply:
+    def __init__(self, payload):
+        self.payload = payload
+
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return self.payload
+
+
+def remote_replying(monkeypatch, payload):
+    import requests
+
+    bodies = []
+
+    def post(url, json=None, timeout=None):
+        bodies.append(json)
+        return FakeReply(payload)
+
+    monkeypatch.setattr(requests, "post", post)
+    return bodies
+
+
+def test_remote_embedder_posts_one_text_and_normalises(monkeypatch):
+    bodies = remote_replying(monkeypatch, {"embeddings": [[3.0, 0.0, 4.0]]})
+    vec = RemoteEmbedder("http://embed.invalid/v1", dim=3).embed("some prompt")
+    assert bodies == [{"texts": ["some prompt"]}]
+    assert np.allclose(vec, [0.6, 0.0, 0.8])
+    assert np.linalg.norm(vec) == pytest.approx(1.0)
+
+
+def test_remote_embedder_rejects_wrong_dimension(monkeypatch):
+    remote_replying(monkeypatch, {"embeddings": [[1.0, 2.0]]})
+    with pytest.raises(SurrogateError, match="dimension"):
+        RemoteEmbedder("http://embed.invalid/v1", dim=3).embed("text")
+
+
+@pytest.mark.parametrize("payload", [{}, {"embeddings": []}, {"embeddings": None}, [], None])
+def test_remote_embedder_malformed_reply_is_surrogate_error(monkeypatch, payload):
+    remote_replying(monkeypatch, payload)
+    with pytest.raises(SurrogateError, match="embeddings"):
+        RemoteEmbedder("http://embed.invalid/v1", dim=3).embed("text")
 
 
 def test_hp_validation():
@@ -137,14 +181,14 @@ def constant_models(values):
 
 def test_ensemble_mean_and_population_variance():
     values = [i / 10 for i in range(10)]
-    ens = SurrogateEnsemble(constant_models(values), HashingEmbedder(dim=4), SurrogateHp())
+    ens = SurrogateEnsemble(constant_models(values), HashingEmbedder(dim=4))
     mean, var = ens.predict("any text at all")
     assert mean == pytest.approx(0.45)
     assert var == pytest.approx(0.0825)
 
 
 def test_predict_many_shapes():
-    ens = SurrogateEnsemble(constant_models([0.5, 0.5]), HashingEmbedder(dim=4), SurrogateHp())
+    ens = SurrogateEnsemble(constant_models([0.5, 0.5]), HashingEmbedder(dim=4))
     means, variances = ens.predict_many(["a", "b", "c"])
     assert means.shape == variances.shape == (3,)
     assert np.allclose(means, 0.5)
@@ -161,43 +205,60 @@ def make_points(n, seed=0):
     return points
 
 
-def test_fit_models_deterministic_and_snapshots_best_epoch():
-    emb = HashingEmbedder(dim=32)
-    points = make_points(30)
-    X = np.stack([emb.embed(t) for t, _ in points])
+def embed_points(points, embedder):
+    X = np.stack([embedder.embed(t) for t, _ in points])
     y = np.asarray([v for _, v in points])
-    hp = SurrogateHp(widths=(8, 1), dropout=0.0, batch=8, lr=1e-3)
-    models_a, best_a, hist_a = fit_models(X, y, hp, seed=5, submodels=3, epochs=12)
-    models_b, best_b, hist_b = fit_models(X, y, hp, seed=5, submodels=3, epochs=12)
-    assert best_a == best_b
-    assert hist_a == hist_b
-    assert len(hist_a) == 12
-    assert best_a == int(np.argmin(hist_a))
+    return X, y
+
+
+def validation_loss(models, X, y, seed, train_fraction=0.7):
+    """Mean submodel MSE on the validation split that `fit_models` draws."""
+    perm = np.random.default_rng(derive_seed(seed, "split")).permutation(len(y))
+    val_idx = perm[min(max(int(round(train_fraction * len(y))), 1), len(y) - 1):]
+    return float(np.mean([mse(predict_params(p, X[val_idx]), y[val_idx]) for p in models]))
+
+
+# A learning rate this high overshoots: the validation loss bottoms out and
+# rises again before the last epoch, so the best epoch is not the last one.
+OVERSHOOT_HP = SurrogateHp(widths=(8, 1), dropout=0.0, batch=8, lr=0.1)
+
+
+def test_fit_models_deterministic_and_snapshots_best_epoch():
+    X, y = embed_points(make_points(30), HashingEmbedder(dim=32))
+    epochs = 12
+    models_a = fit_models(X, y, OVERSHOOT_HP, seed=5, submodels=3, epochs=epochs)
+    models_b = fit_models(X, y, OVERSHOOT_HP, seed=5, submodels=3, epochs=epochs)
     for pa, pb in zip(models_a, models_b):
         for (Wa, ba), (Wb, bb) in zip(pa, pb):
             assert np.array_equal(Wa, Wb) and np.array_equal(ba, bb)
-    # The snapshot belongs to the best epoch, not necessarily the last one.
-    split_rng = np.random.default_rng(derive_seed(5, "split"))
-    perm = split_rng.permutation(len(y))
-    val_idx = perm[min(max(int(round(0.7 * len(y))), 1), len(y) - 1):]
-    snap_loss = float(
-        np.mean([mse(predict_params(p, X[val_idx]), y[val_idx]) for p in models_a])
-    )
-    assert snap_loss == pytest.approx(min(hist_a))
+    # A shorter run replays a prefix of the same trajectory, so the least
+    # loss over all prefixes is the least loss over every epoch.
+    prefix_losses = [
+        validation_loss(fit_models(X, y, OVERSHOOT_HP, seed=5, submodels=3, epochs=e), X, y, 5)
+        for e in range(1, epochs + 1)
+    ]
+    assert validation_loss(models_a, X, y, 5) == min(prefix_losses)
 
 
 def test_train_requires_min_points():
-    with pytest.raises(SurrogateError):
-        train(make_points(9), SurrogateHp(), seed=0)
+    emb = HashingEmbedder()
+    X, y = embed_points(make_points(9), emb)
+    with pytest.raises(SurrogateError, match="at least 10 data points"):
+        train(X, y, SurrogateHp(), seed=0, embedder=emb)
 
 
 def test_train_returns_working_ensemble():
-    hp = SurrogateHp(widths=(8, 1), dropout=0.0, batch=8, lr=1e-3)
-    ens = train(make_points(20), hp, seed=1, embedder=HashingEmbedder(dim=32), submodels=2, epochs=5)
+    emb = HashingEmbedder(dim=32)
+    X, y = embed_points(make_points(20), emb)
+    ens = train(X, y, OVERSHOOT_HP, seed=1, embedder=emb, submodels=2, epochs=8)
     mean, var = ens.predict("alpha beta gamma")
     assert np.isfinite(mean) and var >= 0.0
-    assert len(ens.val_history) == 5
-    assert ens.best_epoch == int(np.argmin(ens.val_history))
+    assert ens.embedder is emb
+    prefix_losses = [
+        validation_loss(fit_models(X, y, OVERSHOOT_HP, seed=1, submodels=2, epochs=e), X, y, 1)
+        for e in range(1, 9)
+    ]
+    assert validation_loss(ens.models, X, y, 1) == min(prefix_losses)
 
 
 def test_hp_grid_size_and_order():
@@ -221,29 +282,12 @@ def test_cv_folds_partition():
 
 
 def test_tune_hyperparameters_deterministic_choice_from_grid():
-    points = make_points(50)
-    kwargs = dict(
-        embedder=HashingEmbedder(dim=16), folds=2, combos=2, submodels=1, epochs=2
-    )
-    hp_a = tune_hyperparameters(points, seed=3, **kwargs)
-    hp_b = tune_hyperparameters(points, seed=3, **kwargs)
+    X, y = embed_points(make_points(50), HashingEmbedder(dim=16))
+    kwargs = dict(folds=2, combos=2, submodels=1, epochs=2)
+    hp_a = tune_hyperparameters(X, y, seed=3, **kwargs)
+    hp_b = tune_hyperparameters(X, y, seed=3, **kwargs)
     assert hp_a == hp_b
     assert hp_a in hp_grid()
     with pytest.raises(SurrogateError):
-        tune_hyperparameters(make_points(49), seed=3, **kwargs)
+        tune_hyperparameters(X[:49], y[:49], seed=3, **kwargs)
 
-
-def test_save_load_round_trip(tmp_path):
-    hp = SurrogateHp(widths=(8, 1), dropout=0.0, batch=8, lr=1e-3)
-    ens = train(make_points(20), hp, seed=2, embedder=HashingEmbedder(dim=32, seed=4), submodels=2, epochs=4)
-    path = str(tmp_path / "surrogate.npz")
-    save_ensemble(ens, path)
-    loaded = load_ensemble(path)
-    texts = ["alpha beta", "gamma delta epsilon"]
-    m0, v0 = ens.predict_many(texts)
-    m1, v1 = loaded.predict_many(texts)
-    assert np.array_equal(m0, m1) and np.array_equal(v0, v1)
-    assert loaded.hp == hp
-    assert loaded.best_epoch == ens.best_epoch
-    assert loaded.embedder.dim == 32 and loaded.embedder.seed == 4
-    assert loaded.val_history == ens.val_history
