@@ -124,7 +124,7 @@ def build_context(
     workdir: Path,
     train: Dataset,
     max_workers: int,
-    lexicons: Optional[Lexicons] = None,
+    lexicons: Lexicons,
 ) -> EvalContext:
     """The one evaluation context of a command; builds its gateway."""
     gw = cfg.gateway
@@ -417,7 +417,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise CliError(f"config has no {args.split} dataset")
     dataset = load_dataset(path)
     train = load_dataset(cfg.task.train_data) if cfg.task.train_data else Dataset(rows=[])
-    ctx = build_context(cfg, workdir, train, cfg.gp.eval_workers)
+    ctx = build_context(cfg, workdir, train, cfg.gp.eval_workers, Lexicons())  # renders nothing
 
     prompt_text = Path(args.prompt).read_text(encoding="utf-8")
     report = ctx.score(RenderedPrompt(prompt_text), dataset.rows)

@@ -13,14 +13,16 @@ import logging
 import re
 import string
 from collections import deque
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from . import chunking
 from .chunking import ChunkList, EditedChunk, ViewIndex, join_span, rejoin, resolve
-from .exprlang import OPS, Atom, Call, Concat, Expr, parse
-from .gateway import GatewayError, LlmGateway, paraphrase_call, summarise_call
-from .lexicons import Lexicons
+from .exprlang import OPS, Atom, Call, Concat, Expr
+from .gateway import GatewayError, paraphrase_call, summarise_call
+
+if TYPE_CHECKING:
+    from .tasks import EvalContext
 
 log = logging.getLogger(__name__)
 
@@ -38,36 +40,22 @@ def placeholders(text: str) -> set[str]:
 @dataclass
 class _ExecState:
     base_text: str
-    icl_items: list[str]
-    queue: deque[str]
-    gateway: Optional[LlmGateway]
-    lexicons: Lexicons
-    placeholder_guard: bool
-    edit_model: str
+    icl_items: Sequence[str]
+    ctx: EvalContext
+    queue: deque[str] = field(default_factory=deque)
     max_chunks: int = 0
 
 
 def execute_program(
-    program: Union[str, Expr],
+    expr: Expr,
     base_text: str,
-    gateway: Optional[LlmGateway] = None,
-    lexicons: Optional[Lexicons] = None,
-    icl_items: Optional[list[str]] = None,
-    placeholder_guard: bool = True,
-    edit_model: str = "mock",
+    ctx: EvalContext,
+    icl_items: Sequence[str] = (),
 ) -> tuple[Union[str, list[str]], int]:
-    """Run one section program; returns (edited text or list, largest chunk
-    count any operator saw)."""
-    expr = parse(program) if isinstance(program, str) else program
-    state = _ExecState(
-        base_text=base_text,
-        icl_items=list(icl_items or []),
-        queue=deque(),
-        gateway=gateway,
-        lexicons=lexicons or Lexicons(),
-        placeholder_guard=placeholder_guard,
-        edit_model=edit_model,
-    )
+    """Run one parsed section program with the lexicons, gateway, edit model
+    and placeholder guard of `ctx`; returns (edited text or list, largest
+    chunk count any operator saw)."""
+    state = _ExecState(base_text, icl_items, ctx)
     return _eval(expr, state), state.max_chunks
 
 
@@ -183,10 +171,10 @@ def _edit_chunks(
         return items[:target] + copies + items[target:]
 
     if name == "remove_stopwords":
-        return _remove_stopwords(items, _as_span(resolved[0]), state.lexicons.stopwords)
+        return _remove_stopwords(items, _as_span(resolved[0]), state.ctx.lexicons.stopwords)
 
     if name == "synonimise":
-        return _synonimise(items, _as_span(resolved[0]), state.lexicons.synonyms)
+        return _synonimise(items, _as_span(resolved[0]), state.ctx.lexicons.synonyms)
 
     if name in ("paraphrase", "summarise"):
         return _llm_rewrite(call, items, _as_span(resolved[0]), state, span_text)
@@ -244,20 +232,18 @@ def _llm_rewrite(
 ) -> list[EditedChunk]:
     lo, hi = span
     source = span_text(items[lo : hi + 1])
-    if state.gateway is None:
-        log.warning("%s skipped: no gateway configured", call.name)
-        return items
+    ctx = state.ctx
     try:
         if call.name == "paraphrase":
-            answer = paraphrase_call(state.gateway, source, model=state.edit_model)
+            answer = paraphrase_call(ctx.gateway, source, model=ctx.edit_model)
         else:
             answer = summarise_call(
-                state.gateway, source, float(call.arg("percent")), model=state.edit_model
+                ctx.gateway, source, float(call.arg("percent")), model=ctx.edit_model
             )
     except GatewayError as exc:
         log.warning("%s degraded to identity: %s", call.name, exc)
         return items
-    if state.placeholder_guard and not placeholders(source) <= placeholders(answer):
+    if ctx.placeholder_guard and not placeholders(source) <= placeholders(answer):
         log.warning("%s reply dropped a placeholder; keeping original span", call.name)
         return items
     return items[:lo] + [(answer, None)] + items[hi + 1 :]

@@ -67,7 +67,6 @@ class Individual:
     prompt: Optional[RenderedPrompt] = None
     f_train: Optional[float] = None
     f_val: Optional[float] = None
-    failed: bool = False
 
     @property
     def digest(self) -> str:
@@ -152,11 +151,16 @@ class EvolutionEngine:
         checkpoint_path: Optional[str] = None,
         config_digest: str = "",
     ):
+        self.settings = settings or GpSettings()
+        for key in ("population_size", "sample_size", "parent_tournament", "survivor_tournament"):
+            if getattr(self.settings, key) < 1:
+                raise ValueError(f"gp.{key} must be >= 1, got {getattr(self.settings, key)}")
+        if self.settings.init_retries < 0:
+            raise ValueError(f"gp.init_retries must be >= 0, got {self.settings.init_retries}")
         self.grammar = grammar
         self.base = base
         self.ctx = ctx
         self.val_dataset = val_dataset
-        self.settings = settings or GpSettings()
         self.master_seed = master_seed
         self.journal = journal if journal is not None else EvalJournal()
         self.checkpoint_path = checkpoint_path
@@ -176,28 +180,25 @@ class EvolutionEngine:
             ind.prompt = self.ctx.render(self.base, ind.phenotype)
         except (ProgramParseError, ProgramExecutionError, MalformedTreeError, TemplateError) as exc:
             log.warning("individual %s failed to render: %s", ind.digest, exc)
-            ind.failed = True
         return ind
 
     def initialise(self) -> list[Individual]:
         pop: list[Individual] = []
         for i in range(self.settings.population_size):
-            ind: Optional[Individual] = None
-            for attempt in range(self.settings.init_retries + 1):
+            for attempt in range(self.settings.init_retries + 1):  # >= 0, so at least one draw
                 tree = sample_ptc2(
                     self.grammar, self.settings.max_nodes, self._derive("init", i, attempt)
                 )
                 ind = self._make_individual(tree, born=0)
-                if not ind.failed:
+                if ind.prompt is not None:
                     break
-            assert ind is not None
             pop.append(ind)
         return pop
 
     # ---- evaluation ---------------------------------------------------
 
     def _evaluate_train(self, ind: Individual, rows, gen: int) -> None:
-        if ind.failed or ind.prompt is None:
+        if ind.prompt is None:
             ind.f_train = 0.0
             return
         ind.f_train = self.ctx.score(ind.prompt, rows).fitness
@@ -219,7 +220,7 @@ class EvolutionEngine:
         if self.elite is not None and champion.genotype == self.elite.genotype:
             champion.f_val = self.elite.f_val
             return
-        if champion.failed or champion.prompt is None:
+        if champion.prompt is None:
             champion.f_val = 0.0
         else:
             champion.f_val = self.ctx.score(champion.prompt, self.val_dataset.rows).fitness

@@ -239,6 +239,8 @@ def fit_models(
     train_fraction: float = 0.7,
 ) -> list[Params]:
     """Train the ensemble; return the models at the epoch of least validation loss."""
+    if submodels < 1:
+        raise SurrogateError(f"surrogate.submodels must be >= 1, got {submodels}")
     n = len(y)
     if n < 2:
         raise SurrogateError("need at least 2 data points to split")

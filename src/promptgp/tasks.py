@@ -10,7 +10,7 @@ import string
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .gateway import GatewayError, LlmGateway
 from .grammar import Phenotype
@@ -167,41 +167,33 @@ class FitnessReport:
     parse_failures: int = 0
 
 
-def _no_demos(row: DataRow) -> list[str]:
-    return []
-
-
 def evaluate_prompt(
-    prompt: RenderedPrompt,
-    rows: Sequence[DataRow],
-    task: TaskSpec,
-    gateway: LlmGateway,
-    demos: Callable[[DataRow], list[str]] = _no_demos,
-    model: str = "mock",
-    max_workers: int = 1,
+    prompt: RenderedPrompt, rows: Sequence[DataRow], ctx: EvalContext
 ) -> FitnessReport:
-    """Mean per-case score of one rendered prompt over the given rows.
+    """Mean per-case score of one rendered prompt over the given rows,
+    asked of `ctx.model` with up to `ctx.max_workers` cases in flight.
 
-    `demos` gives a case's formatted ICL demonstrations; it is called for
-    every row, in row order, before any case is sent.  Transport failures
-    and unparseable replies score zero for that case; only the latter are
-    counted as parse failures.
+    Every row's demonstrations are resolved through `ctx.demos`, in row
+    order, before any case is sent.  Transport failures and unparseable
+    replies score zero for that case; only the latter are counted as parse
+    failures.
     """
     if not rows:
         raise ValueError("cannot evaluate on zero rows")
-    row_demos = [demos(row) for row in rows]
+    task = ctx.task
+    row_demos = [ctx.demos(row) for row in rows]
 
     def eval_case(row: DataRow, case_demos: list[str]) -> tuple[float, bool]:
         try:
-            reply = gateway.ask(instantiate(prompt, row, case_demos), model)
+            reply = ctx.gateway.ask(instantiate(prompt, row, case_demos), ctx.model)
         except GatewayError as exc:
             log.warning("case %s: gateway failure: %s", row.id, exc)
             return 0.0, False
         pred = extract_answer(reply, task.answer_key)
         return score_case(pred, row.label, task.metric), pred is None
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    if ctx.max_workers > 1:
+        with ThreadPoolExecutor(max_workers=ctx.max_workers) as pool:
             outcomes = list(pool.map(eval_case, rows, row_demos))
     else:
         outcomes = list(map(eval_case, rows, row_demos))
@@ -220,6 +212,8 @@ class EvalContext:
     """How a prompt-creating programme is judged, shared by GP, local search
     and `evaluate`: its edits are applied to the base template with
     `render`, and the rendered prompt is scored by the task LLM with `score`.
+    Both hand the context itself down; `lexicons` may stay empty in a
+    context that renders nothing.
 
     `train` is the ICL demonstration pool; GP and local search also sample
     their training rows from it.  Each case's demonstrations are retrieved
@@ -234,7 +228,7 @@ class EvalContext:
     model: str = "mock"
     edit_model: str = "mock"
     max_workers: int = 1
-    lexicons: Optional[Lexicons] = None
+    lexicons: Lexicons = field(default_factory=Lexicons)
     placeholder_guard: bool = True
     _demos: dict[DataRow, list[str]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -247,22 +241,7 @@ class EvalContext:
         return found
 
     def score(self, prompt: RenderedPrompt, rows: Sequence[DataRow]) -> FitnessReport:
-        return evaluate_prompt(
-            prompt,
-            rows,
-            self.task,
-            self.gateway,
-            demos=self.demos,
-            model=self.model,
-            max_workers=self.max_workers,
-        )
+        return evaluate_prompt(prompt, rows, self)
 
     def render(self, base: BaseTemplate, ph: Phenotype) -> RenderedPrompt:
-        return apply_phenotype(
-            base,
-            ph,
-            gateway=self.gateway,
-            lexicons=self.lexicons,
-            placeholder_guard=self.placeholder_guard,
-            edit_model=self.edit_model,
-        )
+        return apply_phenotype(base, ph, self)

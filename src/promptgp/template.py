@@ -14,14 +14,15 @@ import logging
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import SECTIONS
 from .editops import PLACEHOLDER_RE, execute_program
 from .exprlang import parse
-from .gateway import LlmGateway
 from .grammar import Phenotype
-from .lexicons import Lexicons
+
+if TYPE_CHECKING:
+    from .tasks import EvalContext
 
 log = logging.getLogger(__name__)
 
@@ -115,15 +116,9 @@ class RenderedPrompt:
     max_chunks: int = 0
 
 
-def apply_phenotype(
-    base: BaseTemplate,
-    ph: Phenotype,
-    gateway: Optional[LlmGateway] = None,
-    lexicons: Optional[Lexicons] = None,
-    placeholder_guard: bool = True,
-    edit_model: str = "mock",
-) -> RenderedPrompt:
-    """Execute each section's program on its base text; join with newlines.
+def apply_phenotype(base: BaseTemplate, ph: Phenotype, ctx: EvalContext) -> RenderedPrompt:
+    """Execute each section's program on its base text with the edit
+    settings of `ctx`; join with newlines.
 
     Raises ProgramParseError if any section program is malformed; callers
     treat that as a whole-prompt failure.
@@ -136,16 +131,8 @@ def apply_phenotype(
     edited: list[str] = []
     max_chunks = 0
     for section in SECTIONS:
-        icl_items = icl_placeholders(base.icl_slot_count) if section == "icl" else None
-        result, chunks = execute_program(
-            parsed[section],
-            base.sections[section],
-            gateway=gateway,
-            lexicons=lexicons,
-            icl_items=icl_items,
-            placeholder_guard=placeholder_guard,
-            edit_model=edit_model,
-        )
+        icl_items = icl_placeholders(base.icl_slot_count) if section == "icl" else ()
+        result, chunks = execute_program(parsed[section], base.sections[section], ctx, icl_items)
         max_chunks = max(max_chunks, chunks)
         edited.append("\n".join(result) if isinstance(result, list) else result)
     return RenderedPrompt("\n".join(edited), max_chunks)

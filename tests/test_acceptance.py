@@ -22,7 +22,7 @@ from promptgp.config import RunConfig, config_to_dict
 from promptgp.editops import execute_program
 from promptgp.evolution import EvalJournal, EvolutionEngine, GpSettings
 from promptgp.exprlang import iter_index_slots, parse
-from promptgp.gateway import LabelOracleBackend, LlmGateway
+from promptgp.gateway import EchoBackend, LabelOracleBackend, LlmGateway
 from promptgp.grammar import (
     crossover,
     decode,
@@ -69,9 +69,12 @@ DEMO_LIST = ["chunk_1", "chunk_2", "chunk_3", "chunk_4"]
 STOPWORD_SENTENCE = "Given text, classify its sentiment as positive or negative."
 
 
-def run_op(program, base="", **kw):
-    kw.setdefault("lexicons", LEX)
-    out, _ = execute_program(program, base, **kw)
+# Rendering context: LLM edits get echo replies, which degrade to identity.
+EDIT_CTX = EvalContext(TaskSpec(), LlmGateway(EchoBackend()), Dataset(rows=[]), lexicons=LEX)
+
+
+def run_op(program, base="", icl_items=()):
+    out, _ = execute_program(parse(program), base, EDIT_CTX, icl_items)
     return out
 
 
@@ -177,7 +180,7 @@ def test_03_chunk_reassembly_is_byte_identity():
 def assert_executable(tree, base):
     assert tree.node_count <= 1024
     assert encode(decode(GRAMMAR, encode(tree))) == encode(tree)
-    apply_phenotype(base, render_phenotype(tree), lexicons=LEX)
+    apply_phenotype(base, render_phenotype(tree), EDIT_CTX)
 
 
 def test_04_grammar_variation_closure():
@@ -344,7 +347,7 @@ def test_08_neighborhood_combinatorics():
             assert changed == {
                 (n.site.section, n.site.path, n.site.param, n.site.slot): n.value
             }
-            n.prompt = apply_phenotype(base, n.phenotype, lexicons=LEX)
+            n.prompt = apply_phenotype(base, n.phenotype, EDIT_CTX)
 
         out = screen(nb.neighbors, ArbitraryEnsemble(), limit=50)
         assert len(out) == min(50, len(nb.neighbors))
@@ -480,7 +483,7 @@ def make_synthetic_engine(seed):
         master_seed=seed,
         journal=EvalJournal(),
     )
-    return engine, val_rows, gateway
+    return engine, val_rows
 
 
 @pytest.fixture(scope="module")
@@ -488,7 +491,7 @@ def synthetic_sweep():
     start = time.monotonic()
     runs = []
     for seed in range(10):
-        engine, _, _ = make_synthetic_engine(seed)
+        engine, _ = make_synthetic_engine(seed)
         result = engine.run()
         runs.append(
             {
@@ -501,11 +504,9 @@ def synthetic_sweep():
 
 
 def test_09_unedited_template_scores_zero():
-    engine, val_rows, gateway = make_synthetic_engine(0)
-    prompt = apply_phenotype(
-        parse_template(SYNTHETIC_TEMPLATE), identity_phenotype(), lexicons=synthetic_lexicons()
-    )
-    report = evaluate_prompt(prompt, val_rows.rows, TaskSpec(), gateway)
+    engine, val_rows = make_synthetic_engine(0)
+    prompt = apply_phenotype(parse_template(SYNTHETIC_TEMPLATE), identity_phenotype(), engine.ctx)
+    report = evaluate_prompt(prompt, val_rows.rows, engine.ctx)
     assert report.fitness == 0.0
 
 

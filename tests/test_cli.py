@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -153,6 +154,25 @@ def test_optimize_seed_override_changes_run(tmp_path):
     assert report["master_seed"] == 4
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("population_size", 0),
+        ("sample_size", 0),
+        ("parent_tournament", 0),
+        ("survivor_tournament", 0),
+        ("init_retries", -1),
+    ],
+)
+def test_optimize_rejects_gp_settings_that_cannot_run(tmp_path, capsys, key, value):
+    root = setup_run(tmp_path)
+    config = root / "run.ini"
+    text = re.sub(rf"^{key} = .*\n", "", config.read_text(), flags=re.MULTILINE)
+    config.write_text(text.replace("[gp]\n", f"[gp]\n{key} = {value}\n"))
+    assert main(["optimize", "--config", str(config)]) == 2
+    assert f"gp.{key}" in capsys.readouterr().err
+
+
 def test_optimize_resume_from_checkpoint_reproduces_report(tmp_path):
     root = setup_run(tmp_path)
     config = str(root / "run.ini")
@@ -303,10 +323,14 @@ def test_local_search_needs_ten_journal_points(tmp_path, capsys):
     assert "need at least 10 data points" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("setting, folds, combos", [("cv_combos", 2, 0), ("cv_folds", 1, 1)])
+@pytest.mark.parametrize(
+    "setting, folds, combos", [("cv_combos", 2, 0), ("cv_folds", 1, 1), ("submodels", 2, 1)]
+)
 def test_local_search_rejects_unusable_cv_settings(tmp_path, capsys, setting, folds, combos):
     root = setup_run(tmp_path)
     config = with_cv(root, folds=folds, combos=combos)
+    if setting == "submodels":
+        Path(config).write_text(Path(config).read_text().replace("submodels = 2", "submodels = 0"))
     assert main(["optimize", "--config", config]) == 0
     journal = write_journal(root / "points.jsonl", 60)
     capsys.readouterr()

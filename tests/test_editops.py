@@ -1,17 +1,29 @@
 import pytest
 
 from promptgp.editops import ProgramExecutionError, execute_program, placeholders
-from promptgp.gateway import PARAPHRASE_TEMPLATE, LlmGateway, ScriptedBackend
+from promptgp.exprlang import parse
+from promptgp.gateway import PARAPHRASE_TEMPLATE, EchoBackend, LlmGateway, ScriptedBackend
 from promptgp.lexicons import default_lexicons
+from promptgp.tasks import Dataset, EvalContext, TaskSpec
 
 LEX = default_lexicons()
 ITEMS = ["chunk_1", "chunk_2", "chunk_3", "chunk_4"]
 SENTENCE = "Given text, classify its sentiment as positive or negative."
 
 
+def context(gateway=None, **kw):
+    """An edit context with the shipped lexicons; by default LLM edits get
+    echo replies, which carry no answer, so they degrade to identity."""
+    gateway = gateway or LlmGateway(EchoBackend())
+    return EvalContext(TaskSpec(), gateway, Dataset(rows=[]), lexicons=LEX, **kw)
+
+
+def execute(program, base="", icl_items=(), gateway=None, **kw):
+    return execute_program(parse(program), base, context(gateway, **kw), icl_items)
+
+
 def run(program, base="", **kw):
-    kw.setdefault("lexicons", LEX)
-    out, _ = execute_program(program, base, **kw)
+    out, _ = execute(program, base, **kw)
     return out
 
 
@@ -114,26 +126,23 @@ def test_nested_program_applies_innermost_first():
         "remove_stopwords(index=[0], level=word, texts="
         "synonimise(index=[2], level=sentence, texts=BASE))"
     )
-    out, max_chunks = execute_program(prog, SENTENCE, lexicons=LEX)
+    out, max_chunks = execute(prog, SENTENCE)
     assert out == "Provided passage, categorise its feeling as favourable or unfavourable."
     # The inner op sees one sentence, the outer one the nine words.
     inner = "synonimise(index=[2], level=sentence, texts=BASE)"
-    assert execute_program(inner, SENTENCE, lexicons=LEX)[1] == 1
+    assert execute(inner, SENTENCE)[1] == 1
     assert max_chunks == 9
 
 
 def test_list_op_reports_demonstration_count():
-    _, max_chunks = execute_program(
-        "swap_elements(index1=[0,1], index2=[3], level=word, texts=ICL_LIST)",
-        "",
-        icl_items=ITEMS,
-        lexicons=LEX,
+    _, max_chunks = execute(
+        "swap_elements(index1=[0,1], index2=[3], level=word, texts=ICL_LIST)", icl_items=ITEMS
     )
     assert max_chunks == 4
 
 
 def test_program_without_operators_reports_zero_chunks():
-    assert execute_program("BASE", SENTENCE, lexicons=LEX)[1] == 0
+    assert execute("BASE", SENTENCE)[1] == 0
 
 
 def test_concat_joins_parts_and_drops_blank():
@@ -184,11 +193,6 @@ def test_placeholder_guard_can_be_disabled():
         placeholder_guard=False,
     )
     assert out == "Look at the samples."
-
-
-def test_llm_op_without_gateway_is_identity():
-    src = "Nothing changes here."
-    assert run("paraphrase(index=[0], level=sentence, texts=BASE)", src, gateway=None) == src
 
 
 def test_placeholders_helper():

@@ -180,7 +180,6 @@ def test_initialise_is_deterministic_and_renders():
     assert [i.genotype for i in pop_a] != [i.genotype for i in pop_c]
     assert len(pop_a) == 6
     assert all(ind.born == 0 for ind in pop_a)
-    assert all(not ind.failed for ind in pop_a)
     assert all(ind.prompt is not None for ind in pop_a)
 
 

@@ -126,8 +126,9 @@ def rendered_neighbors(per_site=10, bound=60):
     )
     sites = enumerate_sites(ph)
     nb = build_neighborhood(ph, sites, bound, seed=3, per_site=per_site)
+    ctx, _ = make_task_setup()
     for n in nb.neighbors:
-        n.prompt = apply_phenotype(base, n.phenotype, lexicons=default_lexicons())
+        n.prompt = apply_phenotype(base, n.phenotype, ctx)
     return nb.neighbors
 
 
@@ -184,12 +185,12 @@ def test_finalize_scores_and_ranks():
     ctx, val = make_task_setup()
     base = parse_template(BASE_TEXT)
     ph = identity_phenotype()
-    prompt = apply_phenotype(base, ph, lexicons=default_lexicons())
+    prompt = apply_phenotype(base, ph, ctx)
     from promptgp.localsearch import Candidate
 
     incumbent = Candidate(ph, prompt, phenotype_digest(ph), is_incumbent=True)
     other_ph = make_phenotype(cot="NULL")
-    other_prompt = apply_phenotype(base, other_ph, lexicons=default_lexicons())
+    other_prompt = apply_phenotype(base, other_ph, ctx)
     other = Candidate(other_ph, other_prompt, phenotype_digest(other_ph))
 
     best, ranked = finalize([other], incumbent, ctx, val.rows, seed=0)

@@ -2,7 +2,6 @@ import pytest
 
 from promptgp import tasks
 from promptgp.gateway import LabelOracleBackend, LlmGateway, ScriptedBackend, TransportError
-from promptgp.lexicons import default_lexicons
 from promptgp.tasks import (
     DataRow,
     Dataset,
@@ -111,10 +110,14 @@ __TASK_INPUT_0__
 """
 
 
+def context(gateway, **kwargs):
+    """A scoring context over `gateway` with an empty demonstration pool."""
+    return EvalContext(TaskSpec(), gateway, Dataset(rows=[]), **kwargs)
+
+
 def rendered():
     base = parse_template(TEMPLATE)
-    rp = apply_phenotype(base, identity_phenotype(), lexicons=default_lexicons())
-    return rp
+    return apply_phenotype(base, identity_phenotype(), context(LlmGateway(ScriptedBackend({}))))
 
 
 def test_evaluate_prompt_with_label_oracle():
@@ -124,7 +127,7 @@ def test_evaluate_prompt_with_label_oracle():
     ]
     truth = {r.input: r.label for r in rows}
     gw = LlmGateway(LabelOracleBackend(truth))
-    report = evaluate_prompt(rendered(), rows, TaskSpec(), gw)
+    report = evaluate_prompt(rendered(), rows, context(gw))
     assert report.fitness == 1.0
     assert report.per_case == [("a", 1.0), ("b", 1.0)]
     assert report.parse_failures == 0
@@ -133,7 +136,7 @@ def test_evaluate_prompt_with_label_oracle():
 def test_evaluate_prompt_counts_parse_failures():
     rows = [DataRow(id="a", input="Q1", label="yes"), DataRow(id="b", input="Q2", label="no")]
     gw = LlmGateway(ScriptedBackend({}, default="gibberish with no dict"))
-    report = evaluate_prompt(rendered(), rows, TaskSpec(), gw)
+    report = evaluate_prompt(rendered(), rows, context(gw))
     assert report.fitness == 0.0
     assert report.parse_failures == 2
 
@@ -147,7 +150,7 @@ def test_evaluate_prompt_gateway_failure_scores_zero():
 
     gw = LlmGateway(Broken(), max_attempts=1, sleep=lambda _: None)
     rows = [DataRow(id="a", input="Q", label="yes")]
-    report = evaluate_prompt(rendered(), rows, TaskSpec(), gw)
+    report = evaluate_prompt(rendered(), rows, context(gw))
     assert report.fitness == 0.0
     assert report.parse_failures == 0
     assert gw.stats.failures == 1
@@ -156,7 +159,7 @@ def test_evaluate_prompt_gateway_failure_scores_zero():
 def test_evaluate_prompt_requires_rows():
     gw = LlmGateway(ScriptedBackend({}, default="x"))
     with pytest.raises(ValueError):
-        evaluate_prompt(rendered(), [], TaskSpec(), gw)
+        evaluate_prompt(rendered(), [], context(gw))
 
 
 def test_evaluate_prompt_includes_retrieved_demos():
@@ -175,7 +178,7 @@ def test_evaluate_prompt_includes_retrieved_demos():
     ]
     rows = [DataRow(id="a", input="Is grass green?", label="yes")]
     ctx = EvalContext(TaskSpec(), LlmGateway(Spy()), Dataset(rows=train), icl_k=1)
-    evaluate_prompt(rendered(), rows, TaskSpec(), ctx.gateway, demos=ctx.demos)
+    evaluate_prompt(rendered(), rows, ctx)
     assert "Input: Is grass green in summer?\nOutput: {'Answer': 'yes'}" in seen[0]
     assert "Do fish fly?" not in seen[0]
 
@@ -183,11 +186,9 @@ def test_evaluate_prompt_includes_retrieved_demos():
 def test_evaluate_prompt_parallel_matches_serial():
     rows = [DataRow(id=f"r{i}", input=f"Question {i}", label="yes") for i in range(6)]
     truth = {r.input: r.label for r in rows}
-    serial = evaluate_prompt(
-        rendered(), rows, TaskSpec(), LlmGateway(LabelOracleBackend(truth))
-    )
+    serial = evaluate_prompt(rendered(), rows, context(LlmGateway(LabelOracleBackend(truth))))
     parallel = evaluate_prompt(
-        rendered(), rows, TaskSpec(), LlmGateway(LabelOracleBackend(truth)), max_workers=4
+        rendered(), rows, context(LlmGateway(LabelOracleBackend(truth)), max_workers=4)
     )
     assert serial.fitness == parallel.fitness
     assert serial.per_case == parallel.per_case

@@ -6,7 +6,7 @@ from promptgp import SECTIONS
 from promptgp.exprlang import ProgramParseError
 from promptgp.gateway import EchoBackend, LlmGateway
 from promptgp.lexicons import default_lexicons
-from promptgp.tasks import DataRow
+from promptgp.tasks import DataRow, Dataset, EvalContext, TaskSpec
 from promptgp.template import (
     CONTEXT_PLACEHOLDER,
     TASK_INPUT_PLACEHOLDER,
@@ -24,7 +24,10 @@ from promptgp.template import (
     retrieve_icl,
 )
 
-LEX = default_lexicons()
+# LLM edits get echo replies, which carry no answer and degrade to identity.
+CTX = EvalContext(
+    TaskSpec(), LlmGateway(EchoBackend()), Dataset(rows=[]), lexicons=default_lexicons()
+)
 
 SIMPLE = """== PERSONA ==
 You are a careful assistant.
@@ -114,7 +117,7 @@ def test_phenotype_digest_stable_and_sensitive():
 
 def test_apply_identity_phenotype_joins_sections():
     t = make_template()
-    rp = apply_phenotype(t, identity_phenotype(), lexicons=LEX)
+    rp = apply_phenotype(t, identity_phenotype(), CTX)
     expected_icl = "\n".join([t.sections["icl"]] + icl_placeholders(5))
     sections = {**t.sections, "icl": expected_icl}
     assert rp.text == "\n".join(sections[s] for s in SECTIONS)
@@ -125,8 +128,8 @@ def test_apply_phenotype_null_section():
     t = make_template()
     ph = identity_phenotype()
     ph.programs["cot"] = "NULL"
-    rp = apply_phenotype(t, ph, lexicons=LEX)
-    identity = apply_phenotype(t, identity_phenotype(), lexicons=LEX)
+    rp = apply_phenotype(t, ph, CTX)
+    identity = apply_phenotype(t, identity_phenotype(), CTX)
     assert rp.text == identity.text.replace(t.sections["cot"], " ")
 
 
@@ -134,7 +137,7 @@ def test_apply_phenotype_edit_section():
     t = make_template()
     ph = identity_phenotype()
     ph.programs["persona"] = "remove_stopwords(index=[0], level=sentence, texts=BASE)"
-    rp = apply_phenotype(t, ph, lexicons=LEX)
+    rp = apply_phenotype(t, ph, CTX)
     assert rp.text.startswith("careful assistant.\n")
     assert rp.max_chunks == 1  # the one persona sentence
 
@@ -144,7 +147,7 @@ def test_apply_phenotype_fails_before_any_edit_on_parse_error():
     ph = identity_phenotype()
     ph.programs["cot"] = "bogus_op(texts=BASE)"
     with pytest.raises(ProgramParseError):
-        apply_phenotype(t, ph, lexicons=LEX)
+        apply_phenotype(t, ph, CTX)
 
 
 def test_apply_phenotype_missing_section_rejected():
@@ -152,7 +155,7 @@ def test_apply_phenotype_missing_section_rejected():
     ph = identity_phenotype()
     del ph.programs["cot"]
     with pytest.raises(TemplateError):
-        apply_phenotype(t, ph, lexicons=LEX)
+        apply_phenotype(t, ph, CTX)
 
 
 def test_retrieve_icl_ranks_by_token_overlap():
@@ -183,7 +186,7 @@ def test_format_demo_shape():
 
 def test_instantiate_binds_case_and_demos():
     t = make_template()
-    rp = apply_phenotype(t, identity_phenotype(), lexicons=LEX)
+    rp = apply_phenotype(t, identity_phenotype(), CTX)
     case = DataRow(id="c1", input="What is 2+2?", label="4", context="Basic arithmetic.")
     demos = ["Input: 1+1?\nOutput: {'Answer': '2'}"]
     inst = instantiate(rp, case, demos)
@@ -196,7 +199,7 @@ def test_instantiate_binds_case_and_demos():
 
 def test_instantiate_unbound_placeholders_become_empty():
     t = make_template()
-    rp = apply_phenotype(t, identity_phenotype(), lexicons=LEX)
+    rp = apply_phenotype(t, identity_phenotype(), CTX)
     case = DataRow(id="c1", input="Q?", label="a")
     inst = instantiate(rp, case, demos=[])
     assert "__ICL_0__" not in inst
@@ -204,7 +207,7 @@ def test_instantiate_unbound_placeholders_become_empty():
 
 
 def test_instantiate_warns_only_for_unbound_non_icl_placeholders(caplog):
-    rp = apply_phenotype(make_template(), identity_phenotype(), lexicons=LEX)
+    rp = apply_phenotype(make_template(), identity_phenotype(), CTX)
     case = DataRow(id="c1", input="Q?", label="a")
     # ICL slots beyond the demonstrations given are empty by design.
     with caplog.at_level(logging.WARNING, logger="promptgp.template"):
@@ -223,8 +226,7 @@ def test_echo_gateway_end_to_end_render():
     t = make_template()
     ph = identity_phenotype()
     ph.programs["task"] = "paraphrase(index=[0], level=sentence, texts=BASE)"
-    gw = LlmGateway(EchoBackend())
     # Echo replies carry no parseable answer, so the rewrite degrades to the
     # original text instead of failing the render.
-    rp = apply_phenotype(t, ph, gateway=gw, lexicons=LEX)
-    assert rp.text == apply_phenotype(t, identity_phenotype(), lexicons=LEX).text
+    rp = apply_phenotype(t, ph, CTX)
+    assert rp.text == apply_phenotype(t, identity_phenotype(), CTX).text
