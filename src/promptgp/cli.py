@@ -123,7 +123,6 @@ def build_context(
     cfg: RunConfig,
     workdir: Path,
     train: Dataset,
-    max_workers: int,
     lexicons: Lexicons,
 ) -> EvalContext:
     """The one evaluation context of a command; builds its gateway."""
@@ -135,7 +134,7 @@ def build_context(
         icl_k=cfg.gp.icl_k,
         model=gw.model,
         edit_model=gw.edit_model or gw.model,
-        max_workers=max_workers,
+        max_workers=cfg.gp.eval_workers,
         lexicons=lexicons,
         placeholder_guard=cfg.placeholder_guard,
     )
@@ -205,7 +204,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     lexicons = build_lexicons(cfg)
     train_ds = load_dataset(_require(cfg.task.train_data, "train_data"))
     val_ds = load_dataset(_require(cfg.task.val_data, "val_data"))
-    ctx = build_context(cfg, workdir, train_ds, cfg.gp.eval_workers, lexicons)
+    ctx = build_context(cfg, workdir, train_ds, lexicons)
 
     journal_path = workdir / "journal.jsonl"
 
@@ -288,6 +287,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_local_search(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
+    cfg.local_search.validate()
     if args.seed is not None:
         cfg.master_seed = args.seed
     digest = config_digest(cfg)
@@ -307,36 +307,19 @@ def cmd_local_search(args: argparse.Namespace) -> int:
     lexicons = build_lexicons(cfg)
     train_ds = load_dataset(_require(cfg.task.train_data, "train_data"))
     val_ds = load_dataset(_require(cfg.task.val_data, "val_data"))
-    ctx = build_context(cfg, workdir, train_ds, cfg.local_search.eval_workers, lexicons)
+    ctx = build_context(cfg, workdir, train_ds, lexicons)
     embedder = build_embedder(cfg)
 
-    sur = cfg.surrogate
     require_points(len(points), MIN_TRAIN_POINTS)
-    X = np.stack([embedder.embed(text) for text, _ in points])
+    X = embedder.embed_many([text for text, _ in points])
     y = np.asarray([target for _, target in points], dtype=np.float64)
     if len(points) >= MIN_TUNE_POINTS:
-        hp = tune_hyperparameters(
-            X,
-            y,
-            derive_seed(cfg.master_seed, "hp_tune"),
-            folds=sur.cv_folds,
-            combos=sur.cv_combos,
-            submodels=sur.submodels,
-            epochs=sur.cv_epochs,
-            train_fraction=sur.train_fraction,
-        )
+        hp = tune_hyperparameters(X, y, derive_seed(cfg.master_seed, "hp_tune"), cfg.surrogate)
     else:
         hp = SurrogateHp()
         log.warning("only %d journal points; skipping CV, using default hp", len(points))
     ensemble = train(
-        X,
-        y,
-        hp,
-        derive_seed(cfg.master_seed, "surrogate_train"),
-        embedder,
-        submodels=sur.submodels,
-        epochs=sur.epochs,
-        train_fraction=sur.train_fraction,
+        X, y, hp, derive_seed(cfg.master_seed, "surrogate_train"), embedder, cfg.surrogate
     )
 
     elite_tree = decode(grammar, state["elite"]["genotype"])
@@ -417,7 +400,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise CliError(f"config has no {args.split} dataset")
     dataset = load_dataset(path)
     train = load_dataset(cfg.task.train_data) if cfg.task.train_data else Dataset(rows=[])
-    ctx = build_context(cfg, workdir, train, cfg.gp.eval_workers, Lexicons())  # renders nothing
+    ctx = build_context(cfg, workdir, train, Lexicons())  # renders nothing
 
     prompt_text = Path(args.prompt).read_text(encoding="utf-8")
     report = ctx.score(RenderedPrompt(prompt_text), dataset.rows)

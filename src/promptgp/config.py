@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from .evolution import GpSettings
 from .gateway import DEFAULT_MAX_NEW_TOKENS, DEFAULT_TEMPERATURE
 from .localsearch import LocalSearchSettings
+from .surrogate import SurrogateSettings
 
 
 class ConfigError(ValueError):
@@ -58,19 +59,6 @@ class GatewaySettings:
     max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS
     cache_file: str = "cache.tsv"
     backend_data: str = ""
-
-
-@dataclass
-class SurrogateSettings:
-    submodels: int = 10
-    epochs: int = 200
-    train_fraction: float = 0.7
-    cv_folds: int = 5
-    cv_combos: int = 10
-    cv_epochs: int = 200
-    embedder: str = "hashing"
-    dim: int = 384
-    endpoint: str = ""
 
 
 @dataclass

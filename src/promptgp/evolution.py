@@ -155,8 +155,9 @@ class EvolutionEngine:
         for key in ("population_size", "sample_size", "parent_tournament", "survivor_tournament"):
             if getattr(self.settings, key) < 1:
                 raise ValueError(f"gp.{key} must be >= 1, got {getattr(self.settings, key)}")
-        if self.settings.init_retries < 0:
-            raise ValueError(f"gp.init_retries must be >= 0, got {self.settings.init_retries}")
+        for key in ("init_retries", "generations"):
+            if getattr(self.settings, key) < 0:
+                raise ValueError(f"gp.{key} must be >= 0, got {getattr(self.settings, key)}")
         self.grammar = grammar
         self.base = base
         self.ctx = ctx

@@ -4,9 +4,9 @@ Every digit in every view index of the incumbent's programs is a mutation
 site.  Each site receives up to 10 distinct replacement values drawn from
 {1, ..., U}, where U is twice the largest chunk count the incumbent's ops
 saw during execution.  The surrogate screens the neighborhood down to the
-25 highest-mean plus 25 highest-variance predictions; survivors (and, by
-default, the incumbent) are LLM-scored on the validation set plus an
-equally sized training sample, and the best combined score wins.
+25 highest-mean plus 25 highest-variance predictions; survivors and the
+incumbent are LLM-scored on the validation set plus an equally sized
+training sample, and the best combined score wins.
 """
 
 from __future__ import annotations
@@ -33,8 +33,17 @@ class LocalSearchSettings:
     screen_limit: int = 50
     top_mean: int = 25
     top_variance: int = 25
-    include_incumbent: bool = True
-    eval_workers: int = 1  # read by cli.build_context, not run_local_search
+
+    def validate(self) -> None:
+        """Reject values the neighbourhood and the screen cannot honour."""
+        for key in ("per_site", "screen_limit", "top_mean", "top_variance"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"local_search.{key} must be >= 0, got {getattr(self, key)}")
+        if self.top_mean + self.top_variance > self.screen_limit:
+            raise ValueError(
+                f"local_search.top_mean + top_variance = {self.top_mean + self.top_variance}"
+                f" exceeds local_search.screen_limit = {self.screen_limit}"
+            )
 
 
 @dataclass(frozen=True)
@@ -86,7 +95,7 @@ def _mutate_site(ph: Phenotype, parsed: dict[str, Expr], site: IndexSite, value:
 
 
 def build_neighborhood(
-    ph: Phenotype, sites: list[IndexSite], bound: int, seed: int, per_site: int = 10
+    ph: Phenotype, sites: list[IndexSite], bound: int, seed: int, per_site: int
 ) -> Neighborhood:
     """Per site, up to `per_site` distinct values from {1..bound} minus current."""
     if bound < 1:
@@ -105,13 +114,10 @@ def build_neighborhood(
 
 
 def screen(
-    neighbors: list[Candidate],
-    ensemble: SurrogateEnsemble,
-    limit: int = 50,
-    top_mean: int = 25,
-    top_variance: int = 25,
+    neighbors: list[Candidate], ensemble: SurrogateEnsemble, settings: LocalSearchSettings
 ) -> list[Candidate]:
-    """Union of top-mean and top-variance predictions, backfilled by mean rank."""
+    """Union of the `top_mean` and `top_variance` predictions, backfilled by
+    mean rank to `screen_limit`."""
     if not neighbors:
         return []
     if any(n.prompt is None for n in neighbors):
@@ -120,16 +126,16 @@ def screen(
     for n, m, v in zip(neighbors, means, variances):
         n.mean = float(m)
         n.variance = float(v)
-    if len(neighbors) <= limit:
+    if len(neighbors) <= settings.screen_limit:
         return list(neighbors)
     indices = range(len(neighbors))
     by_mean = sorted(indices, key=lambda i: (-neighbors[i].mean, neighbors[i].digest))
     by_variance = sorted(indices, key=lambda i: (-neighbors[i].variance, neighbors[i].digest))
-    chosen = dict.fromkeys(by_mean[:top_mean])
-    for i in by_variance[:top_variance]:
+    chosen = dict.fromkeys(by_mean[: settings.top_mean])
+    for i in by_variance[: settings.top_variance]:
         chosen.setdefault(i)
-    for i in by_mean[top_mean:]:
-        if len(chosen) >= limit:
+    for i in by_mean[settings.top_mean :]:
+        if len(chosen) >= settings.screen_limit:
             break
         chosen.setdefault(i)
     return [neighbors[i] for i in by_mean if i in chosen]
@@ -141,13 +147,11 @@ def finalize(
     ctx: EvalContext,
     val_rows,
     seed: int,
-    include_incumbent: bool = True,
 ) -> tuple[Candidate, list[Candidate]]:
-    """Score candidates on D_val plus an equal-size train sample; pick argmax."""
+    """Score candidates and the incumbent on D_val plus an equal-size train
+    sample; pick argmax."""
     d_train = sample_rows(ctx.train, len(val_rows), seed)
-    entries = list(candidates)
-    if include_incumbent:
-        entries.append(incumbent)
+    entries = [*candidates, incumbent]
     for cand in entries:
         cand.f_val = ctx.score(cand.prompt, val_rows).fitness
         cand.f_train = ctx.score(cand.prompt, d_train).fitness
@@ -197,15 +201,8 @@ def run_local_search(
     )
     for neighbor in nb.neighbors:
         neighbor.prompt = ctx.render(base, neighbor.phenotype)
-    candidates = screen(
-        nb.neighbors, ensemble, settings.screen_limit, settings.top_mean, settings.top_variance
-    )
+    candidates = screen(nb.neighbors, ensemble, settings)
     best, ranking = finalize(
-        candidates,
-        incumbent,
-        ctx,
-        val_dataset.rows,
-        derive_seed(master_seed, "dtrain"),
-        include_incumbent=settings.include_incumbent,
+        candidates, incumbent, ctx, val_dataset.rows, derive_seed(master_seed, "dtrain")
     )
     return LocalSearchResult(best, ranking, sites, bound)

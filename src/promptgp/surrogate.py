@@ -37,13 +37,35 @@ class SurrogateError(ValueError):
     pass
 
 
+@dataclass
+class SurrogateSettings:
+    submodels: int = 10
+    epochs: int = 200
+    train_fraction: float = 0.7
+    cv_folds: int = 5
+    cv_combos: int = 10
+    cv_epochs: int = 200
+    embedder: str = "hashing"
+    dim: int = 384
+    endpoint: str = ""
+
+
 class Embedder(Protocol):
     dim: int
 
-    def embed(self, text: str) -> np.ndarray: ...
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        """One unit-norm row of length `dim` per text."""
 
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+
+def _normalise(vec: np.ndarray) -> np.ndarray:
+    """Scale `vec` to unit length in place; a zero vector stays zero."""
+    norm = float(np.linalg.norm(vec))
+    if norm > 0.0:
+        vec /= norm
+    return vec
 
 
 class HashingEmbedder:
@@ -67,14 +89,15 @@ class HashingEmbedder:
         vec = np.zeros(self.dim, dtype=np.float64)
         for gram in self.grams(text):
             vec[self.bucket(gram)] += 1.0
-        norm = float(np.linalg.norm(vec))
-        if norm > 0.0:
-            vec /= norm
-        return vec
+        return _normalise(vec)
+
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        return np.stack([self.embed(t) for t in texts])
 
 
 class RemoteEmbedder:
-    """Embedding-endpoint client: POST {"texts": [...]} -> {"embeddings": [[...]]}."""
+    """Embedding-endpoint client: POST {"texts": [...]} -> {"embeddings": [[...]]},
+    one POST per batch."""
 
     def __init__(self, endpoint: str, dim: int = 384, timeout: float = 60.0):
         self.endpoint = endpoint
@@ -82,20 +105,25 @@ class RemoteEmbedder:
         self.timeout = timeout
 
     def embed(self, text: str) -> np.ndarray:
+        return self.embed_many([text])[0]
+
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         import requests
 
-        reply = requests.post(self.endpoint, json={"texts": [text]}, timeout=self.timeout)
+        reply = requests.post(self.endpoint, json={"texts": list(texts)}, timeout=self.timeout)
         reply.raise_for_status()
         try:
-            vec = np.asarray(reply.json()["embeddings"][0], dtype=np.float64)
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise SurrogateError(f"endpoint reply has no numeric embeddings[0]: {exc!r}") from exc
-        if vec.shape != (self.dim,):
-            raise SurrogateError(f"endpoint returned dimension {vec.shape}, expected {self.dim}")
-        norm = float(np.linalg.norm(vec))
-        if norm > 0.0:
-            vec /= norm
-        return vec
+            X = np.asarray(reply.json()["embeddings"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SurrogateError(f"endpoint reply has no numeric embeddings: {exc!r}") from exc
+        if X.shape != (len(texts), self.dim):
+            raise SurrogateError(
+                f"endpoint returned embeddings of shape {X.shape};"
+                f" expected {len(texts)} rows of dimension {self.dim}"
+            )
+        for row in X:
+            _normalise(row)
+        return X
 
 
 @dataclass(frozen=True)
@@ -234,24 +262,24 @@ def fit_models(
     y: np.ndarray,
     hp: SurrogateHp,
     seed: int,
-    submodels: int = 10,
-    epochs: int = 200,
-    train_fraction: float = 0.7,
+    settings: SurrogateSettings,
+    epochs: int,
 ) -> list[Params]:
-    """Train the ensemble; return the models at the epoch of least validation loss."""
-    if submodels < 1:
-        raise SurrogateError(f"surrogate.submodels must be >= 1, got {submodels}")
+    """Train the ensemble for `epochs` (`cv_epochs` in CV, `epochs` in the
+    final fit); return the models at the epoch of least validation loss."""
+    if settings.submodels < 1:
+        raise SurrogateError(f"surrogate.submodels must be >= 1, got {settings.submodels}")
     n = len(y)
     if n < 2:
         raise SurrogateError("need at least 2 data points to split")
     split_rng = np.random.default_rng(derive_seed(seed, "split"))
     perm = split_rng.permutation(n)
-    n_train = min(max(int(round(train_fraction * n)), 1), n - 1)
+    n_train = min(max(int(round(settings.train_fraction * n)), 1), n - 1)
     train_idx, val_idx = perm[:n_train], perm[n_train:]
     X_val, y_val = X[val_idx], y[val_idx]
 
     states: list[_SubmodelState] = []
-    for i in range(submodels):
+    for i in range(settings.submodels):
         rng = np.random.default_rng(derive_seed(seed, "submodel", i))
         boot = rng.integers(0, n_train, n_train)
         params = init_params(X.shape[1], hp.widths, rng)
@@ -281,8 +309,7 @@ class SurrogateEnsemble:
         return outputs.mean(axis=0), outputs.var(axis=0)
 
     def predict_many(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        X = np.stack([self.embedder.embed(t) for t in texts])
-        return self.predict_embedded(X)
+        return self.predict_embedded(self.embedder.embed_many(texts))
 
     def predict(self, text: str) -> tuple[float, float]:
         means, variances = self.predict_many([text])
@@ -300,17 +327,12 @@ def train(
     hp: SurrogateHp,
     seed: int,
     embedder: Embedder,
-    submodels: int = 10,
-    epochs: int = 200,
-    train_fraction: float = 0.7,
+    settings: Optional[SurrogateSettings] = None,
 ) -> SurrogateEnsemble:
     """Fit on embedded points `X` (one row per text of `embedder`) and targets `y`."""
     require_points(len(y), MIN_TRAIN_POINTS)
-    models = fit_models(
-        X, y, hp, seed,
-        submodels=submodels, epochs=epochs, train_fraction=train_fraction,
-    )
-    return SurrogateEnsemble(models, embedder)
+    settings = settings or SurrogateSettings()
+    return SurrogateEnsemble(fit_models(X, y, hp, seed, settings, settings.epochs), embedder)
 
 
 def hp_grid() -> list[SurrogateHp]:
@@ -329,23 +351,21 @@ def tune_hyperparameters(
     X: np.ndarray,
     y: np.ndarray,
     seed: int,
-    folds: int = 5,
-    combos: int = 10,
-    submodels: int = 10,
-    epochs: int = 200,
-    train_fraction: float = 0.7,
+    settings: Optional[SurrogateSettings] = None,
 ) -> SurrogateHp:
-    """Sample unique grid combos; pick the one with the lowest 5-fold CV MSE."""
+    """Sample `cv_combos` unique grid combos; pick the one with the lowest
+    `cv_folds`-fold CV MSE."""
     require_points(len(y), MIN_TUNE_POINTS)
-    if combos < 1:
-        raise SurrogateError(f"surrogate.cv_combos must be >= 1, got {combos}")
-    if folds < 2:
-        raise SurrogateError(f"surrogate.cv_folds must be >= 2, got {folds}")
+    settings = settings or SurrogateSettings()
+    if settings.cv_combos < 1:
+        raise SurrogateError(f"surrogate.cv_combos must be >= 1, got {settings.cv_combos}")
+    if settings.cv_folds < 2:
+        raise SurrogateError(f"surrogate.cv_folds must be >= 2, got {settings.cv_folds}")
 
     grid = hp_grid()
     rng = random.Random(derive_seed(seed, "hp"))
-    sampled = rng.sample(grid, min(combos, len(grid)))
-    partitions = cv_folds(len(y), folds, seed)
+    sampled = rng.sample(grid, min(settings.cv_combos, len(grid)))
+    partitions = cv_folds(len(y), settings.cv_folds, seed)
 
     best_hp = sampled[0]
     best_score = float("inf")
@@ -356,7 +376,7 @@ def tune_hyperparameters(
             models = fit_models(
                 X[train_idx], y[train_idx], hp,
                 derive_seed(seed, "cv", combo_index, fold_index),
-                submodels=submodels, epochs=epochs, train_fraction=train_fraction,
+                settings, settings.cv_epochs,
             )
             fold_scores.append(
                 float(np.mean([mse(predict_params(p, X[held_out]), y[held_out]) for p in models]))

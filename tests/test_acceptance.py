@@ -44,6 +44,7 @@ from promptgp.surrogate import (
     HashingEmbedder,
     SurrogateEnsemble,
     SurrogateHp,
+    SurrogateSettings,
     init_params,
     loss_and_grads,
     mse,
@@ -232,8 +233,7 @@ def test_06_ensemble_mean_is_submodel_average():
         SurrogateHp(widths=(8, 1), dropout=0.0, batch=8, lr=1e-3),
         seed=1,
         embedder=emb,
-        submodels=4,
-        epochs=5,
+        settings=SurrogateSettings(submodels=4, epochs=5),
     )
     texts = ["alpha beta", "gamma delta alpha", "beta"]
     means, variances = ens.predict_many(texts)
@@ -349,7 +349,7 @@ def test_08_neighborhood_combinatorics():
             }
             n.prompt = apply_phenotype(base, n.phenotype, EDIT_CTX)
 
-        out = screen(nb.neighbors, ArbitraryEnsemble(), limit=50)
+        out = screen(nb.neighbors, ArbitraryEnsemble(), LocalSearchSettings())
         assert len(out) == min(50, len(nb.neighbors))
         assert len({n.digest for n in out}) == len(out)
 

@@ -162,6 +162,7 @@ def test_optimize_seed_override_changes_run(tmp_path):
         ("parent_tournament", 0),
         ("survivor_tournament", 0),
         ("init_retries", -1),
+        ("generations", -1),
     ],
 )
 def test_optimize_rejects_gp_settings_that_cannot_run(tmp_path, capsys, key, value):
@@ -336,6 +337,47 @@ def test_local_search_rejects_unusable_cv_settings(tmp_path, capsys, setting, fo
     capsys.readouterr()
     assert main(["local-search", "--config", config, "--journal", journal]) == 2
     assert f"surrogate.{setting}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "values, key",
+    [
+        ({"per_site": -1}, "per_site"),
+        ({"screen_limit": -3, "top_mean": 0, "top_variance": 0}, "screen_limit"),
+        ({"screen_limit": 10, "top_mean": -1, "top_variance": 5}, "top_mean"),
+        ({"screen_limit": 10, "top_mean": 5, "top_variance": -1}, "top_variance"),
+        ({"screen_limit": 10, "top_mean": 6, "top_variance": 5}, "screen_limit"),
+    ],
+    ids=["per_site", "screen_limit", "top_mean", "top_variance", "tops_over_limit"],
+)
+def test_local_search_rejects_settings_the_screen_cannot_honour(tmp_path, capsys, values, key):
+    root = setup_run(tmp_path)
+    config = root / "run.ini"
+    head = config.read_text().split("[local_search]\n")[0]
+    config.write_text(head + "[local_search]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+    # Checked before anything is read: there is no checkpoint or journal yet.
+    assert main(["local-search", "--config", str(config)]) == 2
+    assert f"local_search.{key}" in capsys.readouterr().err
+
+
+def test_local_search_scores_with_gp_eval_workers(tmp_path, monkeypatch):
+    from promptgp import cli
+
+    root = setup_run(tmp_path)
+    config = root / "run.ini"
+    config.write_text(config.read_text().replace("[gp]\n", "[gp]\neval_workers = 3\n"))
+    assert main(["optimize", "--config", str(config)]) == 0
+    workers = []
+    build_context = cli.build_context
+
+    def recording_build_context(*args, **kwargs):
+        ctx = build_context(*args, **kwargs)
+        workers.append(ctx.max_workers)
+        return ctx
+
+    monkeypatch.setattr(cli, "build_context", recording_build_context)
+    assert main(["local-search", "--config", str(config)]) == 0
+    assert workers == [3]
 
 
 def test_evaluate_prompt_file(tmp_path, capsys):

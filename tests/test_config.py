@@ -80,6 +80,11 @@ def test_parse_config_rejects_unknown():
     # [gp] icl_k serves both phases; local search has no key of its own.
     with pytest.raises(ConfigError):
         parse_config("[local_search]\nicl_k = 0\n")
+    # Local search scores with [gp] eval_workers and always ranks the incumbent.
+    with pytest.raises(ConfigError, match="eval_workers"):
+        parse_config("[local_search]\neval_workers = 2\n")
+    with pytest.raises(ConfigError, match="include_incumbent"):
+        parse_config("[local_search]\ninclude_incumbent = false\n")
     # Temperature 0 is greedy decoding; there is no separate sampling switch.
     with pytest.raises(ConfigError):
         parse_config("[gateway]\nsampling = false\n")

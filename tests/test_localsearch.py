@@ -82,7 +82,7 @@ def test_build_neighborhood_deterministic_and_pool_limited():
     small = build_neighborhood(ph, sites, bound=4, seed=5, per_site=10)
     assert sorted(n.value for n in small.neighbors) == [1, 3, 4]
     with pytest.raises(ValueError):
-        build_neighborhood(ph, sites, bound=0, seed=5)
+        build_neighborhood(ph, sites, bound=0, seed=5, per_site=10)
 
 
 def test_build_neighborhood_multi_digit_values_render():
@@ -134,7 +134,7 @@ def rendered_neighbors(per_site=10, bound=60):
 
 def test_screen_returns_all_when_under_limit():
     neighbors = rendered_neighbors(per_site=5)
-    out = screen(neighbors, constant_ensemble(0.5), limit=50)
+    out = screen(neighbors, constant_ensemble(0.5), LocalSearchSettings())
     assert len(out) == len(neighbors)
     assert all(n.mean == pytest.approx(0.5) for n in out)
     assert all(n.variance == pytest.approx(0.0) for n in out)
@@ -143,7 +143,8 @@ def test_screen_returns_all_when_under_limit():
 def test_screen_union_of_mean_and_variance_tops():
     neighbors = rendered_neighbors(per_site=10)  # 3 sites x 10 = 30 neighbors
     assert len(neighbors) == 30
-    out = screen(neighbors, LengthEnsemble(), limit=10, top_mean=5, top_variance=5)
+    settings = LocalSearchSettings(screen_limit=10, top_mean=5, top_variance=5)
+    out = screen(neighbors, LengthEnsemble(), settings)
     assert len(out) == 10
     digests = [n.digest for n in out]
     assert len(set(digests)) == 10
@@ -163,10 +164,10 @@ def test_screen_union_of_mean_and_variance_tops():
 def test_screen_requires_rendered_prompts():
     base = parse_template(BASE_TEXT)
     ph = make_phenotype(task="remove_element(index=[2], level=word, texts=BASE)")
-    nb = build_neighborhood(ph, enumerate_sites(ph), bound=12, seed=0)
+    nb = build_neighborhood(ph, enumerate_sites(ph), bound=12, seed=0, per_site=10)
     with pytest.raises(ValueError):
-        screen(nb.neighbors, constant_ensemble(0.0))
-    assert screen([], constant_ensemble(0.0)) == []
+        screen(nb.neighbors, constant_ensemble(0.0), LocalSearchSettings())
+    assert screen([], constant_ensemble(0.0), LocalSearchSettings()) == []
 
 
 def make_task_setup():

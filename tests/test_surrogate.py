@@ -9,6 +9,7 @@ from promptgp.surrogate import (
     SurrogateEnsemble,
     SurrogateError,
     SurrogateHp,
+    SurrogateSettings,
     cv_folds,
     fit_models,
     forward,
@@ -78,11 +79,11 @@ def remote_replying(monkeypatch, payload):
 
 
 def test_remote_embedder_posts_one_text_and_normalises(monkeypatch):
-    bodies = remote_replying(monkeypatch, {"embeddings": [[3.0, 0.0, 4.0]]})
-    vec = RemoteEmbedder("http://embed.invalid/v1", dim=3).embed("some prompt")
-    assert bodies == [{"texts": ["some prompt"]}]
-    assert np.allclose(vec, [0.6, 0.0, 0.8])
-    assert np.linalg.norm(vec) == pytest.approx(1.0)
+    bodies = remote_replying(monkeypatch, {"embeddings": [[3.0, 0.0, 4.0], [0.0, 0.0, 0.0]]})
+    X = RemoteEmbedder("http://embed.invalid/v1", dim=3).embed_many(["some prompt", "another"])
+    assert bodies == [{"texts": ["some prompt", "another"]}]
+    assert np.allclose(X, [[0.6, 0.0, 0.8], [0.0, 0.0, 0.0]])
+    assert np.linalg.norm(X[0]) == pytest.approx(1.0)
 
 
 def test_remote_embedder_rejects_wrong_dimension(monkeypatch):
@@ -91,7 +92,10 @@ def test_remote_embedder_rejects_wrong_dimension(monkeypatch):
         RemoteEmbedder("http://embed.invalid/v1", dim=3).embed("text")
 
 
-@pytest.mark.parametrize("payload", [{}, {"embeddings": []}, {"embeddings": None}, [], None])
+@pytest.mark.parametrize(
+    "payload",
+    [{}, {"embeddings": []}, {"embeddings": None}, [], None, {"embeddings": [[1, 2, 3], [4, 5, 6]]}],
+)
 def test_remote_embedder_malformed_reply_is_surrogate_error(monkeypatch, payload):
     remote_replying(monkeypatch, payload)
     with pytest.raises(SurrogateError, match="embeddings"):
@@ -226,15 +230,16 @@ OVERSHOOT_HP = SurrogateHp(widths=(8, 1), dropout=0.0, batch=8, lr=0.1)
 def test_fit_models_deterministic_and_snapshots_best_epoch():
     X, y = embed_points(make_points(30), HashingEmbedder(dim=32))
     epochs = 12
-    models_a = fit_models(X, y, OVERSHOOT_HP, seed=5, submodels=3, epochs=epochs)
-    models_b = fit_models(X, y, OVERSHOOT_HP, seed=5, submodels=3, epochs=epochs)
+    settings = SurrogateSettings(submodels=3)
+    models_a = fit_models(X, y, OVERSHOOT_HP, seed=5, settings=settings, epochs=epochs)
+    models_b = fit_models(X, y, OVERSHOOT_HP, seed=5, settings=settings, epochs=epochs)
     for pa, pb in zip(models_a, models_b):
         for (Wa, ba), (Wb, bb) in zip(pa, pb):
             assert np.array_equal(Wa, Wb) and np.array_equal(ba, bb)
     # A shorter run replays a prefix of the same trajectory, so the least
     # loss over all prefixes is the least loss over every epoch.
     prefix_losses = [
-        validation_loss(fit_models(X, y, OVERSHOOT_HP, seed=5, submodels=3, epochs=e), X, y, 5)
+        validation_loss(fit_models(X, y, OVERSHOOT_HP, seed=5, settings=settings, epochs=e), X, y, 5)
         for e in range(1, epochs + 1)
     ]
     assert validation_loss(models_a, X, y, 5) == min(prefix_losses)
@@ -250,12 +255,13 @@ def test_train_requires_min_points():
 def test_train_returns_working_ensemble():
     emb = HashingEmbedder(dim=32)
     X, y = embed_points(make_points(20), emb)
-    ens = train(X, y, OVERSHOOT_HP, seed=1, embedder=emb, submodels=2, epochs=8)
+    settings = SurrogateSettings(submodels=2, epochs=8)
+    ens = train(X, y, OVERSHOOT_HP, seed=1, embedder=emb, settings=settings)
     mean, var = ens.predict("alpha beta gamma")
     assert np.isfinite(mean) and var >= 0.0
     assert ens.embedder is emb
     prefix_losses = [
-        validation_loss(fit_models(X, y, OVERSHOOT_HP, seed=1, submodels=2, epochs=e), X, y, 1)
+        validation_loss(fit_models(X, y, OVERSHOOT_HP, seed=1, settings=settings, epochs=e), X, y, 1)
         for e in range(1, 9)
     ]
     assert validation_loss(ens.models, X, y, 1) == min(prefix_losses)
@@ -283,7 +289,7 @@ def test_cv_folds_partition():
 
 def test_tune_hyperparameters_deterministic_choice_from_grid():
     X, y = embed_points(make_points(50), HashingEmbedder(dim=16))
-    kwargs = dict(folds=2, combos=2, submodels=1, epochs=2)
+    kwargs = dict(settings=SurrogateSettings(cv_folds=2, cv_combos=2, submodels=1, cv_epochs=2))
     hp_a = tune_hyperparameters(X, y, seed=3, **kwargs)
     hp_b = tune_hyperparameters(X, y, seed=3, **kwargs)
     assert hp_a == hp_b
