@@ -278,6 +278,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             "cache_hits": ctx.gateway.stats.cache_hits,
             "backend_calls": ctx.gateway.stats.backend_calls,
             "failures": ctx.gateway.stats.failures,
+            "degraded_edits": {op: ctx.degraded[op] for op in ("paraphrase", "summarise")},
         },
     )
     print(f"elite f_val: {elite.f_val}")
@@ -288,6 +289,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 def cmd_local_search(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     cfg.local_search.validate()
+    cfg.surrogate.validate()
     if args.seed is not None:
         cfg.master_seed = args.seed
     digest = config_digest(cfg)

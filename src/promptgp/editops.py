@@ -4,7 +4,8 @@ Evaluation is innermost-first: an operator's `texts` argument is evaluated,
 the result is re-chunked at the operator's own level, edited, and
 reassembled.  A FIFO removal queue and the largest chunk count any operator
 saw are scoped to one program execution.  Errors in LLM-backed operations
-degrade to identity with a warning; they never abort an execution.
+degrade to identity with a warning; they never abort an execution.  A
+transport failure is also counted per op in the context's `degraded`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 from . import chunking
 from .chunking import ChunkList, EditedChunk, ViewIndex, join_span, rejoin, resolve
 from .exprlang import OPS, Atom, Call, Concat, Expr
-from .gateway import GatewayError, paraphrase_call, summarise_call
+from .gateway import GatewayError, TransportError, paraphrase_call, summarise_call
 
 if TYPE_CHECKING:
     from .tasks import EvalContext
@@ -241,6 +242,10 @@ def _llm_rewrite(
                 ctx.gateway, source, float(call.arg("percent")), model=ctx.edit_model
             )
     except GatewayError as exc:
+        # A reply that would not parse is cached, so every later render gets
+        # it again; only a transport failure may pass on a retry.
+        if isinstance(exc, TransportError):
+            ctx.degraded[call.name] += 1
         log.warning("%s degraded to identity: %s", call.name, exc)
         return items
     if ctx.placeholder_guard and not placeholders(source) <= placeholders(answer):

@@ -49,6 +49,18 @@ class SurrogateSettings:
     dim: int = 384
     endpoint: str = ""
 
+    def validate(self) -> None:
+        """Reject values with which the ensemble cannot be trained or tuned."""
+        for key, least in (
+            ("submodels", 1), ("epochs", 1), ("cv_folds", 2), ("cv_combos", 1), ("cv_epochs", 1)
+        ):
+            if getattr(self, key) < least:
+                raise SurrogateError(f"surrogate.{key} must be >= {least}, got {getattr(self, key)}")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise SurrogateError(
+                f"surrogate.train_fraction must be in (0, 1), got {self.train_fraction}"
+            )
+
 
 class Embedder(Protocol):
     dim: int
@@ -267,8 +279,7 @@ def fit_models(
 ) -> list[Params]:
     """Train the ensemble for `epochs` (`cv_epochs` in CV, `epochs` in the
     final fit); return the models at the epoch of least validation loss."""
-    if settings.submodels < 1:
-        raise SurrogateError(f"surrogate.submodels must be >= 1, got {settings.submodels}")
+    settings.validate()
     n = len(y)
     if n < 2:
         raise SurrogateError("need at least 2 data points to split")
@@ -357,10 +368,7 @@ def tune_hyperparameters(
     `cv_folds`-fold CV MSE."""
     require_points(len(y), MIN_TUNE_POINTS)
     settings = settings or SurrogateSettings()
-    if settings.cv_combos < 1:
-        raise SurrogateError(f"surrogate.cv_combos must be >= 1, got {settings.cv_combos}")
-    if settings.cv_folds < 2:
-        raise SurrogateError(f"surrogate.cv_folds must be >= 2, got {settings.cv_folds}")
+    settings.validate()
 
     grid = hp_grid()
     rng = random.Random(derive_seed(seed, "hp"))

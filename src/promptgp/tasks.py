@@ -218,7 +218,12 @@ class EvalContext:
     `train` is the ICL demonstration pool; GP and local search also sample
     their training rows from it.  Each case's demonstrations are retrieved
     once per context and kept in `_demos`, keyed on the row itself: ids are
-    unique only within one file.
+    unique only within one file.  Each section is rendered once per context
+    and kept in `_sections` (see `apply_phenotype`); `degraded` counts, per
+    op, the LLM edits that fell back to identity after a transport
+    failure.
+    Neither memo nor the counter holds a lock: every render, and every
+    `demos` lookup, runs on the thread that called `render` or `score`.
     """
 
     task: TaskSpec
@@ -230,7 +235,11 @@ class EvalContext:
     max_workers: int = 1
     lexicons: Lexicons = field(default_factory=Lexicons)
     placeholder_guard: bool = True
+    degraded: Counter = field(default_factory=Counter, init=False, repr=False, compare=False)
     _demos: dict[DataRow, list[str]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _sections: dict[tuple[str, str, int, str], tuple[str, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def demos(self, row: DataRow) -> list[str]:
         """The formatted demonstrations shown with `row`, retrieved on first use."""

@@ -120,21 +120,35 @@ def apply_phenotype(base: BaseTemplate, ph: Phenotype, ctx: EvalContext) -> Rend
     """Execute each section's program on its base text with the edit
     settings of `ctx`; join with newlines.
 
+    Each section is executed once per context: its (text, chunk count) is
+    memoised on `ctx` by section, base text, ICL slot count and program
+    text, unless one of its LLM edits degraded after a transport failure,
+    so that a later render retries that edit.
+
     Raises ProgramParseError if any section program is malformed; callers
     treat that as a whole-prompt failure.
     """
     missing = [s for s in SECTIONS if s not in ph.programs]
     if missing:
         raise TemplateError(f"phenotype lacks sections: {missing}")
-    # Parse everything first so a malformed program fails before any edit runs.
-    parsed = {s: parse(ph.programs[s]) for s in SECTIONS}
+    memo = ctx._sections
+    keys = {s: (s, base.sections[s], base.icl_slot_count, ph.programs[s]) for s in SECTIONS}
+    # Parse every miss first so a malformed program fails before any edit runs.
+    parsed = {s: parse(ph.programs[s]) for s in SECTIONS if keys[s] not in memo}
     edited: list[str] = []
     max_chunks = 0
     for section in SECTIONS:
-        icl_items = icl_placeholders(base.icl_slot_count) if section == "icl" else ()
-        result, chunks = execute_program(parsed[section], base.sections[section], ctx, icl_items)
+        hit = memo.get(keys[section])
+        if hit is None:
+            icl_items = icl_placeholders(base.icl_slot_count) if section == "icl" else ()
+            degraded = ctx.degraded.total()
+            result, chunks = execute_program(parsed[section], base.sections[section], ctx, icl_items)
+            hit = ("\n".join(result) if isinstance(result, list) else result), chunks
+            if ctx.degraded.total() == degraded:
+                memo[keys[section]] = hit
+        text, chunks = hit
         max_chunks = max(max_chunks, chunks)
-        edited.append("\n".join(result) if isinstance(result, list) else result)
+        edited.append(text)
     return RenderedPrompt("\n".join(edited), max_chunks)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from promptgp.cli import main
 from promptgp.config import load_config, config_digest
-from promptgp.gateway import LabelOracleBackend
+from promptgp.gateway import LabelOracleBackend, TransportError
 from promptgp.grammar import decode, default_grammar, render_phenotype
 
 TEMPLATE = """== PERSONA ==
@@ -172,6 +172,32 @@ def test_optimize_rejects_gp_settings_that_cannot_run(tmp_path, capsys, key, val
     config.write_text(text.replace("[gp]\n", f"[gp]\n{key} = {value}\n"))
     assert main(["optimize", "--config", str(config)]) == 2
     assert f"gp.{key}" in capsys.readouterr().err
+
+
+class DownBackend:
+    def send(self, req):
+        raise TransportError("connection refused")
+
+
+def test_optimize_counts_degraded_edits_in_stats(tmp_path, monkeypatch, caplog):
+    from promptgp import cli
+
+    root = setup_run(tmp_path)
+    config = root / "run.ini"
+    config.write_text(config.read_text().replace("[gateway]\n", "[gateway]\nmax_attempts = 1\n"))
+    build_gateway = cli.build_gateway
+
+    def down_gateway(cfg, workdir):
+        gw = build_gateway(cfg, workdir)
+        gw.backend = DownBackend()
+        return gw
+
+    monkeypatch.setattr(cli, "build_gateway", down_gateway)
+    assert main(["optimize", "--config", str(config)]) == 0
+    degraded = json.loads((root / "work" / "stats.json").read_text())["degraded_edits"]
+    warned = [r.getMessage().split()[0] for r in caplog.records if r.name == "promptgp.editops"]
+    assert degraded == {op: warned.count(op) for op in ("paraphrase", "summarise")}
+    assert degraded["paraphrase"] > 0 and degraded["summarise"] > 0
 
 
 def test_optimize_resume_from_checkpoint_reproduces_report(tmp_path):
@@ -358,6 +384,20 @@ def test_local_search_rejects_settings_the_screen_cannot_honour(tmp_path, capsys
     # Checked before anything is read: there is no checkpoint or journal yet.
     assert main(["local-search", "--config", str(config)]) == 2
     assert f"local_search.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("epochs", 0), ("cv_epochs", 0), ("train_fraction", 0.0), ("train_fraction", 1.0)],
+)
+def test_local_search_rejects_surrogate_settings_that_cannot_train(tmp_path, capsys, key, value):
+    root = setup_run(tmp_path)
+    config = root / "run.ini"
+    text = re.sub(rf"^{key} = .*\n", "", config.read_text(), flags=re.MULTILINE)
+    config.write_text(text.replace("[surrogate]\n", f"[surrogate]\n{key} = {value}\n"))
+    # Checked before anything is read: there is no checkpoint or journal yet.
+    assert main(["local-search", "--config", str(config)]) == 2
+    assert f"surrogate.{key}" in capsys.readouterr().err
 
 
 def test_local_search_scores_with_gp_eval_workers(tmp_path, monkeypatch):

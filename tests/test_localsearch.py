@@ -252,3 +252,35 @@ def test_run_local_search_no_sites_returns_incumbent():
     assert result.best.is_incumbent
     assert "no index sites" in result.notice
     assert result.ranking == [result.best]
+
+
+def test_run_local_search_parses_each_neighbour_section_once(monkeypatch):
+    from promptgp import localsearch, template
+
+    parsed = []
+    for module in (localsearch, template):
+        parse = module.parse
+
+        def counting_parse(text, parse=parse):
+            parsed.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(module, "parse", counting_parse)
+    ctx, val = make_task_setup()
+    base = parse_template(BASE_TEXT)
+    ph = make_phenotype(
+        task="swap_elements(index1=[0,1], index2=[3], level=word, texts=BASE)",
+        cot="NULL",
+    )
+    result = run_local_search(
+        ph, base, LengthEnsemble(), ctx, val, settings=LocalSearchSettings(per_site=4), master_seed=13
+    )
+    neighbours = [c for c in result.ranking if not c.is_incumbent]
+    assert len(neighbours) == 12  # 3 sites x 4 values, all under the screen limit
+    # The incumbent's six programs: once to render, once for its sites, once
+    # for its neighbours; then one mutated program per neighbour.
+    incumbent = 3 * len(ph.programs)
+    assert len(parsed) == incumbent + len(neighbours)
+    assert sorted(parsed[incumbent:]) == sorted(n.phenotype.programs["task"] for n in neighbours)
+    for n in neighbours:
+        assert n.prompt == apply_phenotype(base, n.phenotype, make_task_setup()[0])

@@ -4,7 +4,7 @@ import pytest
 
 from promptgp import SECTIONS
 from promptgp.exprlang import ProgramParseError
-from promptgp.gateway import EchoBackend, LlmGateway
+from promptgp.gateway import EchoBackend, LlmGateway, TransportError
 from promptgp.lexicons import default_lexicons
 from promptgp.tasks import DataRow, Dataset, EvalContext, TaskSpec
 from promptgp.template import (
@@ -230,3 +230,128 @@ def test_echo_gateway_end_to_end_render():
     # original text instead of failing the render.
     rp = apply_phenotype(t, ph, CTX)
     assert rp.text == apply_phenotype(t, identity_phenotype(), CTX).text
+
+
+# ---- each section is rendered once per context ------------------------------
+
+
+def fresh_context(gateway=None):
+    return EvalContext(
+        TaskSpec(), gateway or LlmGateway(EchoBackend()), Dataset(rows=[]), lexicons=default_lexicons()
+    )
+
+
+def edited(**programs):
+    ph = identity_phenotype()
+    ph.programs.update(programs)
+    return ph
+
+
+def count_section_work(monkeypatch):
+    """Record the program text of every section `apply_phenotype` parses, and
+    the base text of every section it executes."""
+    from promptgp import template
+
+    work = {"parsed": [], "executed": []}
+    parse, execute = template.parse, template.execute_program
+
+    def counting_parse(text):
+        work["parsed"].append(text)
+        return parse(text)
+
+    def counting_execute(expr, base_text, ctx, icl_items=()):
+        work["executed"].append(base_text)
+        return execute(expr, base_text, ctx, icl_items)
+
+    monkeypatch.setattr(template, "parse", counting_parse)
+    monkeypatch.setattr(template, "execute_program", counting_execute)
+    return work
+
+
+def test_render_parses_and_executes_only_the_changed_section(monkeypatch):
+    t = make_template()
+    ctx = fresh_context()
+    work = count_section_work(monkeypatch)
+    apply_phenotype(t, identity_phenotype(), ctx)
+    assert len(work["parsed"]) == len(work["executed"]) == len(SECTIONS)
+    work["parsed"].clear()
+    work["executed"].clear()
+    program = "remove_stopwords(index=[0], level=sentence, texts=BASE)"
+    apply_phenotype(t, edited(persona=program), ctx)
+    assert work == {"parsed": [program], "executed": [t.sections["persona"]]}
+
+
+def test_memoised_render_equals_a_fresh_context_render():
+    t = make_template()
+    phenotypes = [
+        identity_phenotype(),
+        edited(persona="remove_stopwords(index=[0], level=sentence, texts=BASE)"),
+        edited(cot="NULL", persona="remove_stopwords(index=[0], level=sentence, texts=BASE)"),
+        edited(icl="BASE+swap_elements(index1=[0,1], index2=[3], level=word, texts=ICL_LIST)"),
+    ]
+    ctx = fresh_context()
+    first = [apply_phenotype(t, ph, ctx) for ph in phenotypes]
+    again = [apply_phenotype(t, ph, ctx) for ph in phenotypes]
+    fresh = [apply_phenotype(t, ph, fresh_context()) for ph in phenotypes]
+    assert first == again == fresh
+    assert [rp.max_chunks for rp in fresh] == [0, 1, 1, 5]
+
+
+def test_memo_tells_base_templates_apart():
+    ctx = fresh_context()
+    a = make_template()
+    b = parse_template(SIMPLE.replace("Think step by step.", "Think it through, step by step."))
+    ph = edited(cot="remove_stopwords(index=[0], level=sentence, texts=BASE)")
+    ra, rb = apply_phenotype(a, ph, ctx), apply_phenotype(b, ph, ctx)
+    assert ra.text != rb.text
+    assert rb == apply_phenotype(b, ph, fresh_context())
+
+
+class FlakyBackend:
+    """Fails its first `failures` requests, then answers every one."""
+
+    def __init__(self, failures: int, answer: str):
+        self.failures = failures
+        self.answer = answer
+
+    def send(self, req) -> str:
+        if self.failures:
+            self.failures -= 1
+            raise TransportError("connection reset")
+        return '{"answer": "%s"}' % self.answer
+
+
+def test_section_whose_edit_degraded_is_executed_again(monkeypatch):
+    t = make_template()
+    ctx = fresh_context(LlmGateway(FlakyBackend(1, "Be careful."), max_attempts=1))
+    work = count_section_work(monkeypatch)
+    ph = edited(persona="paraphrase(index=[0], level=sentence, texts=BASE)")
+
+    degraded = apply_phenotype(t, ph, ctx)
+    assert degraded.text == apply_phenotype(t, identity_phenotype(), fresh_context()).text
+    assert ctx.degraded == {"paraphrase": 1}
+
+    work["executed"].clear()
+    retried = apply_phenotype(t, ph, ctx)
+    assert work["executed"] == [t.sections["persona"]]
+    assert retried.text.startswith("Be careful.\n")
+    assert ctx.degraded == {"paraphrase": 1}
+
+    work["executed"].clear()
+    assert apply_phenotype(t, ph, ctx) == retried
+    assert work["executed"] == []
+
+
+def test_section_whose_reply_was_unparseable_is_memoised(monkeypatch):
+    # Echo replies carry no answer; the reply is cached, so a retry cannot help.
+    t = make_template()
+    ctx = fresh_context()
+    work = count_section_work(monkeypatch)
+    ph = edited(persona="paraphrase(index=[0], level=sentence, texts=BASE)")
+    first = apply_phenotype(t, ph, ctx)
+    assert first.text == apply_phenotype(t, identity_phenotype(), fresh_context()).text
+    assert not ctx.degraded
+    work["executed"].clear()
+    assert apply_phenotype(t, ph, ctx) == first
+    assert work["executed"] == []
+    assert ctx.gateway.stats.backend_calls == 1
