@@ -266,7 +266,7 @@ class EvolutionEngine:
                     p1.tree, p2.tree, rng.randrange(2**63), self.settings.max_nodes
                 )
             else:
-                t1, t2 = p1.tree.copy(), p2.tree.copy()
+                t1, t2 = p1.tree, p2.tree
             for tree in (t1, t2):
                 if len(offspring) >= self.settings.offspring_size:
                     break

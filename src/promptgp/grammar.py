@@ -5,6 +5,11 @@ Genotypes are serialized derivation trees: one choice integer per
 nonterminal expansion in depth-first pre-order.  Variation operates on
 trees and reserializes, so every genotype in circulation decodes to a
 valid derivation.
+
+Derivation trees are persistent: no node is changed after `_grow` or
+`decode` fills it in.  Variation therefore rebuilds only the path from the
+root to the node it replaces and shares every other subtree with the
+parents, so one node may belong to many trees.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Iterator, Optional, Sequence
 
@@ -168,14 +173,17 @@ def default_grammar() -> Grammar:
 
 @dataclass
 class Node:
+    """One derivation-tree node.
+
+    Not frozen, because `_grow` fills in `choice` and `children` of a
+    frontier node after creating it; once filled in, a node is never
+    changed, since other trees may share it.
+    """
+
     symbol: str
     terminal: bool
     choice: Optional[int] = None
-    children: list["Node"] = field(default_factory=list)
-
-
-def copy_node(node: Node) -> Node:
-    return Node(node.symbol, node.terminal, node.choice, [copy_node(c) for c in node.children])
+    children: tuple["Node", ...] = ()
 
 
 def count_nodes(node: Node) -> int:
@@ -204,9 +212,6 @@ class DerivationTree:
     @property
     def node_count(self) -> int:
         return count_nodes(self.root)
-
-    def copy(self) -> "DerivationTree":
-        return DerivationTree(self.grammar, copy_node(self.root))
 
 
 @dataclass
@@ -254,13 +259,12 @@ def _grow(grammar: Grammar, max_nodes: int, rng: random.Random, start_symbol: st
         else:
             choice = minimal[rng.randrange(len(minimal))]
         node.choice = choice
-        for sym in alts[choice]:
-            child = Node(sym.name, sym.terminal)
-            node.children.append(child)
-            size += 1
-            if not sym.terminal:
+        node.children = tuple(Node(sym.name, sym.terminal) for sym in alts[choice])
+        size += len(node.children)
+        for child in node.children:
+            if not child.terminal:
                 frontier.append(child)
-                pending += grammar.min_size(sym.name) - 1
+                pending += grammar.min_size(child.symbol) - 1
     return root
 
 
@@ -296,13 +300,10 @@ def decode(grammar: Grammar, genotype: Sequence[int]) -> DerivationTree:
                 f"({len(alts)} alternatives)"
             )
         pos += 1
-        node = Node(symbol, False, choice)
-        for sym in alts[choice]:
-            if sym.terminal:
-                node.children.append(Node(sym.name, True))
-            else:
-                node.children.append(build(sym.name))
-        return node
+        children = tuple(
+            Node(sym.name, True) if sym.terminal else build(sym.name) for sym in alts[choice]
+        )
+        return Node(symbol, False, choice, children)
 
     root = build(grammar.start_symbol)
     if pos != len(genotype):
@@ -311,15 +312,16 @@ def decode(grammar: Grammar, genotype: Sequence[int]) -> DerivationTree:
 
 
 def _replace_at(node: Node, path: tuple[int, ...], replacement: Node) -> Node:
-    """Fresh copy of `node` with the subtree at `path` replaced."""
+    """`node` with the subtree at `path` replaced: new nodes along `path`,
+    every other subtree shared with `node`."""
     if not path:
         return replacement
-    children = []
-    for i, child in enumerate(node.children):
-        if i == path[0]:
-            children.append(_replace_at(child, path[1:], replacement))
-        else:
-            children.append(copy_node(child))
+    i = path[0]
+    children = (
+        *node.children[:i],
+        _replace_at(node.children[i], path[1:], replacement),
+        *node.children[i + 1 :],
+    )
     return Node(node.symbol, node.terminal, node.choice, children)
 
 
@@ -343,18 +345,18 @@ def crossover(
     sites_b = _nonterminal_sites(b)
     common = sorted({n.symbol for n, _ in sites_a} & {n.symbol for n, _ in sites_b})
     if not common:
-        return a.copy(), b.copy()
+        return a, b
     symbol = common[rng.randrange(len(common))]
     cands_a = [(n, p) for n, p in sites_a if n.symbol == symbol]
     cands_b = [(n, p) for n, p in sites_b if n.symbol == symbol]
     node_a, path_a = cands_a[rng.randrange(len(cands_a))]
     node_b, path_b = cands_b[rng.randrange(len(cands_b))]
-    child1 = DerivationTree(a.grammar, _replace_at(a.root, path_a, copy_node(node_b)))
-    child2 = DerivationTree(b.grammar, _replace_at(b.root, path_b, copy_node(node_a)))
+    child1 = DerivationTree(a.grammar, _replace_at(a.root, path_a, node_b))
+    child2 = DerivationTree(b.grammar, _replace_at(b.root, path_b, node_a))
     if child1.node_count > max_nodes:
-        child1 = a.copy()
+        child1 = a
     if child2.node_count > max_nodes:
-        child2 = b.copy()
+        child2 = b
     return child1, child2
 
 
@@ -367,7 +369,7 @@ def mutate(tree: DerivationTree, max_nodes: int, rng_seed: int) -> DerivationTre
     try:
         regrown = _grow(tree.grammar, budget, rng, node.symbol)
     except BudgetError:
-        return tree.copy()
+        return tree
     return DerivationTree(tree.grammar, _replace_at(tree.root, path, regrown))
 
 

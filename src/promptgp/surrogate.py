@@ -116,9 +116,6 @@ class RemoteEmbedder:
         self.dim = dim
         self.timeout = timeout
 
-    def embed(self, text: str) -> np.ndarray:
-        return self.embed_many([text])[0]
-
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         import requests
 

@@ -95,13 +95,6 @@ def icl_placeholders(count: int) -> list[str]:
     return [f"__ICL_{i}__" for i in range(count)]
 
 
-def identity_phenotype() -> Phenotype:
-    """Program set that reproduces the base template unchanged."""
-    programs = {section: "BASE" for section in SECTIONS}
-    programs["icl"] = "BASE+ICL_LIST"
-    return Phenotype(programs)
-
-
 def phenotype_digest(ph: Phenotype) -> str:
     blob = "\x1e".join(f"{s}={ph.programs.get(s, '')}" for s in SECTIONS)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

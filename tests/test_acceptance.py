@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import promptgp
+from helpers import identity_phenotype
 from promptgp.chunking import LEVELS, ViewIndex, chunk, reassemble, resolve
 from promptgp.cli import main
 from promptgp.config import RunConfig, config_to_dict
@@ -55,7 +56,6 @@ from promptgp.tasks import DataRow, Dataset, EvalContext, TaskSpec, evaluate_pro
 from promptgp.template import (
     apply_phenotype,
     builtin_template,
-    identity_phenotype,
     parse_template,
 )
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -12,6 +13,8 @@ from promptgp.grammar import (
     decode,
     default_grammar,
     encode,
+    iter_nodes,
+    iter_nodes_with_paths,
     load_grammar,
     mutate,
     render_phenotype,
@@ -157,6 +160,7 @@ def test_crossover_budget_violation_returns_parent_copy():
         # so the small parent's child can never grow.
         assert c1.node_count <= small.node_count or encode(c1) == encode(small)
         assert c2.node_count <= small.node_count or encode(c2) == encode(big)
+        assert c2.node_count <= small.node_count or c2 is big
 
 
 def test_mutate_deterministic_and_within_budget():
@@ -196,3 +200,77 @@ def test_variation_closure_bulk():
             for program in render_phenotype(t).programs.values():
                 parse(program)
         trees[rng.randrange(len(trees))] = m
+
+
+def variation_chain():
+    """Fixed-seed PTC2 samples, then crossover + mutate steps over a pool
+    that keeps offspring, so later trees share subtrees with earlier ones.
+    Yields every tree made, in order."""
+    rng = random.Random(2024)
+    pool = [sample_ptc2(G, max_nodes=rng.randint(20, 300), rng_seed=s) for s in range(50)]
+    yield from pool
+    for _ in range(200):
+        a, b = rng.sample(pool, 2)
+        c1, c2 = crossover(a, b, rng_seed=rng.randrange(2**63), max_nodes=400)
+        m = mutate(c1, max_nodes=400, rng_seed=rng.randrange(2**63))
+        yield from (c1, c2, m)
+        pool[rng.randrange(len(pool))] = m
+        pool[rng.randrange(len(pool))] = c2
+
+
+def test_variation_chain_digest_is_pinned():
+    # Pins every RNG draw of sampling and variation: any change to which
+    # nodes are chosen or grown changes a genotype or phenotype here.
+    h = hashlib.sha256()
+    for tree in variation_chain():
+        programs = render_phenotype(tree).programs
+        h.update(repr(encode(tree)).encode())
+        h.update("\x1e".join(programs[s] for s in SECTIONS).encode())
+    assert h.hexdigest() == "102edbe0a4b5f969ce5dec3512dff091eb82cce711cbf2bc357f694f203b1287"
+
+
+def test_shared_subtrees_keep_every_recorded_genotype_and_phenotype():
+    made = [(t, encode(t), render_phenotype(t).programs) for t in variation_chain()]
+    for tree, genotype, programs in made:
+        assert encode(tree) == genotype
+        assert render_phenotype(tree).programs == programs
+
+
+def graft_path(child, donor):
+    """Path of the topmost node of `child` that is one of `donor`'s own nodes."""
+    donor_ids = {id(n) for n in iter_nodes(donor.root)}
+    return next((p for n, p in iter_nodes_with_paths(child.root) if id(n) in donor_ids), None)
+
+
+def regrown_path(child, parent):
+    """Path of the topmost subtree of `child` that holds none of `parent`'s nodes."""
+    parent_ids = {id(n) for n in iter_nodes(parent.root)}
+    for node, path in iter_nodes_with_paths(child.root):
+        if all(id(n) not in parent_ids for n in iter_nodes(node)):
+            return path
+
+
+def assert_rebuilt_only_along(child, parent, path):
+    """Nodes on `path` are new; every child off it is the parent's own object."""
+    new, old = child.root, parent.root
+    for i in path:
+        assert new is not old
+        for j, (c, o) in enumerate(zip(new.children, old.children)):
+            if j != i:
+                assert c is o
+        new, old = new.children[i], old.children[i]
+
+
+def test_variation_shares_the_subtrees_it_leaves_alone():
+    for seed in range(10):
+        a = sample_ptc2(G, max_nodes=200, rng_seed=seed)
+        b = sample_ptc2(G, max_nodes=200, rng_seed=seed + 100)
+        c1, c2 = crossover(a, b, rng_seed=seed, max_nodes=1024)
+        for child, parent, donor in ((c1, a, b), (c2, b, a)):
+            path = graft_path(child, donor)
+            assert path
+            assert_rebuilt_only_along(child, parent, path)
+        m = mutate(a, max_nodes=1024, rng_seed=seed)
+        path = regrown_path(m, a)
+        assert path
+        assert_rebuilt_only_along(m, a, path)

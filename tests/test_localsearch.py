@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import identity_phenotype
 from promptgp.gateway import LabelOracleBackend, LlmGateway
 from promptgp.grammar import Phenotype
 from promptgp.lexicons import default_lexicons
@@ -14,7 +15,7 @@ from promptgp.localsearch import (
 )
 from promptgp.surrogate import HashingEmbedder, SurrogateEnsemble
 from promptgp.tasks import DataRow, Dataset, EvalContext, TaskSpec
-from promptgp.template import apply_phenotype, identity_phenotype, parse_template, phenotype_digest
+from promptgp.template import apply_phenotype, parse_template, phenotype_digest
 
 
 def make_phenotype(**overrides):

@@ -89,7 +89,7 @@ def test_remote_embedder_posts_one_text_and_normalises(monkeypatch):
 def test_remote_embedder_rejects_wrong_dimension(monkeypatch):
     remote_replying(monkeypatch, {"embeddings": [[1.0, 2.0]]})
     with pytest.raises(SurrogateError, match="dimension"):
-        RemoteEmbedder("http://embed.invalid/v1", dim=3).embed("text")
+        RemoteEmbedder("http://embed.invalid/v1", dim=3).embed_many(["text"])
 
 
 @pytest.mark.parametrize(
@@ -99,7 +99,7 @@ def test_remote_embedder_rejects_wrong_dimension(monkeypatch):
 def test_remote_embedder_malformed_reply_is_surrogate_error(monkeypatch, payload):
     remote_replying(monkeypatch, payload)
     with pytest.raises(SurrogateError, match="embeddings"):
-        RemoteEmbedder("http://embed.invalid/v1", dim=3).embed("text")
+        RemoteEmbedder("http://embed.invalid/v1", dim=3).embed_many(["text"])
 
 
 def test_hp_validation():

@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import identity_phenotype
 from promptgp import tasks
 from promptgp.gateway import LabelOracleBackend, LlmGateway, ScriptedBackend, TransportError
 from promptgp.tasks import (
@@ -17,7 +18,7 @@ from promptgp.tasks import (
     score_case,
     token_f1,
 )
-from promptgp.template import RenderedPrompt, apply_phenotype, identity_phenotype, parse_template
+from promptgp.template import RenderedPrompt, apply_phenotype, parse_template
 
 JSONL = """{"id": "a", "input": "Is grass green?", "label": "yes"}
 {"id": "b", "input": "Is snow hot?", "label": "no", "context": "Snow is cold."}

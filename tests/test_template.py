@@ -2,6 +2,7 @@ import logging
 
 import pytest
 
+from helpers import identity_phenotype
 from promptgp import SECTIONS
 from promptgp.exprlang import ProgramParseError
 from promptgp.gateway import EchoBackend, LlmGateway, TransportError
@@ -17,7 +18,6 @@ from promptgp.template import (
     builtin_template,
     format_demo,
     icl_placeholders,
-    identity_phenotype,
     instantiate,
     parse_template,
     phenotype_digest,
