@@ -30,16 +30,14 @@ from .lexicons import Lexicons, default_lexicons, load_stopwords, load_synonyms
 from .localsearch import run_local_search
 from .seeds import derive_seed
 from .surrogate import (
-    MIN_TRAIN_POINTS,
     MIN_TUNE_POINTS,
     HashingEmbedder,
     RemoteEmbedder,
     SurrogateHp,
-    require_points,
     train,
     tune_hyperparameters,
 )
-from .tasks import Dataset, EvalContext, TaskSpec, load_dataset
+from .tasks import Dataset, EvalContext, load_dataset
 from .template import BaseTemplate, RenderedPrompt, builtin_template, load_template
 
 log = logging.getLogger(__name__)
@@ -115,10 +113,6 @@ def build_lexicons(cfg: RunConfig) -> Lexicons:
     return Lexicons(stopwords=stopwords, synonyms=synonyms)
 
 
-def build_task(cfg: RunConfig) -> TaskSpec:
-    return TaskSpec(metric=cfg.task.metric, answer_key=cfg.task.answer_key)
-
-
 def build_context(
     cfg: RunConfig,
     workdir: Path,
@@ -128,7 +122,7 @@ def build_context(
     """The one evaluation context of a command; builds its gateway."""
     gw = cfg.gateway
     return EvalContext(
-        task=build_task(cfg),
+        task=cfg.task,
         gateway=build_gateway(cfg, workdir),
         train=train,
         icl_k=cfg.gp.icl_k,
@@ -288,8 +282,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_local_search(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    cfg.local_search.validate()
-    cfg.surrogate.validate()
     if args.seed is not None:
         cfg.master_seed = args.seed
     digest = config_digest(cfg)
@@ -312,7 +304,6 @@ def cmd_local_search(args: argparse.Namespace) -> int:
     ctx = build_context(cfg, workdir, train_ds, lexicons)
     embedder = build_embedder(cfg)
 
-    require_points(len(points), MIN_TRAIN_POINTS)
     X = embedder.embed_many([text for text, _ in points])
     y = np.asarray([target for _, target in points], dtype=np.float64)
     if len(points) >= MIN_TUNE_POINTS:

@@ -1,9 +1,10 @@
 """Run configuration: INI file loading, defaults, canonical digest.
 
 Sections mirror modules ([run], [task], [paths], [gateway], [gp],
-[surrogate], [local_search]).  Every key has a shipped default; secrets
-never live in the file (the gateway reads the API key from the
-environment variable named by `api_key_env`).
+[surrogate], [local_search]).  Every key has a shipped default, and
+`parse_config` checks every bound before it returns; secrets never live
+in the file (the gateway reads the API key from the environment variable
+named by `api_key_env`).
 """
 
 from __future__ import annotations
@@ -18,22 +19,11 @@ from .evolution import GpSettings
 from .gateway import DEFAULT_MAX_NEW_TOKENS, DEFAULT_TEMPERATURE
 from .localsearch import LocalSearchSettings
 from .surrogate import SurrogateSettings
+from .tasks import METRICS, TaskSettings
 
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass
-class TaskSettings:
-    name: str = "task"
-    metric: str = "accuracy"
-    answer_key: str = "Answer"
-    template: str = "builtin:pubmedqa"
-    train_data: str = ""
-    val_data: str = ""
-    test_data: str = ""
-    icl_slot_count: int = 5
 
 
 @dataclass
@@ -105,6 +95,47 @@ def _apply(obj, section_name: str, items: dict[str, str]) -> None:
             raise ConfigError(f"bad value for {section_name}.{key}: {exc}") from exc
 
 
+# Every bound on a single key, as (keys, test, wording); keys listed in no
+# row take any value of their type.
+_BOUNDS = (
+    ("task.metric", lambda v: v in METRICS, f"one of {', '.join(METRICS)}"),
+    ("gateway.timeout", lambda v: v > 0, "> 0"),
+    (
+        "gateway.max_inflight gateway.max_attempts gateway.max_new_tokens"
+        " gp.population_size gp.parent_tournament gp.survivor_tournament gp.sample_size"
+        " surrogate.submodels surrogate.epochs surrogate.cv_combos surrogate.cv_epochs"
+        " surrogate.dim",
+        lambda v: v >= 1, ">= 1",
+    ),
+    (
+        "gateway.backoff_base gp.generations gp.init_retries local_search.per_site"
+        " local_search.screen_limit local_search.top_mean local_search.top_variance",
+        lambda v: v >= 0, ">= 0",
+    ),
+    ("gp.crossover_prob gp.mutation_prob", lambda v: 0 <= v <= 1, "in [0, 1]"),
+    ("surrogate.cv_folds", lambda v: v >= 2, ">= 2"),
+    ("surrogate.train_fraction", lambda v: 0 < v < 1, "in (0, 1)"),
+)
+
+
+def check_bounds(cfg: RunConfig) -> None:
+    """Reject the first value no command can honour, naming its key.  The
+    one bound that needs the grammar, on `gp.max_nodes`, is checked by
+    `EvolutionEngine`."""
+    for keys, holds, wording in _BOUNDS:
+        for name in keys.split():
+            section, key = name.split(".")
+            value = getattr(getattr(cfg, section), key)
+            if not holds(value):
+                raise ConfigError(f"{name} must be {wording}, got {value!r}")
+    ls = cfg.local_search
+    if ls.top_mean + ls.top_variance > ls.screen_limit:
+        raise ConfigError(
+            f"local_search.top_mean + top_variance = {ls.top_mean + ls.top_variance}"
+            f" exceeds local_search.screen_limit = {ls.screen_limit}"
+        )
+
+
 def parse_config(text: str) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keep key case as written
@@ -125,6 +156,7 @@ def parse_config(text: str) -> RunConfig:
             _apply(getattr(cfg, section), section, items)
         else:
             raise ConfigError(f"unknown section [{section}]")
+    check_bounds(cfg)
     return cfg
 
 

@@ -152,12 +152,11 @@ class EvolutionEngine:
         config_digest: str = "",
     ):
         self.settings = settings or GpSettings()
-        for key in ("population_size", "sample_size", "parent_tournament", "survivor_tournament"):
-            if getattr(self.settings, key) < 1:
-                raise ValueError(f"gp.{key} must be >= 1, got {getattr(self.settings, key)}")
-        for key in ("init_retries", "generations"):
-            if getattr(self.settings, key) < 0:
-                raise ValueError(f"gp.{key} must be >= 0, got {getattr(self.settings, key)}")
+        least = grammar.min_size(grammar.start_symbol)
+        if self.settings.max_nodes < least:
+            raise ValueError(
+                f"gp.max_nodes must be >= {least:.0f} for this grammar, got {self.settings.max_nodes}"
+            )
         self.grammar = grammar
         self.base = base
         self.ctx = ctx

@@ -34,17 +34,6 @@ class LocalSearchSettings:
     top_mean: int = 25
     top_variance: int = 25
 
-    def validate(self) -> None:
-        """Reject values the neighbourhood and the screen cannot honour."""
-        for key in ("per_site", "screen_limit", "top_mean", "top_variance"):
-            if getattr(self, key) < 0:
-                raise ValueError(f"local_search.{key} must be >= 0, got {getattr(self, key)}")
-        if self.top_mean + self.top_variance > self.screen_limit:
-            raise ValueError(
-                f"local_search.top_mean + top_variance = {self.top_mean + self.top_variance}"
-                f" exceeds local_search.screen_limit = {self.screen_limit}"
-            )
-
 
 @dataclass(frozen=True)
 class IndexSite:

@@ -49,18 +49,6 @@ class SurrogateSettings:
     dim: int = 384
     endpoint: str = ""
 
-    def validate(self) -> None:
-        """Reject values with which the ensemble cannot be trained or tuned."""
-        for key, least in (
-            ("submodels", 1), ("epochs", 1), ("cv_folds", 2), ("cv_combos", 1), ("cv_epochs", 1)
-        ):
-            if getattr(self, key) < least:
-                raise SurrogateError(f"surrogate.{key} must be >= {least}, got {getattr(self, key)}")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise SurrogateError(
-                f"surrogate.train_fraction must be in (0, 1), got {self.train_fraction}"
-            )
-
 
 class Embedder(Protocol):
     dim: int
@@ -104,7 +92,7 @@ class HashingEmbedder:
         return _normalise(vec)
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
-        return np.stack([self.embed(t) for t in texts])
+        return np.array([self.embed(t) for t in texts]).reshape(len(texts), self.dim)
 
 
 class RemoteEmbedder:
@@ -117,6 +105,8 @@ class RemoteEmbedder:
         self.timeout = timeout
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        if not texts:
+            return np.empty((0, self.dim))
         import requests
 
         reply = requests.post(self.endpoint, json={"texts": list(texts)}, timeout=self.timeout)
@@ -276,7 +266,6 @@ def fit_models(
 ) -> list[Params]:
     """Train the ensemble for `epochs` (`cv_epochs` in CV, `epochs` in the
     final fit); return the models at the epoch of least validation loss."""
-    settings.validate()
     n = len(y)
     if n < 2:
         raise SurrogateError("need at least 2 data points to split")
@@ -312,12 +301,10 @@ class SurrogateEnsemble:
     models: list[Params]
     embedder: Embedder
 
-    def predict_embedded(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def predict_many(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        X = self.embedder.embed_many(texts)
         outputs = np.stack([predict_params(params, X) for params in self.models])
         return outputs.mean(axis=0), outputs.var(axis=0)
-
-    def predict_many(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        return self.predict_embedded(self.embedder.embed_many(texts))
 
     def predict(self, text: str) -> tuple[float, float]:
         means, variances = self.predict_many([text])
@@ -365,7 +352,6 @@ def tune_hyperparameters(
     `cv_folds`-fold CV MSE."""
     require_points(len(y), MIN_TUNE_POINTS)
     settings = settings or SurrogateSettings()
-    settings.validate()
 
     grid = hp_grid()
     rng = random.Random(derive_seed(seed, "hp"))

@@ -34,6 +34,18 @@ class DatasetError(ValueError):
     pass
 
 
+@dataclass
+class TaskSettings:
+    name: str = "task"
+    metric: str = "accuracy"
+    answer_key: str = "Answer"
+    template: str = "builtin:pubmedqa"
+    train_data: str = ""
+    val_data: str = ""
+    test_data: str = ""
+    icl_slot_count: int = 5
+
+
 @dataclass(frozen=True)
 class DataRow:
     id: str
@@ -98,16 +110,6 @@ def sample_rows(dataset: Dataset, n: int, seed: int) -> list[DataRow]:
         return []
     rng = random.Random(seed)
     return rng.sample(dataset.rows, min(n, len(dataset.rows)))
-
-
-@dataclass
-class TaskSpec:
-    metric: str = "accuracy"
-    answer_key: str = "Answer"
-
-    def __post_init__(self) -> None:
-        if self.metric not in METRICS:
-            raise ValueError(f"unknown metric {self.metric!r}")
 
 
 _FALLBACK_TEMPLATE = r"{key}\s*[:=]\s*(.+)"
@@ -226,7 +228,7 @@ class EvalContext:
     `demos` lookup, runs on the thread that called `render` or `score`.
     """
 
-    task: TaskSpec
+    task: TaskSettings
     gateway: LlmGateway
     train: Dataset
     icl_k: int = 5

@@ -52,7 +52,7 @@ from promptgp.surrogate import (
     predict_params,
     train,
 )
-from promptgp.tasks import DataRow, Dataset, EvalContext, TaskSpec, evaluate_prompt
+from promptgp.tasks import DataRow, Dataset, EvalContext, TaskSettings, evaluate_prompt
 from promptgp.template import (
     apply_phenotype,
     builtin_template,
@@ -71,7 +71,7 @@ STOPWORD_SENTENCE = "Given text, classify its sentiment as positive or negative.
 
 
 # Rendering context: LLM edits get echo replies, which degrade to identity.
-EDIT_CTX = EvalContext(TaskSpec(), LlmGateway(EchoBackend()), Dataset(rows=[]), lexicons=LEX)
+EDIT_CTX = EvalContext(TaskSettings(), LlmGateway(EchoBackend()), Dataset(rows=[]), lexicons=LEX)
 
 
 def run_op(program, base="", icl_items=()):
@@ -377,7 +377,7 @@ def test_08_best_candidate_never_loses_to_incumbent():
             ph,
             base,
             ensemble,
-            EvalContext(TaskSpec(), gateway, train_rows, icl_k=0, lexicons=LEX),
+            EvalContext(TaskSettings(), gateway, train_rows, icl_k=0, lexicons=LEX),
             val_rows,
             settings=LocalSearchSettings(per_site=4),
             master_seed=seed,
@@ -472,7 +472,7 @@ def make_synthetic_engine(seed):
         init_retries=3,
     )
     ctx = EvalContext(
-        TaskSpec(), gateway, train_rows, icl_k=0, lexicons=synthetic_lexicons()
+        TaskSettings(), gateway, train_rows, icl_k=0, lexicons=synthetic_lexicons()
     )
     engine = EvolutionEngine(
         GRAMMAR,

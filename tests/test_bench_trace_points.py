@@ -6,6 +6,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from promptgp.config import parse_config
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -36,3 +38,17 @@ def test_every_traced_name_resolves(monkeypatch):
             missing.append(f"{module}.{cls + '.' if cls else ''}{attr}")
     assert missing == []
 
+
+def test_every_workload_config_passes_the_bounds(monkeypatch):
+    run = load_bench_run(monkeypatch)
+    for workload in run.WORKLOADS.values():
+        sections = {
+            "gp": workload.gp,
+            "surrogate": workload.surrogate,
+            "local_search": workload.local_search,
+        }
+        text = "".join(
+            f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+            for section, items in sections.items()
+        )
+        parse_config(text)  # raises ConfigError naming any key out of bounds

@@ -174,6 +174,37 @@ def test_optimize_rejects_gp_settings_that_cannot_run(tmp_path, capsys, key, val
     assert f"gp.{key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("gateway", "max_inflight", 0),
+        ("gateway", "max_attempts", 0),
+        ("gateway", "backoff_base", -1.0),
+        ("gateway", "timeout", 0),
+        ("gateway", "max_new_tokens", 0),
+        ("gp", "crossover_prob", 1.5),
+        ("gp", "mutation_prob", -0.5),
+        ("surrogate", "dim", 0),
+        ("task", "metric", "bleu"),
+    ],
+)
+@pytest.mark.parametrize("command", ["optimize", "local-search", "evaluate"])
+def test_commands_reject_out_of_bounds_keys_before_reading_inputs(
+    tmp_path, capsys, command, section, key, value
+):
+    root = setup_run(tmp_path)
+    config = root / "run.ini"
+    text = config.read_text().replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+    for name in ("train.jsonl", "val.jsonl", "test.jsonl", "truth.json"):
+        (root / name).unlink()  # no input exists: only the config can be read
+    config.write_text(text)
+    args = [command, "--config", str(config)]
+    if command == "evaluate":
+        args += ["--prompt", str(root / "prompt.txt")]
+    assert main(args) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+
+
 class DownBackend:
     def send(self, req):
         raise TransportError("connection refused")
@@ -350,15 +381,27 @@ def test_local_search_needs_ten_journal_points(tmp_path, capsys):
     assert "need at least 10 data points" in capsys.readouterr().err
 
 
+def test_local_search_needs_journal_points_when_journal_is_empty(tmp_path, capsys):
+    root = setup_run(tmp_path)
+    config = str(root / "run.ini")
+    assert main(["optimize", "--config", config]) == 0
+    journal = write_journal(root / "points.jsonl", 0)
+    capsys.readouterr()
+    assert main(["local-search", "--config", config, "--journal", journal]) == 2
+    assert "need at least 10 data points, got 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "setting, folds, combos", [("cv_combos", 2, 0), ("cv_folds", 1, 1), ("submodels", 2, 1)]
 )
 def test_local_search_rejects_unusable_cv_settings(tmp_path, capsys, setting, folds, combos):
     root = setup_run(tmp_path)
-    config = with_cv(root, folds=folds, combos=combos)
+    config = str(root / "run.ini")
+    assert main(["optimize", "--config", config]) == 0
+    # Every command checks every section, so the bad values go in after the GP run.
+    with_cv(root, folds=folds, combos=combos)
     if setting == "submodels":
         Path(config).write_text(Path(config).read_text().replace("submodels = 2", "submodels = 0"))
-    assert main(["optimize", "--config", config]) == 0
     journal = write_journal(root / "points.jsonl", 60)
     capsys.readouterr()
     assert main(["local-search", "--config", config, "--journal", journal]) == 2

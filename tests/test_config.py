@@ -1,8 +1,10 @@
 import pytest
 
+from promptgp import config
 from promptgp.config import (
     ConfigError,
     RunConfig,
+    check_bounds,
     config_digest,
     config_to_dict,
     load_config,
@@ -136,3 +138,61 @@ def test_secrets_stay_out_of_config():
     assert cfg.gateway.api_key_env == "MY_PROVIDER_KEY"
     with pytest.raises(ConfigError):
         parse_config("[gateway]\napi_key = sk-123\n")
+
+
+def test_parse_config_rejects_unknown_metric():
+    with pytest.raises(ConfigError, match=r"task\.metric"):
+        parse_config("[task]\nmetric = bleu\n")
+
+
+def test_default_config_passes_the_bounds():
+    check_bounds(RunConfig())
+
+
+# One value just outside each bound of the table in `config`.
+OUT_OF_BOUNDS = [
+    ("task.metric", "bleu"),
+    ("gateway.timeout", "0"),
+    ("gateway.max_inflight", "0"),
+    ("gateway.max_attempts", "0"),
+    ("gateway.backoff_base", "-0.1"),
+    ("gateway.max_new_tokens", "0"),
+    ("gp.population_size", "0"),
+    ("gp.generations", "-1"),
+    ("gp.parent_tournament", "0"),
+    ("gp.survivor_tournament", "0"),
+    ("gp.sample_size", "0"),
+    ("gp.crossover_prob", "1.1"),
+    ("gp.mutation_prob", "-0.1"),
+    ("gp.init_retries", "-1"),
+    ("surrogate.submodels", "0"),
+    ("surrogate.epochs", "0"),
+    ("surrogate.train_fraction", "0.0"),
+    ("surrogate.train_fraction", "1.0"),
+    ("surrogate.cv_folds", "1"),
+    ("surrogate.cv_combos", "0"),
+    ("surrogate.cv_epochs", "0"),
+    ("surrogate.dim", "0"),
+    ("local_search.per_site", "-1"),
+    ("local_search.screen_limit", "-1"),
+    ("local_search.top_mean", "-1"),
+    ("local_search.top_variance", "-1"),
+]
+
+
+@pytest.mark.parametrize("name, value", OUT_OF_BOUNDS)
+def test_parse_config_rejects_out_of_bounds_value(name, value):
+    section, key = name.split(".")
+    with pytest.raises(ConfigError, match=rf"^{name} must be "):
+        parse_config(f"[{section}]\n{key} = {value}\n")
+
+
+def test_every_bounded_key_has_a_case():
+    bounded = {name for keys, _, _ in config._BOUNDS for name in keys.split()}
+    assert bounded == {name for name, _ in OUT_OF_BOUNDS}
+
+
+def test_parse_config_rejects_tops_over_screen_limit():
+    with pytest.raises(ConfigError, match=r"exceeds local_search\.screen_limit = 50"):
+        parse_config("[local_search]\ntop_mean = 26\n")
+    parse_config("[local_search]\ntop_mean = 20\ntop_variance = 30\n")

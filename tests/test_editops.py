@@ -4,7 +4,7 @@ from promptgp.editops import ProgramExecutionError, execute_program, placeholder
 from promptgp.exprlang import parse
 from promptgp.gateway import PARAPHRASE_TEMPLATE, EchoBackend, LlmGateway, ScriptedBackend
 from promptgp.lexicons import default_lexicons
-from promptgp.tasks import Dataset, EvalContext, TaskSpec
+from promptgp.tasks import Dataset, EvalContext, TaskSettings
 
 LEX = default_lexicons()
 ITEMS = ["chunk_1", "chunk_2", "chunk_3", "chunk_4"]
@@ -15,7 +15,7 @@ def context(gateway=None, **kw):
     """An edit context with the shipped lexicons; by default LLM edits get
     echo replies, which carry no answer, so they degrade to identity."""
     gateway = gateway or LlmGateway(EchoBackend())
-    return EvalContext(TaskSpec(), gateway, Dataset(rows=[]), lexicons=LEX, **kw)
+    return EvalContext(TaskSettings(), gateway, Dataset(rows=[]), lexicons=LEX, **kw)
 
 
 def execute(program, base="", icl_items=(), gateway=None, **kw):

@@ -13,7 +13,7 @@ from promptgp.evolution import (
 from promptgp.gateway import LabelOracleBackend, LlmGateway
 from promptgp.grammar import default_grammar, sample_ptc2
 from promptgp.lexicons import default_lexicons
-from promptgp.tasks import DataRow, Dataset, EvalContext, TaskSpec
+from promptgp.tasks import DataRow, Dataset, EvalContext, TaskSettings
 from promptgp.template import parse_template
 
 GRAMMAR = default_grammar()
@@ -62,7 +62,7 @@ def make_engine(seed=0, gens=2, pop=6, journal=None, checkpoint=None, config_dig
     return EvolutionEngine(
         grammar=GRAMMAR,
         base=parse_template(TEMPLATE),
-        ctx=EvalContext(TaskSpec(), gateway, train, lexicons=default_lexicons()),
+        ctx=EvalContext(TaskSettings(), gateway, train, lexicons=default_lexicons()),
         val_dataset=val,
         settings=settings,
         master_seed=seed,
@@ -70,6 +70,15 @@ def make_engine(seed=0, gens=2, pop=6, journal=None, checkpoint=None, config_dig
         checkpoint_path=checkpoint,
         config_digest=config_digest,
     )
+
+
+def test_engine_rejects_max_nodes_below_the_grammar_minimum():
+    train, val = make_datasets()
+    ctx = EvalContext(TaskSettings(), LlmGateway(LabelOracleBackend({})), train)
+    assert GRAMMAR.min_size(GRAMMAR.start_symbol) == 20
+    with pytest.raises(ValueError, match=r"gp\.max_nodes must be >= 20 .*got 19"):
+        EvolutionEngine(GRAMMAR, parse_template(TEMPLATE), ctx, val, GpSettings(max_nodes=19))
+    EvolutionEngine(GRAMMAR, parse_template(TEMPLATE), ctx, val, GpSettings(max_nodes=20))
 
 
 def test_gp_settings_defaults():

@@ -14,7 +14,7 @@ from promptgp.localsearch import (
     screen,
 )
 from promptgp.surrogate import HashingEmbedder, SurrogateEnsemble
-from promptgp.tasks import DataRow, Dataset, EvalContext, TaskSpec
+from promptgp.tasks import DataRow, Dataset, EvalContext, TaskSettings
 from promptgp.template import apply_phenotype, parse_template, phenotype_digest
 
 
@@ -180,7 +180,7 @@ def make_task_setup():
     )
     truth = {r.input: r.label for r in train.rows + val.rows}
     gateway = LlmGateway(LabelOracleBackend(truth))
-    return EvalContext(TaskSpec(), gateway, train, lexicons=default_lexicons()), val
+    return EvalContext(TaskSettings(), gateway, train, lexicons=default_lexicons()), val
 
 
 def test_finalize_scores_and_ranks():

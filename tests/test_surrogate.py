@@ -43,6 +43,13 @@ def test_embedder_empty_text_is_zero_vector():
     assert np.array_equal(vec, np.zeros(16))
 
 
+def test_embedders_embed_no_texts_as_zero_rows(monkeypatch):
+    assert HashingEmbedder(dim=16).embed_many([]).shape == (0, 16)
+    bodies = remote_replying(monkeypatch, {"embeddings": []})
+    assert RemoteEmbedder("http://embed.invalid/v1", dim=3).embed_many([]).shape == (0, 3)
+    assert bodies == []  # nothing to embed, so nothing is sent
+
+
 def test_embedder_seed_changes_buckets():
     a = HashingEmbedder(dim=512, seed=0).embed("some moderately long text here")
     b = HashingEmbedder(dim=512, seed=1).embed("some moderately long text here")

@@ -9,7 +9,7 @@ from promptgp.tasks import (
     DatasetError,
     EvalContext,
     FitnessReport,
-    TaskSpec,
+    TaskSettings,
     evaluate_prompt,
     extract_answer,
     normalize_answer,
@@ -63,11 +63,6 @@ def test_sample_rows_deterministic_without_replacement():
     assert sorted(r.id for r in all_rows) == ["a", "b", "c"]
 
 
-def test_taskspec_rejects_unknown_metric():
-    with pytest.raises(ValueError):
-        TaskSpec(metric="bleu")
-
-
 def test_extract_answer_dict_and_fallback():
     assert extract_answer("{'Answer': 'yes'}") == "yes"
     assert extract_answer("Answer: maybe so") == "maybe so"
@@ -113,7 +108,7 @@ __TASK_INPUT_0__
 
 def context(gateway, **kwargs):
     """A scoring context over `gateway` with an empty demonstration pool."""
-    return EvalContext(TaskSpec(), gateway, Dataset(rows=[]), **kwargs)
+    return EvalContext(TaskSettings(), gateway, Dataset(rows=[]), **kwargs)
 
 
 def rendered():
@@ -178,7 +173,7 @@ def test_evaluate_prompt_includes_retrieved_demos():
         DataRow(id="t2", input="Do fish fly?", label="no"),
     ]
     rows = [DataRow(id="a", input="Is grass green?", label="yes")]
-    ctx = EvalContext(TaskSpec(), LlmGateway(Spy()), Dataset(rows=train), icl_k=1)
+    ctx = EvalContext(TaskSettings(), LlmGateway(Spy()), Dataset(rows=train), icl_k=1)
     evaluate_prompt(rendered(), rows, ctx)
     assert "Input: Is grass green in summer?\nOutput: {'Answer': 'yes'}" in seen[0]
     assert "Do fish fly?" not in seen[0]
@@ -209,7 +204,7 @@ class Recorder:
 
 
 def icl_context(train, backend, **kwargs):
-    return EvalContext(TaskSpec(), LlmGateway(backend), Dataset(rows=train), icl_k=2, **kwargs)
+    return EvalContext(TaskSettings(), LlmGateway(backend), Dataset(rows=train), icl_k=2, **kwargs)
 
 
 TRAIN = [DataRow(id=f"t{i}", input=f"is colour {i} a warm colour", label="yes") for i in range(6)]

@@ -7,7 +7,7 @@ from promptgp import SECTIONS
 from promptgp.exprlang import ProgramParseError
 from promptgp.gateway import EchoBackend, LlmGateway, TransportError
 from promptgp.lexicons import default_lexicons
-from promptgp.tasks import DataRow, Dataset, EvalContext, TaskSpec
+from promptgp.tasks import DataRow, Dataset, EvalContext, TaskSettings
 from promptgp.template import (
     CONTEXT_PLACEHOLDER,
     TASK_INPUT_PLACEHOLDER,
@@ -26,7 +26,7 @@ from promptgp.template import (
 
 # LLM edits get echo replies, which carry no answer and degrade to identity.
 CTX = EvalContext(
-    TaskSpec(), LlmGateway(EchoBackend()), Dataset(rows=[]), lexicons=default_lexicons()
+    TaskSettings(), LlmGateway(EchoBackend()), Dataset(rows=[]), lexicons=default_lexicons()
 )
 
 SIMPLE = """== PERSONA ==
@@ -237,7 +237,7 @@ def test_echo_gateway_end_to_end_render():
 
 def fresh_context(gateway=None):
     return EvalContext(
-        TaskSpec(), gateway or LlmGateway(EchoBackend()), Dataset(rows=[]), lexicons=default_lexicons()
+        TaskSettings(), gateway or LlmGateway(EchoBackend()), Dataset(rows=[]), lexicons=default_lexicons()
     )
 
 
