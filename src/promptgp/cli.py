@@ -84,7 +84,6 @@ def build_gateway(cfg: RunConfig, workdir: Path) -> LlmGateway:
         cache=ResponseCache(cache_path),
         max_attempts=gw.max_attempts,
         backoff_base=gw.backoff_base,
-        max_inflight=gw.max_inflight,
         temperature=gw.temperature,
         max_new_tokens=gw.max_new_tokens,
     )
@@ -222,11 +221,14 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         checkpoint_path=str(workdir / "checkpoint.json"),
         config_digest=digest,
     )
-    if args.resume:
-        population, start_generation = engine.restore(state)
-        result = engine.run(population, start_generation)
-    else:
-        result = engine.run()
+    try:
+        if args.resume:
+            population, start_generation = engine.restore(state)
+            result = engine.run(population, start_generation)
+        else:
+            result = engine.run()
+    finally:
+        ctx.close()
 
     elite = result.elite
     if elite is None or elite.prompt is None:
@@ -318,15 +320,18 @@ def cmd_local_search(args: argparse.Namespace) -> int:
     elite_tree = decode(grammar, state["elite"]["genotype"])
     incumbent_ph = render_phenotype(elite_tree)
 
-    result = run_local_search(
-        incumbent_ph,
-        base,
-        ensemble,
-        ctx,
-        val_ds,
-        settings=cfg.local_search,
-        master_seed=cfg.master_seed,
-    )
+    try:
+        result = run_local_search(
+            incumbent_ph,
+            base,
+            ensemble,
+            ctx,
+            val_ds,
+            settings=cfg.local_search,
+            master_seed=cfg.master_seed,
+        )
+    finally:
+        ctx.close()
 
     (workdir / "refined_prompt.txt").write_text(result.best.prompt.text, encoding="utf-8")
     _write_json(
@@ -396,7 +401,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     ctx = build_context(cfg, workdir, train, Lexicons())  # renders nothing
 
     prompt_text = Path(args.prompt).read_text(encoding="utf-8")
-    report = ctx.score(RenderedPrompt(prompt_text), dataset.rows)
+    try:
+        report = ctx.score(RenderedPrompt(prompt_text), dataset.rows)
+    finally:
+        ctx.close()
     out = workdir / f"eval_{args.split}.tsv"
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(f"# config_digest={digest}\n")

@@ -13,6 +13,7 @@ import configparser
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from .evolution import GpSettings
@@ -42,7 +43,6 @@ class GatewaySettings:
     edit_model: str = ""
     api_key_env: str = ""
     timeout: float = 120.0
-    max_inflight: int = 8
     max_attempts: int = 3
     backoff_base: float = 1.0
     temperature: float = DEFAULT_TEMPERATURE
@@ -99,16 +99,18 @@ def _apply(obj, section_name: str, items: dict[str, str]) -> None:
 # row take any value of their type.
 _BOUNDS = (
     ("task.metric", lambda v: v in METRICS, f"one of {', '.join(METRICS)}"),
-    ("gateway.timeout", lambda v: v > 0, "> 0"),
+    # Seconds handed to time.sleep and the socket timeout, which reject inf.
+    ("gateway.timeout", lambda v: 0 < v < math.inf, "finite and > 0"),
+    ("gateway.backoff_base", lambda v: 0 <= v < math.inf, "finite and >= 0"),
     (
-        "gateway.max_inflight gateway.max_attempts gateway.max_new_tokens"
+        "gateway.max_attempts gateway.max_new_tokens"
         " gp.population_size gp.parent_tournament gp.survivor_tournament gp.sample_size"
-        " surrogate.submodels surrogate.epochs surrogate.cv_combos surrogate.cv_epochs"
-        " surrogate.dim",
+        " gp.eval_workers surrogate.submodels surrogate.epochs surrogate.cv_combos"
+        " surrogate.cv_epochs surrogate.dim",
         lambda v: v >= 1, ">= 1",
     ),
     (
-        "gateway.backoff_base gp.generations gp.init_retries local_search.per_site"
+        "gp.generations gp.init_retries local_search.per_site"
         " local_search.screen_limit local_search.top_mean local_search.top_variance",
         lambda v: v >= 0, ">= 0",
     ),

@@ -5,7 +5,7 @@ the result is re-chunked at the operator's own level, edited, and
 reassembled.  A FIFO removal queue and the largest chunk count any operator
 saw are scoped to one program execution.  Errors in LLM-backed operations
 degrade to identity with a warning; they never abort an execution.  A
-transport failure is also counted per op in the context's `degraded`.
+transport failure is also counted per op, for the execution it hit.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import re
 import string
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -45,6 +45,7 @@ class _ExecState:
     ctx: EvalContext
     queue: deque[str] = field(default_factory=deque)
     max_chunks: int = 0
+    degraded: Counter = field(default_factory=Counter)
 
 
 def execute_program(
@@ -52,12 +53,13 @@ def execute_program(
     base_text: str,
     ctx: EvalContext,
     icl_items: Sequence[str] = (),
-) -> tuple[Union[str, list[str]], int]:
+) -> tuple[Union[str, list[str]], int, Counter]:
     """Run one parsed section program with the lexicons, gateway, edit model
     and placeholder guard of `ctx`; returns (edited text or list, largest
-    chunk count any operator saw)."""
+    chunk count any operator saw, LLM edits per op that degraded after a
+    transport failure)."""
     state = _ExecState(base_text, icl_items, ctx)
-    return _eval(expr, state), state.max_chunks
+    return _eval(expr, state), state.max_chunks, state.degraded
 
 
 def _eval(expr: Expr, state: _ExecState) -> Union[str, list[str]]:
@@ -245,7 +247,7 @@ def _llm_rewrite(
         # A reply that would not parse is cached, so every later render gets
         # it again; only a transport failure may pass on a retry.
         if isinstance(exc, TransportError):
-            ctx.degraded[call.name] += 1
+            state.degraded[call.name] += 1
         log.warning("%s degraded to identity: %s", call.name, exc)
         return items
     if ctx.placeholder_guard and not placeholders(source) <= placeholders(answer):

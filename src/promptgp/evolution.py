@@ -173,45 +173,57 @@ class EvolutionEngine:
 
     # ---- individual construction ------------------------------------
 
-    def _make_individual(self, tree: DerivationTree, born: int) -> Individual:
-        ind = Individual(genotype=encode(tree), tree=tree, born=born)
+    def _render(self, ind: Individual) -> None:
         try:
-            ind.phenotype = render_phenotype(tree)
+            ind.phenotype = render_phenotype(ind.tree)
             ind.prompt = self.ctx.render(self.base, ind.phenotype)
         except (ProgramParseError, ProgramExecutionError, MalformedTreeError, TemplateError) as exc:
             log.warning("individual %s failed to render: %s", ind.digest, exc)
-        return ind
+
+    def _make_individuals(self, trees: list[DerivationTree], born: int) -> list[Individual]:
+        """Individuals of `trees`, rendered in one batch; one that fails to
+        render keeps no prompt."""
+        inds = [Individual(genotype=encode(tree), tree=tree, born=born) for tree in trees]
+        self.ctx.map(self._render, inds)
+        return inds
 
     def initialise(self) -> list[Individual]:
-        pop: list[Individual] = []
-        for i in range(self.settings.population_size):
-            for attempt in range(self.settings.init_retries + 1):  # >= 0, so at least one draw
-                tree = sample_ptc2(
-                    self.grammar, self.settings.max_nodes, self._derive("init", i, attempt)
-                )
-                ind = self._make_individual(tree, born=0)
-                if ind.prompt is not None:
-                    break
-            pop.append(ind)
-        return pop
+        """Each individual is its first draw that renders, or its last draw;
+        each retry round renders the individuals still without a prompt."""
+        size = self.settings.population_size
+        pop: dict[int, Individual] = {}
+        redraw = list(range(size))
+        for attempt in range(self.settings.init_retries + 1):  # >= 0, so at least one draw
+            trees = [
+                sample_ptc2(self.grammar, self.settings.max_nodes, self._derive("init", i, attempt))
+                for i in redraw
+            ]
+            pop.update(zip(redraw, self._make_individuals(trees, born=0)))
+            redraw = [i for i in redraw if pop[i].prompt is None]
+        return [pop[i] for i in range(size)]
 
     # ---- evaluation ---------------------------------------------------
 
-    def _evaluate_train(self, ind: Individual, rows, gen: int) -> None:
-        if ind.prompt is None:
-            ind.f_train = 0.0
-            return
-        ind.f_train = self.ctx.score(ind.prompt, rows).fitness
-        self.journal.append(
-            {
-                "generation": gen,
-                "digest": ind.digest,
-                "split": "train",
-                "fitness": ind.f_train,
-                "prompt": ind.prompt.text,
-                "sample": str(gen),
-            }
-        )
+    def _evaluate_train(self, inds: list[Individual], rows, gen: int) -> None:
+        """Score `inds` on `rows` in one batch, then journal them in order;
+        one without a prompt scores 0 unjournaled."""
+        for ind in inds:
+            if ind.prompt is None:
+                ind.f_train = 0.0
+        rendered = [ind for ind in inds if ind.prompt is not None]
+        reports = self.ctx.score_many([(ind.prompt, rows) for ind in rendered])
+        for ind, report in zip(rendered, reports):
+            ind.f_train = report.fitness
+            self.journal.append(
+                {
+                    "generation": gen,
+                    "digest": ind.digest,
+                    "split": "train",
+                    "fitness": ind.f_train,
+                    "prompt": ind.prompt.text,
+                    "sample": str(gen),
+                }
+            )
 
     def _champion(self, pop: list[Individual]) -> Individual:
         return min(pop, key=lambda ind: (-(ind.f_train or 0.0), ind.genotype))
@@ -255,8 +267,9 @@ class EvolutionEngine:
         return min(contenders, key=lambda i: (-(pop[i].f_train or 0.0), i))
 
     def _variation(self, pop: list[Individual], gen: int) -> list[Individual]:
+        """Draw every offspring tree, then render them in one batch."""
         rng = random.Random(self._derive("variation", gen))
-        offspring: list[Individual] = []
+        offspring: list[DerivationTree] = []
         while len(offspring) < self.settings.offspring_size:
             p1 = pop[self._tournament_index(pop, rng, self.settings.parent_tournament)]
             p2 = pop[self._tournament_index(pop, rng, self.settings.parent_tournament)]
@@ -271,8 +284,8 @@ class EvolutionEngine:
                     break
                 if rng.random() < self.settings.mutation_prob:
                     tree = mutate(tree, self.settings.max_nodes, rng.randrange(2**63))
-                offspring.append(self._make_individual(tree, born=gen + 1))
-        return offspring
+                offspring.append(tree)
+        return self._make_individuals(offspring, born=gen + 1)
 
     def _survivors(self, pop: list[Individual], offspring: list[Individual], gen: int) -> list[Individual]:
         rng = random.Random(self._derive("survive", gen))
@@ -290,8 +303,7 @@ class EvolutionEngine:
         returns the sampled rows, on which the offspring are scored too."""
         self._reinsert_elite(pop)
         rows = sample_rows(self.ctx.train, self.settings.sample_size, self._derive("rows", gen))
-        for ind in pop:
-            self._evaluate_train(ind, rows, gen)
+        self._evaluate_train(pop, rows, gen)
         champion = self._champion(pop)
         self._validate_champion(champion, gen)
         self.history.append(
@@ -308,8 +320,7 @@ class EvolutionEngine:
     def run_generation(self, pop: list[Individual], gen: int) -> list[Individual]:
         rows = self._score_generation(pop, gen)
         offspring = self._variation(pop, gen)
-        for ind in offspring:
-            self._evaluate_train(ind, rows, gen)
+        self._evaluate_train(offspring, rows, gen)
         return self._survivors(pop, offspring, gen)
 
     def run(
@@ -341,11 +352,15 @@ class EvolutionEngine:
         }
 
     def _unpack_individual(self, packed: dict) -> Individual:
+        """The packed individual, not yet rendered."""
         tree = decode(self.grammar, packed["genotype"])
-        ind = self._make_individual(tree, born=packed["born"])
-        ind.f_train = packed["f_train"]
-        ind.f_val = packed["f_val"]
-        return ind
+        return Individual(
+            genotype=encode(tree),
+            tree=tree,
+            born=packed["born"],
+            f_train=packed["f_train"],
+            f_val=packed["f_val"],
+        )
 
     def save_checkpoint(self, population: list[Individual], next_generation: int) -> None:
         state = {
@@ -374,6 +389,7 @@ class EvolutionEngine:
             raise ValueError("checkpoint master seed does not match the configured seed")
         population = [self._unpack_individual(p) for p in state["population"]]
         self.elite = self._unpack_individual(state["elite"]) if state["elite"] else None
+        self.ctx.map(self._render, population + ([self.elite] if self.elite else []))
         self.history = list(state["history"])
         return population, state["next_generation"]
 

@@ -302,7 +302,8 @@ class GatewayStats:
 
 
 class LlmGateway:
-    """Cache-first completion with bounded retries and bounded concurrency.
+    """Cache-first completion with bounded retries, safe to call from many
+    threads; the callers' pool bounds the requests in flight.
 
     A request whose digest is already in flight waits for that call and is
     then served from the cache.  `temperature` and `max_new_tokens` are the
@@ -315,7 +316,6 @@ class LlmGateway:
         cache: Optional[ResponseCache] = None,
         max_attempts: int = 3,
         backoff_base: float = 1.0,
-        max_inflight: int = 8,
         sleep: Callable[[float], None] = time.sleep,
         temperature: float = DEFAULT_TEMPERATURE,
         max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS,
@@ -324,7 +324,6 @@ class LlmGateway:
         self.cache = cache if cache is not None else ResponseCache()
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
-        self._inflight = threading.BoundedSemaphore(max_inflight)
         self._sleep = sleep
         self.temperature = temperature
         self.max_new_tokens = max_new_tokens
@@ -363,10 +362,9 @@ class LlmGateway:
         last_exc: Optional[GatewayError] = None
         for attempt in range(1, self.max_attempts + 1):
             try:
-                with self._inflight:
-                    with self._lock:
-                        self.stats.backend_calls += 1
-                    return self.backend.send(req)
+                with self._lock:
+                    self.stats.backend_calls += 1
+                return self.backend.send(req)
             except GatewayError as exc:
                 last_exc = exc
                 if isinstance(exc, RequestRejectedError):

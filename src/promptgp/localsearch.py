@@ -138,12 +138,12 @@ def finalize(
     seed: int,
 ) -> tuple[Candidate, list[Candidate]]:
     """Score candidates and the incumbent on D_val plus an equal-size train
-    sample; pick argmax."""
+    sample, all in one batch; pick argmax."""
     d_train = sample_rows(ctx.train, len(val_rows), seed)
     entries = [*candidates, incumbent]
-    for cand in entries:
-        cand.f_val = ctx.score(cand.prompt, val_rows).fitness
-        cand.f_train = ctx.score(cand.prompt, d_train).fitness
+    reports = ctx.score_many([(c.prompt, rows) for c in entries for rows in (val_rows, d_train)])
+    for cand, val, train in zip(entries, reports[::2], reports[1::2]):
+        cand.f_val, cand.f_train = val.fitness, train.fitness
         cand.combined = (cand.f_val + cand.f_train) / 2.0
     ranked = sorted(
         entries, key=lambda c: (-c.combined, 0 if c.is_incumbent else 1, c.digest)
@@ -188,8 +188,9 @@ def run_local_search(
     nb = build_neighborhood(
         incumbent_ph, sites, bound, derive_seed(master_seed, "neighborhood"), settings.per_site
     )
-    for neighbor in nb.neighbors:
-        neighbor.prompt = ctx.render(base, neighbor.phenotype)
+    prompts = ctx.map(lambda n: ctx.render(base, n.phenotype), nb.neighbors)
+    for neighbor, rendered in zip(nb.neighbors, prompts):
+        neighbor.prompt = rendered
     candidates = screen(nb.neighbors, ensemble, settings)
     best, ranking = finalize(
         candidates, incumbent, ctx, val_dataset.rows, derive_seed(master_seed, "dtrain")

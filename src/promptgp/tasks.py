@@ -7,10 +7,11 @@ import logging
 import random
 import re
 import string
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .gateway import GatewayError, LlmGateway
 from .grammar import Phenotype
@@ -173,7 +174,7 @@ def evaluate_prompt(
     prompt: RenderedPrompt, rows: Sequence[DataRow], ctx: EvalContext
 ) -> FitnessReport:
     """Mean per-case score of one rendered prompt over the given rows,
-    asked of `ctx.model` with up to `ctx.max_workers` cases in flight.
+    asked of `ctx.model` with the cases sent through `ctx.map`.
 
     Every row's demonstrations are resolved through `ctx.demos`, in row
     order, before any case is sent.  Transport failures and unparseable
@@ -183,9 +184,10 @@ def evaluate_prompt(
     if not rows:
         raise ValueError("cannot evaluate on zero rows")
     task = ctx.task
-    row_demos = [ctx.demos(row) for row in rows]
+    cases = [(row, ctx.demos(row)) for row in rows]
 
-    def eval_case(row: DataRow, case_demos: list[str]) -> tuple[float, bool]:
+    def eval_case(case: tuple[DataRow, list[str]]) -> tuple[float, bool]:
+        row, case_demos = case
         try:
             reply = ctx.gateway.ask(instantiate(prompt, row, case_demos), ctx.model)
         except GatewayError as exc:
@@ -194,12 +196,7 @@ def evaluate_prompt(
         pred = extract_answer(reply, task.answer_key)
         return score_case(pred, row.label, task.metric), pred is None
 
-    if ctx.max_workers > 1:
-        with ThreadPoolExecutor(max_workers=ctx.max_workers) as pool:
-            outcomes = list(pool.map(eval_case, rows, row_demos))
-    else:
-        outcomes = list(map(eval_case, rows, row_demos))
-
+    outcomes = ctx.map(eval_case, cases)
     per_case = [(row.id, score) for row, (score, _) in zip(rows, outcomes)]
     fitness = sum(score for _, score in per_case) / len(per_case)
     return FitnessReport(
@@ -207,6 +204,15 @@ def evaluate_prompt(
         per_case=per_case,
         parse_failures=sum(1 for _, unparsed in outcomes if unparsed),
     )
+
+
+# Marks the threads of every context's pool, so that a map called from one
+# runs inline instead of waiting on the pool it occupies.
+_pool_thread = threading.local()
+
+
+def _mark_pool_thread() -> None:
+    _pool_thread.active = True
 
 
 @dataclass(frozen=True)
@@ -224,8 +230,14 @@ class EvalContext:
     and kept in `_sections` (see `apply_phenotype`); `degraded` counts, per
     op, the LLM edits that fell back to identity after a transport
     failure.
-    Neither memo nor the counter holds a lock: every render, and every
-    `demos` lookup, runs on the thread that called `render` or `score`.
+
+    Independent renders and scores go through `map`, which runs them on the
+    context's one pool of `max_workers` threads; maps nested inside it run
+    inline, so at most `max_workers` LLM requests are in flight.  The
+    pool's threads start on the first map and end at `close`.  `_lock`
+    guards `_sections`, `_claims` and `degraded`.  `_demos` holds no lock:
+    `score_many` and `evaluate_prompt` resolve demonstrations on the
+    calling thread before they map.
     """
 
     task: TaskSettings
@@ -242,6 +254,29 @@ class EvalContext:
     _sections: dict[tuple[str, str, int, str], tuple[str, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _claims: dict[tuple[str, str, int, str], threading.Event] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
+    _pool: Optional[ThreadPoolExecutor] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.max_workers > 1:
+            pool = ThreadPoolExecutor(self.max_workers, initializer=_mark_pool_thread)
+            object.__setattr__(self, "_pool", pool)
+
+    def map(self, fn: Callable, items: Sequence) -> list:
+        """`fn` of each item, in item order, computed on the pool; inline when
+        there is no pool or when called from a pool thread, so nested maps
+        never hold more than `max_workers` requests in flight."""
+        if self._pool is None or getattr(_pool_thread, "active", False):
+            return [fn(item) for item in items]
+        return list(self._pool.map(fn, items))
+
+    def close(self) -> None:
+        """End the pool's threads; the context maps nothing after this."""
+        if self._pool is not None:
+            self._pool.shutdown()
 
     def demos(self, row: DataRow) -> list[str]:
         """The formatted demonstrations shown with `row`, retrieved on first use."""
@@ -253,6 +288,16 @@ class EvalContext:
 
     def score(self, prompt: RenderedPrompt, rows: Sequence[DataRow]) -> FitnessReport:
         return evaluate_prompt(prompt, rows, self)
+
+    def score_many(
+        self, jobs: Sequence[tuple[RenderedPrompt, Sequence[DataRow]]]
+    ) -> list[FitnessReport]:
+        """`score` of each (prompt, rows) job, the jobs scored concurrently;
+        every row's demonstrations are resolved first, in job order."""
+        for _, rows in jobs:
+            for row in rows:
+                self.demos(row)
+        return self.map(lambda job: evaluate_prompt(*job, self), jobs)
 
     def render(self, base: BaseTemplate, ph: Phenotype) -> RenderedPrompt:
         return apply_phenotype(base, ph, self)

@@ -12,9 +12,11 @@ from __future__ import annotations
 import hashlib
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
-from typing import TYPE_CHECKING, Optional, Sequence
+from threading import Event
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from . import SECTIONS
 from .editops import PLACEHOLDER_RE, execute_program
@@ -116,7 +118,13 @@ def apply_phenotype(base: BaseTemplate, ph: Phenotype, ctx: EvalContext) -> Rend
     Each section is executed once per context: its (text, chunk count) is
     memoised on `ctx` by section, base text, ICL slot count and program
     text, unless one of its LLM edits degraded after a transport failure,
-    so that a later render retries that edit.
+    so that a later render retries that edit.  A section missing from the
+    memo is claimed by one render, which executes it; a concurrent render
+    of the same section waits for that claim, and executes the section
+    itself if the claim ends without a memo entry.  Every miss is claimed
+    and parsed before any section executes, and sections execute in
+    SECTIONS order, so renders waiting on each other's claims cannot
+    deadlock.
 
     Raises ProgramParseError if any section program is malformed; callers
     treat that as a whole-prompt failure.
@@ -124,25 +132,60 @@ def apply_phenotype(base: BaseTemplate, ph: Phenotype, ctx: EvalContext) -> Rend
     missing = [s for s in SECTIONS if s not in ph.programs]
     if missing:
         raise TemplateError(f"phenotype lacks sections: {missing}")
-    memo = ctx._sections
     keys = {s: (s, base.sections[s], base.icl_slot_count, ph.programs[s]) for s in SECTIONS}
-    # Parse every miss first so a malformed program fails before any edit runs.
-    parsed = {s: parse(ph.programs[s]) for s in SECTIONS if keys[s] not in memo}
-    edited: list[str] = []
-    max_chunks = 0
-    for section in SECTIONS:
-        hit = memo.get(keys[section])
-        if hit is None:
-            icl_items = icl_placeholders(base.icl_slot_count) if section == "icl" else ()
-            degraded = ctx.degraded.total()
-            result, chunks = execute_program(parsed[section], base.sections[section], ctx, icl_items)
-            hit = ("\n".join(result) if isinstance(result, list) else result), chunks
-            if ctx.degraded.total() == degraded:
-                memo[keys[section]] = hit
-        text, chunks = hit
-        max_chunks = max(max_chunks, chunks)
-        edited.append(text)
-    return RenderedPrompt("\n".join(edited), max_chunks)
+    found = {s: _claim(ctx, keys[s]) for s in SECTIONS}
+    held = [s for s in SECTIONS if found[s] is None]  # claimed and not yet settled
+    try:
+        # Parse every claim first so a malformed program fails before any edit runs.
+        parsed = {s: parse(ph.programs[s]) for s in held}
+        edited: list[str] = []
+        max_chunks = 0
+        for section in SECTIONS:
+            hit = found[section]
+            while isinstance(hit, Event):  # another render's claim
+                hit.wait()
+                hit = _claim(ctx, keys[section])
+                if hit is None:
+                    held.append(section)
+                    parsed[section] = parse(ph.programs[section])
+            if hit is None:
+                icl_items = icl_placeholders(base.icl_slot_count) if section == "icl" else ()
+                result, chunks, degraded = execute_program(
+                    parsed[section], base.sections[section], ctx, icl_items
+                )
+                hit = ("\n".join(result) if isinstance(result, list) else result), chunks
+                held.remove(section)
+                _settle(ctx, keys[section], None if degraded else hit, degraded)
+            text, chunks = hit
+            max_chunks = max(max_chunks, chunks)
+            edited.append(text)
+        return RenderedPrompt("\n".join(edited), max_chunks)
+    finally:
+        for section in held:
+            _settle(ctx, keys[section], None)
+
+
+def _claim(ctx: EvalContext, key: tuple) -> Union[tuple[str, int], Event, None]:
+    """The memoised section, else the event of the render that claimed it,
+    else None: the caller now holds the claim and must `_settle` it."""
+    with ctx._lock:
+        found = ctx._sections.get(key) or ctx._claims.get(key)
+        if found is None:
+            ctx._claims[key] = Event()
+        return found
+
+
+def _settle(
+    ctx: EvalContext, key: tuple, hit: Optional[tuple[str, int]], degraded: Optional[Counter] = None
+) -> None:
+    """End a claim: memoise `hit` unless it is None, count `degraded`, and
+    wake the renders waiting on the claim."""
+    with ctx._lock:
+        if degraded:
+            ctx.degraded.update(degraded)
+        if hit is not None:
+            ctx._sections[key] = hit
+        ctx._claims.pop(key).set()
 
 
 def _word_set(text: str) -> frozenset[str]:

@@ -75,8 +75,7 @@ EDIT_CTX = EvalContext(TaskSettings(), LlmGateway(EchoBackend()), Dataset(rows=[
 
 
 def run_op(program, base="", icl_items=()):
-    out, _ = execute_program(parse(program), base, EDIT_CTX, icl_items)
-    return out
+    return execute_program(parse(program), base, EDIT_CTX, icl_items)[0]
 
 
 def test_01_edit_operation_reference_outputs():

@@ -1,5 +1,6 @@
 import json
 import re
+import threading
 from pathlib import Path
 
 import pytest
@@ -177,10 +178,11 @@ def test_optimize_rejects_gp_settings_that_cannot_run(tmp_path, capsys, key, val
 @pytest.mark.parametrize(
     "section, key, value",
     [
-        ("gateway", "max_inflight", 0),
         ("gateway", "max_attempts", 0),
         ("gateway", "backoff_base", -1.0),
+        ("gateway", "backoff_base", "inf"),
         ("gateway", "timeout", 0),
+        ("gateway", "timeout", "inf"),
         ("gateway", "max_new_tokens", 0),
         ("gp", "crossover_prob", 1.5),
         ("gp", "mutation_prob", -0.5),
@@ -461,6 +463,68 @@ def test_local_search_scores_with_gp_eval_workers(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "build_context", recording_build_context)
     assert main(["local-search", "--config", str(config)]) == 0
     assert workers == [3]
+
+
+def test_request_pool_changes_no_artifact(tmp_path, monkeypatch):
+    """`[gp] eval_workers` sets how many requests are in flight, and nothing else."""
+    from promptgp import cli
+
+    build_gateway = cli.build_gateway
+    gateways, senders = [], set()
+
+    def recording_build_gateway(*args, **kwargs):
+        gw = build_gateway(*args, **kwargs)
+        send = gw.backend.send
+
+        def recording_send(req):
+            senders.add(threading.get_ident())
+            return send(req)
+
+        gw.backend.send = recording_send
+        gateways.append(gw)
+        return gw
+
+    monkeypatch.setattr(cli, "build_gateway", recording_build_gateway)
+    works, counts, threads = [], [], []
+    alive = threading.active_count()
+    for workers in (1, 3):
+        root = setup_run(tmp_path, name=f"workers{workers}", population=8)
+        config = root / "run.ini"
+        config.write_text(config.read_text().replace("[gp]\n", f"[gp]\neval_workers = {workers}\n"))
+        gateways.clear()
+        senders.clear()
+        assert main(["optimize", "--config", str(config)]) == 0
+        site_elite(root / "work")
+        assert main(["local-search", "--config", str(config)]) == 0
+        assert threading.active_count() <= alive  # each command closed its pool
+        works.append(root / "work")
+        counts.append([(gw.stats.requests, gw.stats.backend_calls) for gw in gateways])
+        threads.append(len(senders))
+    assert threads[0] == 1 and threads[1] > 1
+
+    def masked(work, name):
+        head = json.loads((work / "journal.jsonl").read_text().splitlines()[0])
+        return (work / name).read_text().replace(head["config_digest"], "")
+
+    serial, pooled = works
+    for name in (
+        "journal.jsonl",
+        "report.json",
+        "curve.tsv",
+        "elite_prompt.txt",
+        "elite_prompt.meta.json",
+        "candidates.tsv",
+        "refined_prompt.txt",
+        "refined_prompt.meta.json",
+    ):
+        assert masked(pooled, name) == masked(serial, name), name
+    assert len(masked(serial, "candidates.tsv").splitlines()) > 3  # neighbours were scored
+    stats = [json.loads((work / "stats.json").read_text()) for work in works]
+    for key in ("requests", "backend_calls"):
+        assert stats[0][key] == stats[1][key], key
+    assert counts[0] == counts[1]
+    cache = [sorted((work / "cache.tsv").read_text().splitlines()) for work in works]
+    assert cache[0] == cache[1]
 
 
 def test_evaluate_prompt_file(tmp_path, capsys):

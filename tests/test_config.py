@@ -87,6 +87,9 @@ def test_parse_config_rejects_unknown():
         parse_config("[local_search]\neval_workers = 2\n")
     with pytest.raises(ConfigError, match="include_incumbent"):
         parse_config("[local_search]\ninclude_incumbent = false\n")
+    # [gp] eval_workers is the one bound on requests in flight.
+    with pytest.raises(ConfigError, match="max_inflight"):
+        parse_config("[gateway]\nmax_inflight = 8\n")
     # Temperature 0 is greedy decoding; there is no separate sampling switch.
     with pytest.raises(ConfigError):
         parse_config("[gateway]\nsampling = false\n")
@@ -153,9 +156,10 @@ def test_default_config_passes_the_bounds():
 OUT_OF_BOUNDS = [
     ("task.metric", "bleu"),
     ("gateway.timeout", "0"),
-    ("gateway.max_inflight", "0"),
+    ("gateway.timeout", "inf"),
     ("gateway.max_attempts", "0"),
     ("gateway.backoff_base", "-0.1"),
+    ("gateway.backoff_base", "inf"),
     ("gateway.max_new_tokens", "0"),
     ("gp.population_size", "0"),
     ("gp.generations", "-1"),
@@ -165,6 +169,7 @@ OUT_OF_BOUNDS = [
     ("gp.crossover_prob", "1.1"),
     ("gp.mutation_prob", "-0.1"),
     ("gp.init_retries", "-1"),
+    ("gp.eval_workers", "0"),
     ("surrogate.submodels", "0"),
     ("surrogate.epochs", "0"),
     ("surrogate.train_fraction", "0.0"),

@@ -23,8 +23,7 @@ def execute(program, base="", icl_items=(), gateway=None, **kw):
 
 
 def run(program, base="", **kw):
-    out, _ = execute(program, base, **kw)
-    return out
+    return execute(program, base, **kw)[0]
 
 
 def test_swap_spans_on_demo_list():
@@ -126,7 +125,7 @@ def test_nested_program_applies_innermost_first():
         "remove_stopwords(index=[0], level=word, texts="
         "synonimise(index=[2], level=sentence, texts=BASE))"
     )
-    out, max_chunks = execute(prog, SENTENCE)
+    out, max_chunks, _ = execute(prog, SENTENCE)
     assert out == "Provided passage, categorise its feeling as favourable or unfavourable."
     # The inner op sees one sentence, the outer one the nine words.
     inner = "synonimise(index=[2], level=sentence, texts=BASE)"
@@ -135,7 +134,7 @@ def test_nested_program_applies_innermost_first():
 
 
 def test_list_op_reports_demonstration_count():
-    _, max_chunks = execute(
+    _, max_chunks, _ = execute(
         "swap_elements(index1=[0,1], index2=[3], level=word, texts=ICL_LIST)", icl_items=ITEMS
     )
     assert max_chunks == 4
@@ -193,6 +192,21 @@ def test_placeholder_guard_can_be_disabled():
         placeholder_guard=False,
     )
     assert out == "Look at the samples."
+
+
+def test_execution_reports_its_own_transport_degradations():
+    # The scripted backend has no reply for this text: a transport failure.
+    gw = LlmGateway(ScriptedBackend({}), max_attempts=1)
+    ctx = context(gw)
+    prog = (
+        "paraphrase(index=[0], level=sentence, texts="
+        "summarise(percent=0.5, index=[0], level=sentence, texts=BASE))"
+    )
+    out, _, degraded = execute_program(parse(prog), SENTENCE, ctx)
+    assert out == SENTENCE
+    assert degraded == {"paraphrase": 1, "summarise": 1}
+    assert not ctx.degraded  # the renderer, not the interpreter, adds to the context's total
+    assert execute("paraphrase(index=[0], level=sentence, texts=BASE)", SENTENCE)[2] == {}
 
 
 def test_placeholders_helper():

@@ -1,3 +1,6 @@
+import threading
+import time
+
 import pytest
 
 from helpers import identity_phenotype
@@ -237,6 +240,59 @@ def test_parallel_context_sends_the_serial_requests():
     icl_context(TRAIN, parallel, max_workers=4).score(prompt, rows)
     assert sorted(parallel.seen) == sorted(serial.seen)
     assert len(set(serial.seen)) == 4
+
+
+def test_pooled_scores_retrieve_each_row_once(monkeypatch):
+    calls = []
+    retrieve = tasks.retrieve_icl
+
+    def counting_retrieve(case_input, rows, k):
+        calls.append(case_input)
+        time.sleep(0.002)  # a slow retrieval, so that an unguarded memo misses twice
+        return retrieve(case_input, rows, k)
+
+    monkeypatch.setattr(tasks, "retrieve_icl", counting_retrieve)
+    rows = [DataRow(id=f"r{i}", input=f"is colour {i} warm", label="yes") for i in range(5)]
+    prompts = [rendered(), RenderedPrompt("Q: __TASK_INPUT_0__ __ICL_0__"), rendered()]
+    ctx = icl_context(TRAIN, Recorder(), max_workers=3)
+    reports = ctx.score_many([(prompt, rows + rows[:2]) for prompt in prompts])
+    ctx.score(prompts[1], rows[1:])
+    assert sorted(calls) == sorted(row.input for row in rows)
+    serial = icl_context(TRAIN, Recorder())
+    assert reports == [serial.score(prompt, rows + rows[:2]) for prompt in prompts]
+
+
+class InFlight:
+    """Answers every case after a short wait, recording the most requests
+    in flight at once."""
+
+    name = "in_flight"
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.now = self.most = 0
+
+    def send(self, req):
+        with self.lock:
+            self.now += 1
+            self.most = max(self.most, self.now)
+        time.sleep(0.005)
+        with self.lock:
+            self.now -= 1
+        return "{'Answer': 'yes'}"
+
+
+def test_nested_maps_hold_at_most_max_workers_requests_in_flight():
+    backend = InFlight()
+    ctx = context(LlmGateway(backend), max_workers=2)
+    rows = [DataRow(id=f"r{i}", input=f"Question {i}", label="yes") for i in range(6)]
+    prompts = [RenderedPrompt(f"Prompt {i}: __TASK_INPUT_0__") for i in range(4)]
+    # Each prompt's cases map again inside a pool thread; that map runs inline.
+    reports = ctx.score_many([(prompt, rows) for prompt in prompts])
+    assert [r.fitness for r in reports] == [1.0] * 4
+    assert backend.most == 2
+    ctx.score(prompts[0], [DataRow(id=f"s{i}", input=f"Other {i}", label="yes") for i in range(6)])
+    assert backend.most == 2
 
 
 def test_rows_sharing_an_id_get_their_own_demonstrations():

@@ -1,11 +1,14 @@
 import logging
+import sys
+import threading
+import time
 
 import pytest
 
 from helpers import identity_phenotype
 from promptgp import SECTIONS
 from promptgp.exprlang import ProgramParseError
-from promptgp.gateway import EchoBackend, LlmGateway, TransportError
+from promptgp.gateway import EchoBackend, LlmGateway, TransportError, TruncateBackend
 from promptgp.lexicons import default_lexicons
 from promptgp.tasks import DataRow, Dataset, EvalContext, TaskSettings
 from promptgp.template import (
@@ -235,9 +238,13 @@ def test_echo_gateway_end_to_end_render():
 # ---- each section is rendered once per context ------------------------------
 
 
-def fresh_context(gateway=None):
+def fresh_context(gateway=None, **kwargs):
     return EvalContext(
-        TaskSettings(), gateway or LlmGateway(EchoBackend()), Dataset(rows=[]), lexicons=default_lexicons()
+        TaskSettings(),
+        gateway or LlmGateway(EchoBackend()),
+        Dataset(rows=[]),
+        lexicons=default_lexicons(),
+        **kwargs,
     )
 
 
@@ -355,3 +362,100 @@ def test_section_whose_reply_was_unparseable_is_memoised(monkeypatch):
     assert apply_phenotype(t, ph, ctx) == first
     assert work["executed"] == []
     assert ctx.gateway.stats.backend_calls == 1
+
+
+class HoldingBackend:
+    """Answers every edit, but holds each call until `release` is set."""
+
+    def __init__(self, answer: str):
+        self.answer = answer
+        self.calls = 0
+        self.release = threading.Event()
+
+    def send(self, req) -> str:
+        self.calls += 1
+        assert self.release.wait(5), "no second render waited on the claim"
+        return '{"answer": "%s"}' % self.answer
+
+
+def test_concurrent_renders_execute_a_section_once(monkeypatch):
+    from promptgp import template
+
+    backend = HoldingBackend("Be careful.")
+
+    class SignallingEvent(threading.Event):
+        def wait(self, timeout=None):
+            backend.release.set()  # a render now waits on another render's claim
+            return super().wait(timeout)
+
+    monkeypatch.setattr(template, "Event", SignallingEvent)
+    t = make_template()
+    ctx = fresh_context(LlmGateway(backend), max_workers=2)
+    work = count_section_work(monkeypatch)
+    ph = edited(persona="paraphrase(index=[0], level=sentence, texts=BASE)")
+    first, second = ctx.map(lambda _: apply_phenotype(t, ph, ctx), range(2))
+    assert first == second
+    assert first.text.startswith("Be careful.\n")
+    assert sorted(work["executed"]) == sorted(t.sections[s] for s in SECTIONS)
+    assert backend.calls == 1
+    assert ctx.gateway.stats.requests == 1
+
+
+def test_a_degraded_render_neither_memoises_nor_blocks_another(monkeypatch):
+    t = make_template()
+    cot_sent = threading.Event()
+
+    class Backend:
+        """Fails the persona edit once the cot edit is in flight; answers the
+        cot edit only after the persona edit has degraded."""
+
+        def send(self, req) -> str:
+            if t.sections["persona"] in req.last_user_content():
+                assert cot_sent.wait(5)
+                raise TransportError("connection reset")
+            cot_sent.set()
+            deadline = time.monotonic() + 5
+            while not ctx.degraded and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return '{"answer": "Reason it out."}'
+
+    ctx = fresh_context(LlmGateway(Backend(), max_attempts=1), max_workers=2)
+    apply_phenotype(t, identity_phenotype(), ctx)  # the sections both renders share
+    failing = edited(persona="paraphrase(index=[0], level=sentence, texts=BASE)")
+    clean = edited(cot="paraphrase(index=[0], level=sentence, texts=BASE)")
+    work = count_section_work(monkeypatch)
+    ctx.map(lambda ph: apply_phenotype(t, ph, ctx), [failing, clean])
+    assert ctx.degraded == {"paraphrase": 1}
+
+    work["executed"].clear()
+    assert apply_phenotype(t, clean, ctx).text.endswith("\nReason it out.")
+    assert work["executed"] == []
+    apply_phenotype(t, failing, ctx)
+    assert work["executed"] == [t.sections["persona"]]
+    assert ctx.degraded == {"paraphrase": 2}
+
+
+def test_many_concurrent_renders_match_serial_renders(monkeypatch):
+    t = make_template()
+    programs = [
+        "BASE",
+        "NULL",
+        "paraphrase(index=[0], level=sentence, texts=BASE)",
+        "summarise(percent=0.5, index=[0], level=word, texts=BASE)",
+    ]
+    phenotypes = [edited(persona=a, cot=b) for a in programs for b in programs] * 3
+    serial = fresh_context(LlmGateway(TruncateBackend()))
+    expected = [apply_phenotype(t, ph, serial) for ph in phenotypes]
+    ctx = fresh_context(LlmGateway(TruncateBackend()), max_workers=8)
+    work = count_section_work(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rendered = ctx.map(lambda ph: apply_phenotype(t, ph, ctx), phenotypes)
+    finally:
+        sys.setswitchinterval(interval)
+    assert rendered == expected
+    # Each distinct (section, program) executes once: 4 + 4 persona and cot
+    # programs, and the four identity sections.
+    assert len(work["executed"]) == 12
+    assert ctx.gateway.stats.requests == serial.gateway.stats.requests == 4
