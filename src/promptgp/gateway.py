@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import http.client
 import json
 import logging
 import math
 import os
 import re
+import select
 import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
-
-import requests
+from urllib.parse import urlsplit
 
 from .textparse import extract_key
 
@@ -239,37 +240,92 @@ class LabelOracleBackend:
         return "UNKNOWN CASE"
 
 
-def _retry_after(response) -> Optional[float]:
+class JsonEndpoint:
+    """POSTs JSON to one http(s) URL over kept-alive connections.
+
+    Idle connections wait on a stack: a sender takes one or opens one, and
+    puts it back after a complete reply, so there are never more open
+    connections than senders at once.  A connection that failed is closed,
+    not put back.  Before an idle connection is reused, a zero-timeout
+    `select` tells whether the server has closed it meanwhile (it is then
+    readable); such a connection is reopened rather than sent on.  Proxy
+    settings, `.netrc` and redirects play no part, and HTTPS is verified
+    against the system's default CA store.
+    """
+
+    def __init__(self, url: str, timeout: float):
+        parts = urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"endpoint {url!r} is not an http or https URL with a host")
+        https = parts.scheme == "https"
+        self._open = http.client.HTTPSConnection if https else http.client.HTTPConnection
+        self._address = (parts.hostname, parts.port or (443 if https else 80))
+        self._path = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        self._timeout = timeout
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+
+    def post(self, payload, headers: Optional[dict[str, str]] = None):
+        """(response, body bytes) of one POST; raises `OSError` or
+        `http.client.HTTPException` when no complete reply arrives."""
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
+        if conn is None:
+            conn = self._open(*self._address, timeout=self._timeout)
+        try:
+            if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+                conn.close()  # dropped by the server; `request` reconnects
+            conn.request(
+                "POST",
+                self._path,
+                body=json.dumps(payload).encode("utf-8"),
+                headers={"Content-Type": "application/json", **(headers or {})},
+            )
+            response = conn.getresponse()
+            body = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        with self._lock:
+            self._idle.append(conn)
+        return response, body
+
+    def close(self) -> None:
+        """Close every idle connection; call it when no POST is in flight."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+
+def _retry_after(headers) -> Optional[float]:
     """Seconds from a `Retry-After` header given as a number; None when the
     header is missing or an HTTP date."""
     try:
-        seconds = float(response.headers.get("Retry-After", ""))
+        seconds = float(headers.get("Retry-After", ""))
     except ValueError:
         return None
     return seconds if 0 <= seconds < math.inf else None
 
 
 class HttpBackend:
-    """POSTs the de-facto chat-completions JSON shape."""
+    """POSTs the de-facto chat-completions JSON shape.
+
+    Holds up to one kept-alive connection per concurrent sender, until
+    `close`.  HTTP 4xx other than 408 and 429, and any 3xx (redirects are
+    not followed), raise `RequestRejectedError`; 408, 429, 5xx, socket
+    errors and malformed replies raise `TransportError`.
+    """
 
     name = "http"
 
-    def __init__(
-        self,
-        endpoint: str,
-        api_key: Optional[str] = None,
-        timeout: float = 120.0,
-        session: Optional[requests.Session] = None,
-    ):
+    def __init__(self, endpoint: str, api_key: Optional[str] = None, timeout: float = 120.0):
         self.endpoint = endpoint
         self.api_key = api_key
-        self.timeout = timeout
-        self.session = session or requests.Session()
+        self._http = JsonEndpoint(endpoint, timeout)
 
     def send(self, req: LlmRequest) -> str:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
         body = {
             "model": req.model,
             "messages": [{"role": r, "content": c} for r, c in req.messages],
@@ -277,20 +333,25 @@ class HttpBackend:
             "max_tokens": req.max_new_tokens,
         }
         try:
-            resp = self.session.post(self.endpoint, json=body, headers=headers, timeout=self.timeout)
-            resp.raise_for_status()
-            payload = resp.json()
-            return payload["choices"][0]["message"]["content"]
-        except requests.HTTPError as exc:
-            status = exc.response.status_code if exc.response is not None else 0
-            if 400 <= status < 500 and status not in (408, 429):
-                raise RequestRejectedError(f"chat endpoint rejected the request: {exc}") from exc
-            retry_after = _retry_after(exc.response) if status in (429, 503) else None
-            raise TransportError(f"chat endpoint failure: {exc}", retry_after) from exc
-        except (requests.RequestException, ValueError) as exc:
+            response, data = self._http.post(body, headers)
+        except (OSError, http.client.HTTPException) as exc:
+            raise TransportError(f"chat endpoint failure: {exc!r}") from exc
+        status = response.status
+        if not 200 <= status < 300:
+            failure = f"HTTP {status} {response.reason} from {self.endpoint}"
+            if status < 500 and status not in (408, 429):
+                raise RequestRejectedError(f"chat endpoint rejected the request: {failure}")
+            retry_after = _retry_after(response.headers) if status in (429, 503) else None
+            raise TransportError(f"chat endpoint failure: {failure}", retry_after)
+        try:
+            return json.loads(data)["choices"][0]["message"]["content"]
+        except ValueError as exc:
             raise TransportError(f"chat endpoint failure: {exc}") from exc
         except (KeyError, IndexError, TypeError) as exc:
-            raise TransportError(f"malformed chat response: {exc}") from exc
+            raise TransportError(f"malformed chat response: {exc!r}") from exc
+
+    def close(self) -> None:
+        self._http.close()
 
 
 @dataclass
@@ -331,6 +392,12 @@ class LlmGateway:
         # Guards `stats` and `_pending` (digest -> set when its call ends).
         self._lock = threading.Lock()
         self._pending: dict[str, threading.Event] = {}
+
+    def close(self) -> None:
+        """Close the backend's connections, if it holds any."""
+        close = getattr(self.backend, "close", None)
+        if close is not None:
+            close()
 
     def complete(self, req: LlmRequest) -> str:
         digest = request_digest(req)

@@ -10,7 +10,9 @@ Prediction returns the submodel mean and population variance.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import itertools
+import json
 import random
 import re
 from dataclasses import dataclass
@@ -18,6 +20,7 @@ from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
+from .gateway import JsonEndpoint
 from .seeds import derive_seed
 
 WIDTHS_GRID: tuple[tuple[int, ...], ...] = ((128, 1), (128, 64, 1), (128, 64, 32, 1))
@@ -97,22 +100,28 @@ class HashingEmbedder:
 
 class RemoteEmbedder:
     """Embedding-endpoint client: POST {"texts": [...]} -> {"embeddings": [[...]]},
-    one POST per batch."""
+    one POST per batch, each on a connection of its own."""
 
     def __init__(self, endpoint: str, dim: int = 384, timeout: float = 60.0):
         self.endpoint = endpoint
         self.dim = dim
-        self.timeout = timeout
+        self._http = JsonEndpoint(endpoint, timeout)
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         if not texts:
             return np.empty((0, self.dim))
-        import requests
-
-        reply = requests.post(self.endpoint, json={"texts": list(texts)}, timeout=self.timeout)
-        reply.raise_for_status()
         try:
-            X = np.asarray(reply.json()["embeddings"], dtype=np.float64)
+            response, body = self._http.post({"texts": list(texts)})
+        except (OSError, http.client.HTTPException) as exc:
+            raise SurrogateError(f"embedding endpoint {self.endpoint} failed: {exc!r}") from exc
+        finally:
+            self._http.close()
+        if not 200 <= response.status < 300:
+            raise SurrogateError(
+                f"embedding endpoint {self.endpoint} answered HTTP {response.status} {response.reason}"
+            )
+        try:
+            X = np.asarray(json.loads(body)["embeddings"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:
             raise SurrogateError(f"endpoint reply has no numeric embeddings: {exc!r}") from exc
         if X.shape != (len(texts), self.dim):

@@ -234,10 +234,11 @@ class EvalContext:
     Independent renders and scores go through `map`, which runs them on the
     context's one pool of `max_workers` threads; maps nested inside it run
     inline, so at most `max_workers` LLM requests are in flight.  The
-    pool's threads start on the first map and end at `close`.  `_lock`
-    guards `_sections`, `_claims` and `degraded`.  `_demos` holds no lock:
-    `score_many` and `evaluate_prompt` resolve demonstrations on the
-    calling thread before they map.
+    pool's threads start on the first map and end at `close`, which also
+    closes the gateway's connections.  `_lock` guards `_sections`,
+    `_claims` and `degraded`.  `_demos` holds no lock: `score_many` and
+    `evaluate_prompt` resolve demonstrations on the calling thread before
+    they map.
     """
 
     task: TaskSettings
@@ -274,9 +275,11 @@ class EvalContext:
         return list(self._pool.map(fn, items))
 
     def close(self) -> None:
-        """End the pool's threads; the context maps nothing after this."""
+        """End the pool's threads, then close the gateway's connections; the
+        context maps nothing after this."""
         if self._pool is not None:
             self._pool.shutdown()
+        self.gateway.close()
 
     def demos(self, row: DataRow) -> list[str]:
         """The formatted demonstrations shown with `row`, retrieved on first use."""

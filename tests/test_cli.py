@@ -4,6 +4,7 @@ import threading
 from pathlib import Path
 
 import pytest
+from helpers import LoopbackServer, refused_url
 
 from promptgp.cli import main
 from promptgp.config import load_config, config_digest
@@ -525,6 +526,55 @@ def test_request_pool_changes_no_artifact(tmp_path, monkeypatch):
     assert counts[0] == counts[1]
     cache = [sorted((work / "cache.tsv").read_text().splitlines()) for work in works]
     assert cache[0] == cache[1]
+
+
+def test_optimize_over_http_closes_every_connection(tmp_path, monkeypatch):
+    from promptgp import cli
+
+    gateways = []  # held, so only the command's own close can end a connection
+    build_gateway = cli.build_gateway
+
+    def recording_build_gateway(*args, **kwargs):
+        gateways.append(build_gateway(*args, **kwargs))
+        return gateways[-1]
+
+    monkeypatch.setattr(cli, "build_gateway", recording_build_gateway)
+    root = setup_run(tmp_path)
+    config = root / "run.ini"
+    with LoopbackServer() as server:
+        text = config.read_text().replace("[gp]\n", "[gp]\neval_workers = 2\n")
+        config.write_text(
+            text.replace("backend = label_oracle\n", f"backend = http\nendpoint = {server.url()}\n")
+        )
+        assert main(["optimize", "--config", str(config)]) == 0
+        assert len(gateways) == 1 and gateways[0].stats.backend_calls == len(server.bodies) > 0
+        assert 1 <= server.opened <= 2
+        assert server.wait_all_closed()
+
+
+@pytest.mark.parametrize("endpoint", ["ftp://localhost/v1", "localhost:8000/v1"])
+def test_http_endpoint_that_is_not_a_url_exits_2(tmp_path, capsys, endpoint):
+    root = setup_run(tmp_path)
+    config = root / "run.ini"
+    config.write_text(
+        config.read_text().replace("backend = label_oracle\n", f"backend = http\nendpoint = {endpoint}\n")
+    )
+    assert main(["optimize", "--config", str(config)]) == 2
+    assert endpoint in capsys.readouterr().err
+
+
+def test_local_search_with_unreachable_embedder_exits_2_naming_it(tmp_path, capsys):
+    root = setup_run(tmp_path)
+    config = root / "run.ini"
+    assert main(["optimize", "--config", str(config)]) == 0
+    endpoint = refused_url("/v1/embed")
+    remote = f"[surrogate]\nembedder = remote\nendpoint = {endpoint}\n"
+    config.write_text(config.read_text().replace("[surrogate]\n", remote))
+    capsys.readouterr()
+    assert main(["local-search", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    port = endpoint.rsplit(":", 1)[1].split("/")[0]
+    assert err.startswith("error:") and port in err  # names the endpoint, at least by its port
 
 
 def test_evaluate_prompt_file(tmp_path, capsys):

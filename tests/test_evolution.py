@@ -1,5 +1,6 @@
 import json
 import logging
+from pathlib import Path
 
 import pytest
 
@@ -116,7 +117,7 @@ def test_journal_file_round_trip(tmp_path):
     assert loaded.records == journal.records
     assert journal.training_points() == [("p", 0.5)]
 
-    lines = open(path, encoding="utf-8").read().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     assert json.loads(lines[0]) == journal.records[0]
     assert lines[0] == json.dumps(journal.records[0], sort_keys=True)
 
@@ -151,7 +152,7 @@ def test_journal_truncate_failure_keeps_the_journal(tmp_path, monkeypatch):
     journal = EvalJournal(path)
     for i in range(5):
         journal.append({"generation": i})
-    before = open(path, encoding="utf-8").read()
+    before = Path(path).read_text(encoding="utf-8")
 
     class FailingWriter:
         """A real write handle whose first write raises, as a full disk would."""
@@ -178,7 +179,7 @@ def test_journal_truncate_failure_keeps_the_journal(tmp_path, monkeypatch):
     monkeypatch.setattr("promptgp.evolution.open", failing_open, raising=False)
     with pytest.raises(OSError):
         EvalJournal.truncate_file(path, 3)
-    assert open(path, encoding="utf-8").read() == before
+    assert Path(path).read_text(encoding="utf-8") == before
 
 
 def test_initialise_is_deterministic_and_renders():
@@ -265,8 +266,8 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
     assert resumed.elite.genotype == full.elite.genotype
     assert resumed.history == full.history
     assert [i.genotype for i in resumed.population] == [i.genotype for i in full.population]
-    full_lines = open(str(tmp_path / "full.jsonl"), encoding="utf-8").read()
-    resumed_lines = open(str(tmp_path / "resumed.jsonl"), encoding="utf-8").read()
+    full_lines = (tmp_path / "full.jsonl").read_text(encoding="utf-8")
+    resumed_lines = (tmp_path / "resumed.jsonl").read_text(encoding="utf-8")
     assert resumed_lines == full_lines
 
 

@@ -3,9 +3,10 @@ import logging
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
-import requests
+from helpers import LoopbackServer, chat_reply, refused_url
 
 from promptgp.gateway import (
     EchoBackend,
@@ -58,7 +59,7 @@ def test_cache_round_trip_file_format(tmp_path):
     cache.put("d1", "reply text\nwith newline")
     cache.put("d2", "unicode é")
 
-    raw = open(path, encoding="utf-8").read().splitlines()
+    raw = Path(path).read_text(encoding="utf-8").splitlines()
     assert len(raw) == 2
     digest, _, blob = raw[0].partition("\t")
     assert digest == "d1"
@@ -109,7 +110,7 @@ def test_cache_put_is_append_only(tmp_path):
     cache.put("d1", "first")
     cache.put("d1", "second")
     assert cache.get("d1") == "first"
-    assert len(open(path, encoding="utf-8").read().splitlines()) == 1
+    assert len(Path(path).read_text(encoding="utf-8").splitlines()) == 1
 
 
 def test_gateway_serves_second_request_from_cache():
@@ -144,33 +145,23 @@ def test_gateway_raises_after_final_attempt():
     assert gw.stats.failures == 1
 
 
-class StubSession:
-    """Records POST bodies and answers each with one HTTP status and
-    headers and, on success, one chat-completions reply."""
-
-    def __init__(self, status_code=200, headers=None):
-        self.bodies = []
-        self.status_code = status_code
-        self.headers = headers or {}
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.bodies.append(json)
-        return self
-
-    def raise_for_status(self):
-        if self.status_code >= 400:
-            raise requests.HTTPError(f"HTTP {self.status_code}", response=self)
-
-    def json(self):
-        return {"choices": [{"message": {"content": "pong"}}]}
+@pytest.fixture
+def server():
+    with LoopbackServer() as srv:
+        yield srv
 
 
-def test_ask_posts_the_gateway_decoding_setting():
-    stub = StubSession()
-    backend = HttpBackend("http://localhost:9/v1/chat/completions", session=stub)
+@pytest.fixture
+def backend(server):
+    backend = HttpBackend(server.url())
+    yield backend
+    backend.close()
+
+
+def test_ask_posts_the_gateway_decoding_setting(server, backend):
     gw = LlmGateway(backend, temperature=0.5, max_new_tokens=64)
     assert gw.ask("ping", "small-model") == "pong"
-    assert stub.bodies == [
+    assert server.bodies == [
         {
             "model": "small-model",
             "messages": [{"role": "user", "content": "ping"}],
@@ -178,31 +169,48 @@ def test_ask_posts_the_gateway_decoding_setting():
             "max_tokens": 64,
         }
     ]
+    assert server.paths == ["/v1/chat/completions"]
+
+
+def test_api_key_goes_out_as_a_bearer_token(server, backend):
+    keyed = HttpBackend(server.url(), api_key="sk-test")
+    try:
+        assert keyed.send(user_request("ping")) == "pong"
+    finally:
+        keyed.close()
+    assert backend.send(user_request("ping")) == "pong"
+    assert server.authorizations == ["Bearer sk-test", None]
+
+
+@pytest.mark.parametrize(
+    "endpoint", ["ftp://localhost/v1", "localhost:8000/v1", "http:///v1", "http://host:port/v1"]
+)
+def test_endpoint_must_be_an_http_url_with_a_host(endpoint):
+    with pytest.raises(ValueError):
+        HttpBackend(endpoint)
 
 
 @pytest.mark.parametrize("status", [400, 404])
-def test_client_errors_are_not_retried(status):
+def test_client_errors_are_not_retried(server, backend, status):
     delays = []
-    stub = StubSession(status)
-    backend = HttpBackend("http://localhost:9/v1/chat/completions", session=stub)
+    server.respond = lambda: (status, {}, b"")
     gw = LlmGateway(backend, max_attempts=3, sleep=delays.append)
     with pytest.raises(RequestRejectedError):
         gw.ask("ping", "m")
-    assert len(stub.bodies) == 1
+    assert len(server.bodies) == 1
     assert delays == []
     assert (gw.stats.backend_calls, gw.stats.failures) == (1, 1)
 
 
 @pytest.mark.parametrize("status", [408, 429, 500])
-def test_timeouts_rate_limits_and_server_errors_are_retried(status):
+def test_timeouts_rate_limits_and_server_errors_are_retried(server, backend, status):
     delays = []
-    stub = StubSession(status)
-    backend = HttpBackend("http://localhost:9/v1/chat/completions", session=stub)
+    server.respond = lambda: (status, {}, b"")
     gw = LlmGateway(backend, max_attempts=3, sleep=delays.append)
     with pytest.raises(TransportError) as info:
         gw.ask("ping", "m")
     assert not isinstance(info.value, RequestRejectedError)
-    assert len(stub.bodies) == 3
+    assert len(server.bodies) == 3
     assert delays == [1.0, 2.0]
     assert gw.stats.failures == 1
 
@@ -218,15 +226,119 @@ def test_timeouts_rate_limits_and_server_errors_are_retried(status):
         (500, "5", [1.0, 2.0]),
     ],
 )
-def test_numeric_retry_after_extends_the_backoff(status, retry_after, delays):
+def test_numeric_retry_after_extends_the_backoff(server, backend, status, retry_after, delays):
     slept = []
-    stub = StubSession(status, headers={"Retry-After": retry_after})
-    backend = HttpBackend("http://localhost:9/v1/chat/completions", session=stub)
+    server.respond = lambda: (status, {"Retry-After": retry_after}, b"")
     gw = LlmGateway(backend, max_attempts=3, sleep=slept.append)
     with pytest.raises(TransportError):
         gw.ask("ping", "m")
-    assert len(stub.bodies) == 3
+    assert len(server.bodies) == 3
     assert slept == delays
+
+
+def test_redirect_is_rejected_not_followed(server, backend):
+    delays = []
+    server.respond = lambda: (302, {"Location": server.url("/elsewhere")}, b"")
+    gw = LlmGateway(backend, max_attempts=3, sleep=delays.append)
+    with pytest.raises(RequestRejectedError, match="302"):
+        gw.ask("ping", "m")
+    assert server.paths == ["/v1/chat/completions"]
+    assert delays == []
+
+
+@pytest.mark.parametrize(
+    "body",
+    [b"not json", b'{"id": "chat-1"}', b'{"choices": []}', b"\xff\xfe"],
+    ids=["not-json", "no-choices", "empty-choices", "not-utf8"],
+)
+def test_unusable_reply_body_is_a_retried_transport_error(server, backend, body):
+    delays = []
+    server.respond = lambda: (200, {}, body)
+    gw = LlmGateway(backend, max_attempts=3, sleep=delays.append)
+    with pytest.raises(TransportError) as info:
+        gw.ask("ping", "m")
+    assert not isinstance(info.value, RequestRejectedError)
+    assert len(server.bodies) == 3
+    assert delays == [1.0, 2.0]
+
+
+def test_refused_connection_is_a_retried_transport_error():
+    delays = []
+    backend = HttpBackend(refused_url())
+    gw = LlmGateway(backend, max_attempts=3, sleep=delays.append)
+    with pytest.raises(TransportError) as info:
+        gw.ask("ping", "m")
+    assert not isinstance(info.value, RequestRejectedError)
+    assert (gw.stats.backend_calls, delays) == (3, [1.0, 2.0])
+    backend.close()
+
+
+def test_garbled_reply_and_timeout_are_transport_errors(server):
+    server.respond = lambda: b"garbage\r\n\r\n"
+    backend = HttpBackend(server.url(), timeout=0.2)
+    try:
+        with pytest.raises(TransportError, match="BadStatusLine"):
+            backend.send(user_request("ping"))
+        server.respond = lambda: time.sleep(0.6) or chat_reply()
+        with pytest.raises(TransportError, match="timed out"):
+            backend.send(user_request("ping"))
+    finally:
+        backend.close()
+
+
+def test_connection_the_server_dropped_is_reopened_not_retried(server, backend):
+    delays = []
+    server.hang_up = True  # each connection is closed after its reply, unannounced
+    gw = LlmGateway(backend, max_attempts=3, sleep=delays.append)
+    assert gw.ask("first", "m") == "pong"
+    assert server.wait_all_closed()
+    assert gw.ask("second", "m") == "pong"
+    assert (gw.stats.backend_calls, delays) == (2, [])
+    assert server.opened == 2
+
+
+def test_sends_reuse_one_kept_alive_connection(server, backend):
+    for i in range(5):
+        assert backend.send(user_request(f"q{i}")) == "pong"
+    assert (server.opened, len(server.bodies)) == (1, 5)
+
+
+def test_concurrent_senders_open_at_most_one_connection_each(server, backend):
+    errors = []
+
+    def worker(i):
+        try:
+            for j in range(10):
+                assert backend.send(user_request(f"q{i}.{j}")) == "pong"
+        except BaseException as exc:  # reported through `errors`
+            errors.append(exc)
+            raise
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(server.bodies) == 80
+    assert 1 <= server.opened <= 8
+    backend.close()
+    assert server.wait_all_closed()  # no connection was lost from the idle stack
+
+
+def test_close_closes_every_connection(server, backend):
+    assert backend.send(user_request("ping")) == "pong"
+    assert server.open == 1
+    backend.close()
+    assert server.wait_all_closed()
+    assert backend.send(user_request("again")) == "pong"  # reopens after close
+    assert server.opened == 2
 
 
 def _waiting_on_event(thread):

@@ -1,5 +1,9 @@
+import json
+import re
+
 import numpy as np
 import pytest
+from helpers import LoopbackServer, refused_url
 
 from promptgp.seeds import derive_seed
 from promptgp.surrogate import (
@@ -43,11 +47,10 @@ def test_embedder_empty_text_is_zero_vector():
     assert np.array_equal(vec, np.zeros(16))
 
 
-def test_embedders_embed_no_texts_as_zero_rows(monkeypatch):
+def test_embedders_embed_no_texts_as_zero_rows(server):
     assert HashingEmbedder(dim=16).embed_many([]).shape == (0, 16)
-    bodies = remote_replying(monkeypatch, {"embeddings": []})
-    assert RemoteEmbedder("http://embed.invalid/v1", dim=3).embed_many([]).shape == (0, 3)
-    assert bodies == []  # nothing to embed, so nothing is sent
+    assert remote_replying(server, {"embeddings": []}).embed_many([]).shape == (0, 3)
+    assert (server.bodies, server.opened) == ([], 0)  # nothing to embed, so nothing is sent
 
 
 def test_embedder_seed_changes_buckets():
@@ -61,52 +64,55 @@ def test_embedder_rejects_bad_dim():
         HashingEmbedder(dim=0)
 
 
-class FakeReply:
-    def __init__(self, payload):
-        self.payload = payload
-
-    def raise_for_status(self):
-        pass
-
-    def json(self):
-        return self.payload
+@pytest.fixture
+def server():
+    with LoopbackServer() as srv:
+        yield srv
 
 
-def remote_replying(monkeypatch, payload):
-    import requests
-
-    bodies = []
-
-    def post(url, json=None, timeout=None):
-        bodies.append(json)
-        return FakeReply(payload)
-
-    monkeypatch.setattr(requests, "post", post)
-    return bodies
+def remote_replying(server, payload):
+    """An embedder whose endpoint answers every POST with `payload` as JSON."""
+    server.respond = lambda: (200, {}, json.dumps(payload).encode())
+    return RemoteEmbedder(server.url("/v1/embed"), dim=3)
 
 
-def test_remote_embedder_posts_one_text_and_normalises(monkeypatch):
-    bodies = remote_replying(monkeypatch, {"embeddings": [[3.0, 0.0, 4.0], [0.0, 0.0, 0.0]]})
-    X = RemoteEmbedder("http://embed.invalid/v1", dim=3).embed_many(["some prompt", "another"])
-    assert bodies == [{"texts": ["some prompt", "another"]}]
+def test_remote_embedder_posts_one_text_and_normalises(server):
+    embedder = remote_replying(server, {"embeddings": [[3.0, 0.0, 4.0], [0.0, 0.0, 0.0]]})
+    X = embedder.embed_many(["some prompt", "another"])
+    assert server.bodies == [{"texts": ["some prompt", "another"]}]
     assert np.allclose(X, [[0.6, 0.0, 0.8], [0.0, 0.0, 0.0]])
     assert np.linalg.norm(X[0]) == pytest.approx(1.0)
+    assert server.wait_all_closed()  # no connection outlives its POST
 
 
-def test_remote_embedder_rejects_wrong_dimension(monkeypatch):
-    remote_replying(monkeypatch, {"embeddings": [[1.0, 2.0]]})
+def test_remote_embedder_rejects_wrong_dimension(server):
     with pytest.raises(SurrogateError, match="dimension"):
-        RemoteEmbedder("http://embed.invalid/v1", dim=3).embed_many(["text"])
+        remote_replying(server, {"embeddings": [[1.0, 2.0]]}).embed_many(["text"])
 
 
 @pytest.mark.parametrize(
     "payload",
     [{}, {"embeddings": []}, {"embeddings": None}, [], None, {"embeddings": [[1, 2, 3], [4, 5, 6]]}],
 )
-def test_remote_embedder_malformed_reply_is_surrogate_error(monkeypatch, payload):
-    remote_replying(monkeypatch, payload)
+def test_remote_embedder_malformed_reply_is_surrogate_error(server, payload):
     with pytest.raises(SurrogateError, match="embeddings"):
-        RemoteEmbedder("http://embed.invalid/v1", dim=3).embed_many(["text"])
+        remote_replying(server, payload).embed_many(["text"])
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [(500, {}, b""), (302, {"Location": "/elsewhere"}, b""), b"garbage\r\n\r\n", None],
+    ids=["server-error", "redirect", "garbled", "refused"],
+)
+def test_remote_embedder_transport_failure_is_surrogate_error_naming_the_endpoint(server, reply):
+    if reply is None:
+        endpoint = refused_url("/v1/embed")
+    else:
+        server.respond = lambda: reply
+        endpoint = server.url("/v1/embed")
+    with pytest.raises(SurrogateError, match=re.escape(endpoint)):
+        RemoteEmbedder(endpoint, dim=3).embed_many(["text"])
+    assert server.wait_all_closed()
 
 
 def test_hp_validation():
