@@ -72,6 +72,8 @@ def build_gateway(cfg: RunConfig, workdir: Path) -> LlmGateway:
         if not gw.endpoint:
             raise CliError("http backend needs gateway.endpoint")
         api_key = os.environ.get(gw.api_key_env) if gw.api_key_env else None
+        if gw.api_key_env and not api_key:
+            raise CliError(f"gateway.api_key_env names {gw.api_key_env}, which is unset or empty")
         backend = HttpBackend(gw.endpoint, api_key=api_key, timeout=gw.timeout)
     else:
         raise CliError(f"unknown gateway backend {gw.backend!r}")

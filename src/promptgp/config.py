@@ -101,7 +101,7 @@ _BOUNDS = (
     ("task.metric", lambda v: v in METRICS, f"one of {', '.join(METRICS)}"),
     # Seconds handed to time.sleep and the socket timeout, which reject inf.
     ("gateway.timeout", lambda v: 0 < v < math.inf, "finite and > 0"),
-    ("gateway.backoff_base", lambda v: 0 <= v < math.inf, "finite and >= 0"),
+    ("gateway.backoff_base gateway.temperature", lambda v: 0 <= v < math.inf, "finite and >= 0"),
     (
         "gateway.max_attempts gateway.max_new_tokens"
         " gp.population_size gp.parent_tournament gp.survivor_tournament gp.sample_size"
@@ -110,8 +110,9 @@ _BOUNDS = (
         lambda v: v >= 1, ">= 1",
     ),
     (
-        "gp.generations gp.init_retries local_search.per_site"
-        " local_search.screen_limit local_search.top_mean local_search.top_variance",
+        "task.icl_slot_count gp.generations gp.offspring_size gp.icl_k gp.init_retries"
+        " local_search.per_site local_search.screen_limit local_search.top_mean"
+        " local_search.top_variance",
         lambda v: v >= 0, ">= 0",
     ),
     ("gp.crossover_prob gp.mutation_prob", lambda v: 0 <= v <= 1, "in [0, 1]"),

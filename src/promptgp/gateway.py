@@ -367,8 +367,10 @@ class LlmGateway:
     threads; the callers' pool bounds the requests in flight.
 
     A request whose digest is already in flight waits for that call and is
-    then served from the cache.  `temperature` and `max_new_tokens` are the
-    one decoding setting that every request built by `ask` carries.
+    then served from the cache.  This is the one place that keeps each LLM
+    edit to a single backend call: two renders that execute one section at
+    once send identical requests.  `temperature` and `max_new_tokens` are
+    the one decoding setting that every request built by `ask` carries.
     """
 
     def __init__(

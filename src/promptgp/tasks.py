@@ -226,19 +226,17 @@ class EvalContext:
     `train` is the ICL demonstration pool; GP and local search also sample
     their training rows from it.  Each case's demonstrations are retrieved
     once per context and kept in `_demos`, keyed on the row itself: ids are
-    unique only within one file.  Each section is rendered once per context
-    and kept in `_sections` (see `apply_phenotype`); `degraded` counts, per
-    op, the LLM edits that fell back to identity after a transport
-    failure.
+    unique only within one file.  Each rendered section is memoised in
+    `_sections` (see `apply_phenotype`); `degraded` counts, per op, the LLM
+    edits that fell back to identity after a transport failure.
 
     Independent renders and scores go through `map`, which runs them on the
     context's one pool of `max_workers` threads; maps nested inside it run
     inline, so at most `max_workers` LLM requests are in flight.  The
     pool's threads start on the first map and end at `close`, which also
-    closes the gateway's connections.  `_lock` guards `_sections`,
-    `_claims` and `degraded`.  `_demos` holds no lock: `score_many` and
-    `evaluate_prompt` resolve demonstrations on the calling thread before
-    they map.
+    closes the gateway's connections.  `_lock` guards `_sections` and
+    `degraded`.  `_demos` holds no lock: `score_many` and `evaluate_prompt`
+    resolve demonstrations on the calling thread before they map.
     """
 
     task: TaskSettings
@@ -253,9 +251,6 @@ class EvalContext:
     degraded: Counter = field(default_factory=Counter, init=False, repr=False, compare=False)
     _demos: dict[DataRow, list[str]] = field(default_factory=dict, init=False, repr=False, compare=False)
     _sections: dict[tuple[str, str, int, str], tuple[str, int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _claims: dict[tuple[str, str, int, str], threading.Event] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)

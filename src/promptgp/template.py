@@ -12,11 +12,9 @@ from __future__ import annotations
 import hashlib
 import logging
 import re
-from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
-from threading import Event
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import SECTIONS
 from .editops import PLACEHOLDER_RE, execute_program
@@ -115,16 +113,12 @@ def apply_phenotype(base: BaseTemplate, ph: Phenotype, ctx: EvalContext) -> Rend
     """Execute each section's program on its base text with the edit
     settings of `ctx`; join with newlines.
 
-    Each section is executed once per context: its (text, chunk count) is
-    memoised on `ctx` by section, base text, ICL slot count and program
-    text, unless one of its LLM edits degraded after a transport failure,
-    so that a later render retries that edit.  A section missing from the
-    memo is claimed by one render, which executes it; a concurrent render
-    of the same section waits for that claim, and executes the section
-    itself if the claim ends without a memo entry.  Every miss is claimed
-    and parsed before any section executes, and sections execute in
-    SECTIONS order, so renders waiting on each other's claims cannot
-    deadlock.
+    Each section's (text, chunk count) is memoised on `ctx` by section,
+    base text, ICL slot count and program text, unless one of its LLM edits
+    degraded after a transport failure, so that a later render retries that
+    edit.  Every miss is parsed before any section executes.  Two renders
+    that miss one section at once both execute it; their LLM edits are
+    identical requests, which the gateway sends once.
 
     Raises ProgramParseError if any section program is malformed; callers
     treat that as a whole-prompt failure.
@@ -133,59 +127,20 @@ def apply_phenotype(base: BaseTemplate, ph: Phenotype, ctx: EvalContext) -> Rend
     if missing:
         raise TemplateError(f"phenotype lacks sections: {missing}")
     keys = {s: (s, base.sections[s], base.icl_slot_count, ph.programs[s]) for s in SECTIONS}
-    found = {s: _claim(ctx, keys[s]) for s in SECTIONS}
-    held = [s for s in SECTIONS if found[s] is None]  # claimed and not yet settled
-    try:
-        # Parse every claim first so a malformed program fails before any edit runs.
-        parsed = {s: parse(ph.programs[s]) for s in held}
-        edited: list[str] = []
-        max_chunks = 0
-        for section in SECTIONS:
-            hit = found[section]
-            while isinstance(hit, Event):  # another render's claim
-                hit.wait()
-                hit = _claim(ctx, keys[section])
-                if hit is None:
-                    held.append(section)
-                    parsed[section] = parse(ph.programs[section])
-            if hit is None:
-                icl_items = icl_placeholders(base.icl_slot_count) if section == "icl" else ()
-                result, chunks, degraded = execute_program(
-                    parsed[section], base.sections[section], ctx, icl_items
-                )
-                hit = ("\n".join(result) if isinstance(result, list) else result), chunks
-                held.remove(section)
-                _settle(ctx, keys[section], None if degraded else hit, degraded)
-            text, chunks = hit
-            max_chunks = max(max_chunks, chunks)
-            edited.append(text)
-        return RenderedPrompt("\n".join(edited), max_chunks)
-    finally:
-        for section in held:
-            _settle(ctx, keys[section], None)
-
-
-def _claim(ctx: EvalContext, key: tuple) -> Union[tuple[str, int], Event, None]:
-    """The memoised section, else the event of the render that claimed it,
-    else None: the caller now holds the claim and must `_settle` it."""
     with ctx._lock:
-        found = ctx._sections.get(key) or ctx._claims.get(key)
-        if found is None:
-            ctx._claims[key] = Event()
-        return found
-
-
-def _settle(
-    ctx: EvalContext, key: tuple, hit: Optional[tuple[str, int]], degraded: Optional[Counter] = None
-) -> None:
-    """End a claim: memoise `hit` unless it is None, count `degraded`, and
-    wake the renders waiting on the claim."""
-    with ctx._lock:
-        if degraded:
+        found = {s: ctx._sections.get(keys[s]) for s in SECTIONS}
+    parsed = {s: parse(ph.programs[s]) for s in SECTIONS if found[s] is None}
+    for section, expr in parsed.items():
+        icl_items = icl_placeholders(base.icl_slot_count) if section == "icl" else ()
+        result, chunks, degraded = execute_program(expr, base.sections[section], ctx, icl_items)
+        found[section] = ("\n".join(result) if isinstance(result, list) else result), chunks
+        with ctx._lock:
             ctx.degraded.update(degraded)
-        if hit is not None:
-            ctx._sections[key] = hit
-        ctx._claims.pop(key).set()
+            if not degraded:
+                ctx._sections[keys[section]] = found[section]
+    return RenderedPrompt(
+        "\n".join(found[s][0] for s in SECTIONS), max(chunks for _, chunks in found.values())
+    )
 
 
 def _word_set(text: str) -> frozenset[str]:

@@ -563,6 +563,25 @@ def test_http_endpoint_that_is_not_a_url_exits_2(tmp_path, capsys, endpoint):
     assert endpoint in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [None, ""])
+def test_http_api_key_variable_unset_or_empty_exits_2_before_any_request(
+    tmp_path, monkeypatch, capsys, value
+):
+    if value is None:
+        monkeypatch.delenv("PROMPTGP_TEST_KEY", raising=False)
+    else:
+        monkeypatch.setenv("PROMPTGP_TEST_KEY", value)
+    root = setup_run(tmp_path)
+    config = root / "run.ini"
+    with LoopbackServer() as server:
+        http = f"backend = http\nendpoint = {server.url()}\napi_key_env = PROMPTGP_TEST_KEY\n"
+        config.write_text(config.read_text().replace("backend = label_oracle\n", http))
+        assert main(["optimize", "--config", str(config)]) == 2
+        assert server.bodies == []
+    err = capsys.readouterr().err
+    assert "gateway.api_key_env" in err and "PROMPTGP_TEST_KEY" in err
+
+
 def test_local_search_with_unreachable_embedder_exits_2_naming_it(tmp_path, capsys):
     root = setup_run(tmp_path)
     config = root / "run.ini"

@@ -155,14 +155,20 @@ def test_default_config_passes_the_bounds():
 # One value just outside each bound of the table in `config`.
 OUT_OF_BOUNDS = [
     ("task.metric", "bleu"),
+    ("task.icl_slot_count", "-1"),
     ("gateway.timeout", "0"),
     ("gateway.timeout", "inf"),
     ("gateway.max_attempts", "0"),
     ("gateway.backoff_base", "-0.1"),
     ("gateway.backoff_base", "inf"),
+    ("gateway.temperature", "-1"),
+    ("gateway.temperature", "nan"),
+    ("gateway.temperature", "inf"),
     ("gateway.max_new_tokens", "0"),
     ("gp.population_size", "0"),
     ("gp.generations", "-1"),
+    ("gp.offspring_size", "-1"),
+    ("gp.icl_k", "-1"),
     ("gp.parent_tournament", "0"),
     ("gp.survivor_tournament", "0"),
     ("gp.sample_size", "0"),
