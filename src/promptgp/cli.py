@@ -8,6 +8,8 @@ import logging
 import math
 import os
 import sys
+import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -183,6 +185,15 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _read_stats(path: Path) -> dict:
+    """What earlier commands wrote to `stats.json`; a missing or torn file reads as nothing."""
+    try:
+        stats = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return {}
+    return stats if isinstance(stats, dict) else {}
+
+
 # ---- subcommands ------------------------------------------------------------
 
 
@@ -308,16 +319,20 @@ def cmd_local_search(args: argparse.Namespace) -> int:
     ctx = build_context(cfg, workdir, train_ds, lexicons)
     embedder = build_embedder(cfg)
 
+    started = time.perf_counter()
     X = embedder.embed_many([text for text, _ in points])
     y = np.asarray([target for _, target in points], dtype=np.float64)
+    embedded = time.perf_counter()
     if len(points) >= MIN_TUNE_POINTS:
         hp = tune_hyperparameters(X, y, derive_seed(cfg.master_seed, "hp_tune"), cfg.surrogate)
     else:
         hp = SurrogateHp()
         log.warning("only %d journal points; skipping CV, using default hp", len(points))
+    tuned = time.perf_counter()
     ensemble = train(
         X, y, hp, derive_seed(cfg.master_seed, "surrogate_train"), embedder, cfg.surrogate
     )
+    fitted = time.perf_counter()
 
     elite_tree = decode(grammar, state["elite"]["genotype"])
     incumbent_ph = render_phenotype(elite_tree)
@@ -334,6 +349,7 @@ def cmd_local_search(args: argparse.Namespace) -> int:
         )
     finally:
         ctx.close()
+    searched = time.perf_counter()
 
     (workdir / "refined_prompt.txt").write_text(result.best.prompt.text, encoding="utf-8")
     _write_json(
@@ -375,6 +391,20 @@ def cmd_local_search(args: argparse.Namespace) -> int:
                 )
                 + "\n"
             )
+    stats = _read_stats(workdir / "stats.json")  # optimize's keys stay
+    stats["local_search"] = {
+        "config_digest": digest,
+        "journal_points": len(points),
+        "distinct_texts": len({text for text, _ in points}),
+        "hp": asdict(hp),
+        "seconds": {
+            "embed": embedded - started,
+            "tune": tuned - embedded,
+            "fit": fitted - tuned,
+            "search": searched - fitted,
+        },
+    }
+    _write_json(workdir / "stats.json", stats)
     if result.notice:
         print(f"notice: {result.notice}")
     print(f"refined combined score: {result.best.combined}")

@@ -5,6 +5,12 @@ normalized).  Each submodel is a tanh MLP with dropout trained by
 hand-written backprop and Adam on a bootstrap resample; the ensemble
 snapshot is taken at the epoch with minimal mean validation loss.
 Prediction returns the submodel mean and population variance.
+
+The submodels of one fit train in lockstep: each layer's weights are
+stacked over a leading model axis, so one backprop and one in-place Adam
+step serve the whole ensemble.  Every submodel keeps its own generator and
+draws in the order it would alone, so it is bitwise equal to training it
+by itself.  Peak memory grows with submodels x parameters.
 """
 
 from __future__ import annotations
@@ -79,6 +85,7 @@ class HashingEmbedder:
             raise SurrogateError("embedding dimension must be positive")
         self.dim = dim
         self.seed = seed
+        self._buckets: dict[str, int] = {}  # gram -> bucket, so each gram is hashed once
 
     def grams(self, text: str) -> list[str]:
         tokens = _TOKEN_RE.findall(text.lower())
@@ -88,11 +95,15 @@ class HashingEmbedder:
         digest = hashlib.blake2b(f"{self.seed}:{gram}".encode("utf-8"), digest_size=8).digest()
         return int.from_bytes(digest, "big") % self.dim
 
+    def _bucket_memo(self, gram: str) -> int:
+        found = self._buckets.get(gram)
+        if found is None:
+            found = self._buckets[gram] = self.bucket(gram)
+        return found
+
     def embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=np.float64)
-        for gram in self.grams(text):
-            vec[self.bucket(gram)] += 1.0
-        return _normalise(vec)
+        buckets = np.fromiter(map(self._bucket_memo, self.grams(text)), dtype=np.intp)
+        return _normalise(np.bincount(buckets, minlength=self.dim).astype(np.float64))
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         return np.array([self.embed(t) for t in texts]).reshape(len(texts), self.dim)
@@ -123,12 +134,17 @@ class RemoteEmbedder:
         try:
             X = np.asarray(json.loads(body)["embeddings"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:
-            raise SurrogateError(f"endpoint reply has no numeric embeddings: {exc!r}") from exc
+            raise SurrogateError(
+                f"embedding endpoint {self.endpoint} reply has no numeric embeddings: {exc!r}"
+            ) from exc
         if X.shape != (len(texts), self.dim):
             raise SurrogateError(
-                f"endpoint returned embeddings of shape {X.shape};"
+                f"embedding endpoint {self.endpoint} returned embeddings of shape {X.shape};"
                 f" expected {len(texts)} rows of dimension {self.dim}"
             )
+        # json parses NaN and Infinity; normalising would turn either into NaN rows.
+        if not np.isfinite(X).all():
+            raise SurrogateError(f"embedding endpoint {self.endpoint} returned non-finite embeddings")
         for row in X:
             _normalise(row)
         return X
@@ -150,7 +166,9 @@ class SurrogateHp:
             raise SurrogateError("batch must be >= 1 and lr > 0")
 
 
-Params = list[list[np.ndarray]]  # per layer: [W (in, out), b (out,)]
+# Per layer [W, b]: W (in, out) and b (out,) for one model; W (M, in, out)
+# and b (M, out) for M models stacked over a leading axis.
+Params = list[list[np.ndarray]]
 
 
 def init_params(in_dim: int, widths: Sequence[int], rng: np.random.Generator) -> Params:
@@ -166,18 +184,24 @@ def forward(
     params: Params,
     X: np.ndarray,
     dropout: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
+    rngs: Sequence[np.random.Generator] = (),
 ) -> tuple[np.ndarray, list]:
-    """Hidden layers are tanh (+ inverted dropout when training); output is linear."""
+    """Hidden layers are tanh (+ inverted dropout when training); output is linear.
+
+    With stacked params, X is shared (n, in) or per model (M, n, in) and the
+    prediction is (M, n).  `rngs` holds one generator per model; each draws
+    its own dropout masks, in model order.
+    """
     caches = []
     act = X
     last = len(params) - 1
     for l, (W, b) in enumerate(params):
-        z = act @ W + b
+        z = act @ W + b[..., None, :]
         if l < last:
             t = np.tanh(z)
-            if dropout > 0.0 and rng is not None:
-                mask = (rng.random(t.shape) >= dropout) / (1.0 - dropout)
+            if dropout > 0.0 and rngs:
+                draws = np.stack([rng.random(t.shape[-2:]) for rng in rngs]).reshape(t.shape)
+                mask = (draws >= dropout) / (1.0 - dropout)
             else:
                 mask = None
             caches.append((act, t, mask))
@@ -185,7 +209,7 @@ def forward(
         else:
             caches.append((act, None, None))
             act = z
-    return act[:, 0], caches
+    return act[..., 0], caches
 
 
 def predict_params(params: Params, X: np.ndarray) -> np.ndarray:
@@ -202,23 +226,25 @@ def loss_and_grads(
     X: np.ndarray,
     y: np.ndarray,
     dropout: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
+    rngs: Sequence[np.random.Generator] = (),
 ) -> tuple[float, Params]:
-    pred, caches = forward(params, X, dropout=dropout, rng=rng)
-    n = len(y)
-    loss = mse(pred, y)
-    grads: Params = [[np.zeros_like(W), np.zeros_like(b)] for W, b in params]
-    delta = (2.0 / n) * (pred - y)[:, None]
+    """MSE and its gradient; with stacked params the loss is the sum of the
+    models' MSEs, so each model's gradient is that of its own MSE."""
+    pred, caches = forward(params, X, dropout=dropout, rngs=rngs)
+    n = y.shape[-1]
+    diff = pred - y
+    loss = float(np.vdot(diff, diff)) / n
+    grads: Params = [[] for _ in params]
+    delta = (2.0 / n) * diff[..., None]
     for l in range(len(params) - 1, -1, -1):
         act_in, t, mask = caches[l]
         if t is not None:
             if mask is not None:
                 delta = delta * mask
             delta = delta * (1.0 - t * t)
-        grads[l][0] = act_in.T @ delta
-        grads[l][1] = delta.sum(axis=0)
+        grads[l] = [act_in.swapaxes(-1, -2) @ delta, delta.sum(axis=-2)]
         if l > 0:
-            delta = delta @ params[l][0].T
+            delta = delta @ params[l][0].swapaxes(-1, -2)
     return loss, grads
 
 
@@ -226,43 +252,35 @@ class AdamState:
     def __init__(self, params: Params):
         self.m = [[np.zeros_like(a) for a in layer] for layer in params]
         self.v = [[np.zeros_like(a) for a in layer] for layer in params]
+        self._scratch = [[np.empty_like(a) for a in layer] for layer in params]
         self.t = 0
 
     def step(self, params: Params, grads: Params, lr: float) -> None:
+        """Update `params`, `m` and `v` in place; `grads` is overwritten.
+
+        Each array sees the operations of m = b1*m + (1-b1)*g,
+        v = b2*v + ((1-b2)*g)*g and p = p - (lr*m_hat) / (sqrt(v_hat) + eps)
+        in that order, so the result is bitwise that of the expressions.
+        """
         self.t += 1
         correction1 = 1.0 - ADAM_BETA1**self.t
         correction2 = 1.0 - ADAM_BETA2**self.t
-        for layer, glayer, mlayer, vlayer in zip(params, grads, self.m, self.v):
-            for i in range(len(layer)):
-                g = glayer[i]
-                mlayer[i] = ADAM_BETA1 * mlayer[i] + (1.0 - ADAM_BETA1) * g
-                vlayer[i] = ADAM_BETA2 * vlayer[i] + (1.0 - ADAM_BETA2) * g * g
-                m_hat = mlayer[i] / correction1
-                v_hat = vlayer[i] / correction2
-                layer[i] = layer[i] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-
-
-def _copy_params(params: Params) -> Params:
-    return [[a.copy() for a in layer] for layer in params]
-
-
-@dataclass
-class _SubmodelState:
-    params: Params
-    adam: AdamState
-    rng: np.random.Generator
-    X: np.ndarray
-    y: np.ndarray
-
-
-def _run_epoch(state: _SubmodelState, hp: SurrogateHp) -> None:
-    order = state.rng.permutation(len(state.y))
-    for start in range(0, len(order), hp.batch):
-        idx = order[start : start + hp.batch]
-        _, grads = loss_and_grads(
-            state.params, state.X[idx], state.y[idx], dropout=hp.dropout, rng=state.rng
-        )
-        state.adam.step(state.params, grads, hp.lr)
+        for arrays in zip(params, grads, self.m, self.v, self._scratch):
+            for p, g, m, v, s in zip(*arrays):
+                np.multiply(g, 1.0 - ADAM_BETA2, out=s)
+                s *= g
+                v *= ADAM_BETA2
+                v += s
+                g *= 1.0 - ADAM_BETA1
+                m *= ADAM_BETA1
+                m += g
+                np.divide(m, correction1, out=g)
+                g *= lr
+                np.divide(v, correction2, out=s)
+                np.sqrt(s, out=s)
+                s += ADAM_EPS
+                g /= s
+                p -= g
 
 
 def fit_models(
@@ -274,7 +292,13 @@ def fit_models(
     epochs: int,
 ) -> list[Params]:
     """Train the ensemble for `epochs` (`cv_epochs` in CV, `epochs` in the
-    final fit); return the models at the epoch of least validation loss."""
+    final fit); return the models at the epoch of least validation loss.
+
+    The submodels train in lockstep, stacked over a leading axis.  Each
+    draws from its own generator in the order it would alone (bootstrap,
+    init, then per epoch a permutation and per batch its dropout masks),
+    so every model is bitwise the one it would be if trained by itself.
+    """
     n = len(y)
     if n < 2:
         raise SurrogateError("need at least 2 data points to split")
@@ -284,25 +308,32 @@ def fit_models(
     train_idx, val_idx = perm[:n_train], perm[n_train:]
     X_val, y_val = X[val_idx], y[val_idx]
 
-    states: list[_SubmodelState] = []
-    for i in range(settings.submodels):
-        rng = np.random.default_rng(derive_seed(seed, "submodel", i))
-        boot = rng.integers(0, n_train, n_train)
-        params = init_params(X.shape[1], hp.widths, rng)
-        states.append(_SubmodelState(params, AdamState(params), rng, X[train_idx][boot], y[train_idx][boot]))
+    rngs = [
+        np.random.default_rng(derive_seed(seed, "submodel", i)) for i in range(settings.submodels)
+    ]
+    boot = train_idx[np.stack([rng.integers(0, n_train, n_train) for rng in rngs])]
+    X_boot, y_boot = X[boot], y[boot]
+    # Each generator draws its initial weights after its bootstrap.
+    inits = (init_params(X.shape[1], hp.widths, rng) for rng in rngs)
+    params: Params = [[np.stack(arrays) for arrays in zip(*layers)] for layers in zip(*inits)]
+    adam = AdamState(params)
+    models = np.arange(len(rngs))[:, None]
 
     best_loss = float("inf")
-    best_params: Optional[list[Params]] = None
+    best = params
     for _ in range(epochs):
-        for state in states:
-            _run_epoch(state, hp)
-        val_loss = float(np.mean([mse(predict_params(s.params, X_val), y_val) for s in states]))
+        orders = np.stack([rng.permutation(n_train) for rng in rngs])
+        for start in range(0, n_train, hp.batch):
+            idx = orders[:, start : start + hp.batch]
+            _, grads = loss_and_grads(
+                params, X_boot[models, idx], y_boot[models, idx], dropout=hp.dropout, rngs=rngs
+            )
+            adam.step(params, grads, hp.lr)
+        val_loss = float(np.mean([mse(pred, y_val) for pred in predict_params(params, X_val)]))
         if val_loss < best_loss:
             best_loss = val_loss
-            best_params = [_copy_params(s.params) for s in states]
-    if best_params is None:
-        best_params = [_copy_params(s.params) for s in states]
-    return best_params
+            best = [[a.copy() for a in layer] for layer in params]
+    return [[[W[i], b[i]] for W, b in best] for i in range(len(rngs))]
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import threading
@@ -313,6 +314,31 @@ def test_local_search_full_path_with_sited_elite(tmp_path):
     assert rows[0][1] == meta["digest"][:16]
 
 
+def test_local_search_adds_its_section_to_stats(tmp_path):
+    root = setup_run(tmp_path)
+    config = str(root / "run.ini")
+    assert main(["optimize", "--config", config]) == 0
+    work = root / "work"
+    site_elite(work)
+    optimize_stats = json.loads((work / "stats.json").read_text())
+    assert main(["local-search", "--config", config]) == 0
+    stats = json.loads((work / "stats.json").read_text())
+    section = stats.pop("local_search")
+    assert stats == optimize_stats  # optimize's keys stay as they were
+    records = [json.loads(line) for line in (work / "journal.jsonl").read_text().splitlines()]
+    texts = [r["prompt"] for r in records if r.get("split") == "train" and r.get("prompt")]
+    assert section["config_digest"] == stats["config_digest"]
+    assert section["journal_points"] == len(texts) < 50  # too few to tune: the default hp
+    assert section["distinct_texts"] == len(set(texts)) < len(texts)
+    assert section["hp"] == {"widths": [128, 64, 1], "dropout": 0.1, "batch": 32, "lr": 0.001}
+    assert sorted(section["seconds"]) == ["embed", "fit", "search", "tune"]
+    assert all(seconds >= 0.0 for seconds in section["seconds"].values())
+
+    (work / "stats.json").write_text('{"requests": 1')  # torn by a killed write
+    assert main(["local-search", "--config", config]) == 0
+    assert sorted(json.loads((work / "stats.json").read_text())) == ["local_search"]
+
+
 def write_journal(path, n):
     """A journal of `n` distinct training points, enough to drive the surrogate alone."""
     write_jsonl(
@@ -526,6 +552,53 @@ def test_request_pool_changes_no_artifact(tmp_path, monkeypatch):
     assert counts[0] == counts[1]
     cache = [sorted((work / "cache.tsv").read_text().splitlines()) for work in works]
     assert cache[0] == cache[1]
+
+
+# The determinism contract: one config and seed give these bytes, wherever
+# the run lives.  A change that moves a file on purpose re-pins it and says why.
+PINNED_SHA256 = {
+    "journal.jsonl": "fca7f4c01156255de1c2ac314edc4d8b1350e1e8ac7e65148806b4aa1c7f8a73",
+    "report.json": "cd10de71d1cb7a0373c16843eec82a022bdc114b8166c9f2082a6c0dfbf7cef1",
+    "curve.tsv": "c2ab16c4c20ca05949b3b2140afd4706c90568cc43008b89a61f87da0f5f1870",
+    "elite_prompt.txt": "3845f06464c95b83945eaeabbeb36734c2045d47c98426c2ca97cdc24f797cd2",
+    "elite_prompt.meta.json": "022e274b2ff6ddb252b526e9aec5f71e10f215ce2d6746be51483e53979e39de",
+    "candidates.tsv": "e10b4ea09d68394dd5b83dfe9079e834bf196c5b46e7e97effa4896d4c96853b",
+    "refined_prompt.txt": "3845f06464c95b83945eaeabbeb36734c2045d47c98426c2ca97cdc24f797cd2",
+    "refined_prompt.meta.json": "f3c03708bf4ee08d43f840266e162ce9414e6a51df13c5a5b005d13773e625b5",
+    "cache.tsv": "dc6f6b7805a03bab9a294b807b0740bceb3a636dee417110d260ed1f7df9d804",
+}
+
+
+def masked_sha256(work, name):
+    """sha256 of an artifact with `config_digest` (it hashes absolute paths)
+    cut out; `cache.tsv` rows are sorted, as pooled runs write them in any order."""
+    digest = json.loads((work / "journal.jsonl").read_text().splitlines()[0])["config_digest"]
+    text = (work / name).read_text(encoding="utf-8").replace(digest, "")
+    if name == "cache.tsv":
+        text = "".join(sorted(text.splitlines(keepends=True)))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_optimize_then_local_search_artifacts_are_pinned(tmp_path, monkeypatch):
+    from promptgp import cli
+
+    root = setup_run(tmp_path, seed=5, generations=4, population=8)
+    config = root / "run.ini"
+    config.write_text(config.read_text().replace("[gp]\n", "[gp]\nicl_k = 5\neval_workers = 1\n"))
+    with_cv(root, folds=2, combos=2)  # 64 journal points, so CV tunes the hp too
+    build_gateway = cli.build_gateway
+
+    def oracle_gateway(cfg, workdir):
+        gw = build_gateway(cfg, workdir)
+        gw.backend = demo_dependent_oracle(root)  # demonstrations change the score
+        return gw
+
+    monkeypatch.setattr(cli, "build_gateway", oracle_gateway)
+    assert main(["optimize", "--config", str(config)]) == 0
+    assert main(["local-search", "--config", str(config)]) == 0
+    work = root / "work"
+    assert len((work / "candidates.tsv").read_text().splitlines()) > 3  # neighbours were screened
+    assert {name: masked_sha256(work, name) for name in PINNED_SHA256} == PINNED_SHA256
 
 
 def test_optimize_over_http_closes_every_connection(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,9 @@ from helpers import LoopbackServer, refused_url
 
 from promptgp.seeds import derive_seed
 from promptgp.surrogate import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     HashingEmbedder,
     RemoteEmbedder,
@@ -92,11 +96,23 @@ def test_remote_embedder_rejects_wrong_dimension(server):
 
 @pytest.mark.parametrize(
     "payload",
-    [{}, {"embeddings": []}, {"embeddings": None}, [], None, {"embeddings": [[1, 2, 3], [4, 5, 6]]}],
+    [
+        {},
+        {"embeddings": []},
+        {"embeddings": None},
+        [],
+        None,
+        {"embeddings": [[1, 2, 3], [4, 5, 6]]},
+        {"embeddings": [[float("nan"), 0.0, 1.0]]},  # sent as NaN, which json parses
+        {"embeddings": [[1.0, float("inf"), 0.0]]},
+        {"embeddings": [[0.0, 1.0, -float("inf")]]},
+    ],
 )
 def test_remote_embedder_malformed_reply_is_surrogate_error(server, payload):
-    with pytest.raises(SurrogateError, match="embeddings"):
-        remote_replying(server, payload).embed_many(["text"])
+    embedder = remote_replying(server, payload)
+    with pytest.raises(SurrogateError, match="embeddings") as exc:
+        embedder.embed_many(["text"])
+    assert embedder.endpoint in str(exc.value)
 
 
 @pytest.mark.parametrize(
@@ -162,23 +178,32 @@ def test_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
     X = rng.normal(size=(6, 5))
     y = rng.normal(size=6)
-    params = init_params(5, (4, 3, 1), rng)
-    _, grads = loss_and_grads(params, X, y)
+    single = (init_params(5, (4, 3, 1), rng), X, y)
+    # Three models stacked over a leading axis, each with data of its own.
+    models = [init_params(5, (4, 3, 1), rng) for _ in range(3)]
+    stacked = (
+        [[np.stack(arrays) for arrays in zip(*layers)] for layers in zip(*models)],
+        rng.normal(size=(3, 6, 5)),
+        rng.normal(size=(3, 6)),
+    )
     eps = 1e-6
-    for l, (W, b) in enumerate(params):
-        for arr_i, arr in enumerate((W, b)):
-            flat = arr.ravel()
-            for k in range(flat.size):
-                orig = flat[k]
-                flat[k] = orig + eps
-                up = loss_and_grads(params, X, y)[0]
-                flat[k] = orig - eps
-                down = loss_and_grads(params, X, y)[0]
-                flat[k] = orig
-                numeric = (up - down) / (2 * eps)
-                analytic = grads[l][arr_i].ravel()[k]
-                scale = max(abs(numeric), abs(analytic), 1e-8)
-                assert abs(numeric - analytic) / scale < 1e-4
+    for params, X, y in (single, stacked):
+        _, grads = loss_and_grads(params, X, y)
+        for l, (W, b) in enumerate(params):
+            for arr_i, arr in enumerate((W, b)):
+                assert grads[l][arr_i].shape == arr.shape
+                flat = arr.reshape(-1)
+                for k in range(flat.size):
+                    orig = flat[k]
+                    flat[k] = orig + eps
+                    up = loss_and_grads(params, X, y)[0]
+                    flat[k] = orig - eps
+                    down = loss_and_grads(params, X, y)[0]
+                    flat[k] = orig
+                    numeric = (up - down) / (2 * eps)
+                    analytic = grads[l][arr_i].ravel()[k]
+                    scale = max(abs(numeric), abs(analytic), 1e-8)
+                    assert abs(numeric - analytic) / scale < 1e-4
 
 
 def test_adam_first_step_moves_against_gradient_sign():
@@ -256,6 +281,105 @@ def test_fit_models_deterministic_and_snapshots_best_epoch():
         for e in range(1, epochs + 1)
     ]
     assert validation_loss(models_a, X, y, 5) == min(prefix_losses)
+
+
+# --- the one-model-at-a-time trainer, kept as the reference for fit_models --
+
+
+def reference_forward(params, X, dropout=0.0, rng=None):
+    caches = []
+    act = X
+    last = len(params) - 1
+    for l, (W, b) in enumerate(params):
+        z = act @ W + b
+        if l < last:
+            t = np.tanh(z)
+            mask = (rng.random(t.shape) >= dropout) / (1.0 - dropout) if dropout > 0.0 else None
+            caches.append((act, t, mask))
+            act = t if mask is None else t * mask
+        else:
+            caches.append((act, None, None))
+            act = z
+    return act[:, 0], caches
+
+
+def reference_grads(params, X, y, dropout, rng):
+    pred, caches = reference_forward(params, X, dropout, rng)
+    grads = [None] * len(params)
+    delta = (2.0 / len(y)) * (pred - y)[:, None]
+    for l in range(len(params) - 1, -1, -1):
+        act_in, t, mask = caches[l]
+        if t is not None:
+            if mask is not None:
+                delta = delta * mask
+            delta = delta * (1.0 - t * t)
+        grads[l] = [act_in.T @ delta, delta.sum(axis=0)]
+        if l > 0:
+            delta = delta @ params[l][0].T
+    return grads
+
+
+def reference_adam_step(params, grads, m, v, step, lr):
+    """Textbook Adam: every expression makes a new array."""
+    correction1, correction2 = 1.0 - ADAM_BETA1**step, 1.0 - ADAM_BETA2**step
+    for layer, glayer, mlayer, vlayer in zip(params, grads, m, v):
+        for i, g in enumerate(glayer):
+            mlayer[i] = ADAM_BETA1 * mlayer[i] + (1.0 - ADAM_BETA1) * g
+            vlayer[i] = ADAM_BETA2 * vlayer[i] + (1.0 - ADAM_BETA2) * g * g
+            m_hat = mlayer[i] / correction1
+            v_hat = vlayer[i] / correction2
+            layer[i] = layer[i] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+def reference_fit_models(X, y, hp, seed, settings, epochs):
+    """fit_models with each submodel trained alone, one after another in every epoch."""
+    n = len(y)
+    perm = np.random.default_rng(derive_seed(seed, "split")).permutation(n)
+    n_train = min(max(int(round(settings.train_fraction * n)), 1), n - 1)
+    train_idx, val_idx = perm[:n_train], perm[n_train:]
+    models = []
+    for i in range(settings.submodels):
+        rng = np.random.default_rng(derive_seed(seed, "submodel", i))
+        boot = rng.integers(0, n_train, n_train)
+        params = init_params(X.shape[1], hp.widths, rng)
+        m, v = ([[np.zeros_like(a) for a in layer] for layer in params] for _ in range(2))
+        models.append(SimpleNamespace(params=params, m=m, v=v, steps=0, rng=rng,
+                                      X=X[train_idx][boot], y=y[train_idx][boot]))
+    best_loss, best = float("inf"), None
+    for _ in range(epochs):
+        for model in models:
+            order = model.rng.permutation(n_train)
+            for start in range(0, n_train, hp.batch):
+                idx = order[start : start + hp.batch]
+                grads = reference_grads(model.params, model.X[idx], model.y[idx], hp.dropout, model.rng)
+                model.steps += 1
+                reference_adam_step(model.params, grads, model.m, model.v, model.steps, hp.lr)
+        val_loss = float(np.mean(
+            [mse(reference_forward(model.params, X[val_idx])[0], y[val_idx]) for model in models]
+        ))
+        if val_loss < best_loss:
+            best_loss = val_loss
+            best = [[[a.copy() for a in layer] for layer in model.params] for model in models]
+    return best
+
+
+# (points, submodels): 21 and 35 training points are multiples of neither batch size.
+EQUIVALENCE_SHAPES = [(30, 3), (50, 1)]
+
+
+@pytest.mark.parametrize(
+    "hp", hp_grid(), ids=lambda hp: f"w{len(hp.widths)}-d{hp.dropout}-b{hp.batch}-lr{hp.lr}"
+)
+def test_fit_models_is_bitwise_the_reference_trainer(hp):
+    for n, submodels in EQUIVALENCE_SHAPES:
+        X, y = embed_points(make_points(n, seed=n), HashingEmbedder(dim=24))
+        settings = SurrogateSettings(submodels=submodels)
+        got = fit_models(X, y, hp, seed=n, settings=settings, epochs=3)
+        want = reference_fit_models(X, y, hp, seed=n, settings=settings, epochs=3)
+        assert len(got) == len(want) == submodels
+        for model_got, model_want in zip(got, want):
+            for (W, b), (W_ref, b_ref) in zip(model_got, model_want, strict=True):
+                assert W.tobytes() == W_ref.tobytes() and b.tobytes() == b_ref.tobytes()
 
 
 def test_train_requires_min_points():
