@@ -39,7 +39,7 @@ from .surrogate import (
     train,
     tune_hyperparameters,
 )
-from .tasks import Dataset, EvalContext, load_dataset
+from .tasks import Dataset, EvalContext, load_dataset, warn_train_overlap
 from .template import BaseTemplate, RenderedPrompt, builtin_template, load_template
 
 log = logging.getLogger(__name__)
@@ -210,6 +210,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     lexicons = build_lexicons(cfg)
     train_ds = load_dataset(_require(cfg.task.train_data, "train_data"))
     val_ds = load_dataset(_require(cfg.task.val_data, "val_data"))
+    warn_train_overlap(cfg.task.val_data, val_ds, train_ds)
     ctx = build_context(cfg, workdir, train_ds, lexicons)
 
     journal_path = workdir / "journal.jsonl"
@@ -316,6 +317,7 @@ def cmd_local_search(args: argparse.Namespace) -> int:
     lexicons = build_lexicons(cfg)
     train_ds = load_dataset(_require(cfg.task.train_data, "train_data"))
     val_ds = load_dataset(_require(cfg.task.val_data, "val_data"))
+    warn_train_overlap(cfg.task.val_data, val_ds, train_ds)
     ctx = build_context(cfg, workdir, train_ds, lexicons)
     embedder = build_embedder(cfg)
 
@@ -430,6 +432,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise CliError(f"config has no {args.split} dataset")
     dataset = load_dataset(path)
     train = load_dataset(cfg.task.train_data) if cfg.task.train_data else Dataset(rows=[])
+    if args.split != "train":
+        warn_train_overlap(path, dataset, train)
     ctx = build_context(cfg, workdir, train, Lexicons())  # renders nothing
 
     prompt_text = Path(args.prompt).read_text(encoding="utf-8")

@@ -10,6 +10,12 @@ Derivation trees are persistent: no node is changed after `_grow` or
 `decode` fills it in.  Variation therefore rebuilds only the path from the
 root to the node it replaces and shares every other subtree with the
 parents, so one node may belong to many trees.
+
+Every whole-tree walk (`iter_nodes`, `count_nodes`, `encode`, crossover
+and mutation sites, a section's terminal text) runs one loop over an
+explicit stack, children pushed in reverse, so nodes come off it in the
+depth-first pre-order of the recursive definitions without a generator
+frame per level of depth.
 """
 
 from __future__ import annotations
@@ -187,21 +193,22 @@ class Node:
 
 
 def count_nodes(node: Node) -> int:
-    return 1 + sum(count_nodes(c) for c in node.children)
+    # Only the number of nodes is observable, so children go on unreversed.
+    count = 0
+    stack = [node]
+    while stack:
+        count += 1
+        stack += stack.pop().children
+    return count
 
 
 def iter_nodes(node: Node) -> Iterator[Node]:
-    yield node
-    for child in node.children:
-        yield from iter_nodes(child)
-
-
-def iter_nodes_with_paths(
-    node: Node, path: tuple[int, ...] = ()
-) -> Iterator[tuple[Node, tuple[int, ...]]]:
-    yield node, path
-    for i, child in enumerate(node.children):
-        yield from iter_nodes_with_paths(child, path + (i,))
+    """Every node of the subtree at `node`, in depth-first pre-order."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack += node.children[::-1]
 
 
 @dataclass
@@ -279,9 +286,12 @@ def sample_ptc2(
 def encode(tree: DerivationTree) -> Genotype:
     """Depth-first pre-order choice list."""
     choices = []
-    for node in iter_nodes(tree.root):
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
         if not node.terminal:
             choices.append(node.choice)
+            stack += node.children[::-1]
     return tuple(choices)
 
 
@@ -326,7 +336,19 @@ def _replace_at(node: Node, path: tuple[int, ...], replacement: Node) -> Node:
 
 
 def _nonterminal_sites(tree: DerivationTree) -> list[tuple[Node, tuple[int, ...]]]:
-    return [(n, p) for n, p in iter_nodes_with_paths(tree.root) if not n.terminal]
+    """(node, path from the root) of every nonterminal, in depth-first
+    pre-order; a path is made only for a nonterminal (a root always is)."""
+    sites = []
+    stack = [(tree.root, ())]
+    while stack:
+        site = stack.pop()
+        sites.append(site)
+        node, path = site
+        children = node.children
+        for i in range(len(children) - 1, -1, -1):
+            if not children[i].terminal:
+                stack.append((children[i], path + (i,)))
+    return sites
 
 
 def crossover(
@@ -374,9 +396,16 @@ def mutate(tree: DerivationTree, max_nodes: int, rng_seed: int) -> DerivationTre
 
 
 def _collect_terminals(node: Node) -> str:
-    if node.terminal:
-        return node.symbol
-    return "".join(_collect_terminals(c) for c in node.children)
+    """The terminal leaves under `node`, concatenated in pre-order."""
+    parts = []
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if node.terminal:
+            parts.append(node.symbol)
+        else:
+            stack += node.children[::-1]
+    return "".join(parts)
 
 
 def render_phenotype(tree: DerivationTree) -> Phenotype:

@@ -18,6 +18,7 @@ from .grammar import Phenotype
 from .lexicons import Lexicons
 from .template import (
     BaseTemplate,
+    IclPool,
     RenderedPrompt,
     apply_phenotype,
     format_demo,
@@ -103,6 +104,19 @@ def parse_dataset(text: str) -> Dataset:
 def load_dataset(path: str) -> Dataset:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_dataset(fh.read())
+
+
+def warn_train_overlap(path: str, dataset: Dataset, train: Dataset) -> None:
+    """Warn once when rows of the evaluation file at `path` share an id or
+    an input with the training file, whose rows are the demonstration pool."""
+    ids = {row.id for row in train.rows}
+    inputs = {row.input for row in train.rows}
+    shared = sum(1 for row in dataset.rows if row.id in ids or row.input in inputs)
+    if shared:
+        log.warning(
+            "%s: %d of %d rows share an id or an input with the training file",
+            path, shared, len(dataset),
+        )
 
 
 def sample_rows(dataset: Dataset, n: int, seed: int) -> list[DataRow]:
@@ -224,7 +238,10 @@ class EvalContext:
     context that renders nothing.
 
     `train` is the ICL demonstration pool; GP and local search also sample
-    their training rows from it.  Each case's demonstrations are retrieved
+    their training rows from it.  When `icl_k > 0`, each training input is
+    tokenized once, as the context is built, into `_icl`, the index every
+    retrieval ranks against, so a command tokenizes its pool once however
+    many cases it retrieves for.  Each case's demonstrations are retrieved
     once per context and kept in `_demos`, keyed on the row itself: ids are
     unique only within one file.  Each rendered section is memoised in
     `_sections` (see `apply_phenotype`); `degraded` counts, per op, the LLM
@@ -255,8 +272,11 @@ class EvalContext:
     )
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
     _pool: Optional[ThreadPoolExecutor] = field(default=None, init=False, repr=False, compare=False)
+    _icl: IclPool = field(default=IclPool((), ()), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.icl_k > 0:
+            object.__setattr__(self, "_icl", IclPool.of(self.train.rows))
         if self.max_workers > 1:
             pool = ThreadPoolExecutor(self.max_workers, initializer=_mark_pool_thread)
             object.__setattr__(self, "_pool", pool)
@@ -280,7 +300,7 @@ class EvalContext:
         """The formatted demonstrations shown with `row`, retrieved on first use."""
         found = self._demos.get(row)
         if found is None:
-            nearest = retrieve_icl(row.input, self.train.rows, self.icl_k)
+            nearest = retrieve_icl(row.input, self._icl, self.icl_k)
             found = self._demos[row] = [format_demo(r, self.task.answer_key) for r in nearest]
         return found
 

@@ -10,6 +10,7 @@ context, and whichever demonstration placeholders survived the edits.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import logging
 import re
 from dataclasses import dataclass
@@ -143,25 +144,45 @@ def apply_phenotype(base: BaseTemplate, ph: Phenotype, ctx: EvalContext) -> Rend
     )
 
 
+_WORD_RE = re.compile(r"[a-z0-9]+")
+
+
 def _word_set(text: str) -> frozenset[str]:
-    return frozenset(re.findall(r"[a-z0-9]+", text.lower()))
+    return frozenset(_WORD_RE.findall(text.lower()))
 
 
-def retrieve_icl(case_input: str, rows: Sequence, k: int) -> list:
-    """Top-k training rows by token-set Jaccard similarity, ties by row order."""
+@dataclass(frozen=True)
+class IclPool:
+    """Demonstration rows with each input's word set, tokenized once."""
+
+    rows: tuple
+    word_sets: tuple[frozenset[str], ...]
+
+    @classmethod
+    def of(cls, rows: Sequence) -> IclPool:
+        return cls(tuple(rows), tuple(_word_set(row.input) for row in rows))
+
+
+def retrieve_icl(case_input: str, pool: IclPool, k: int) -> list:
+    """Top-k pool rows by token-set Jaccard similarity, ties by row order.
+
+    Only the query is tokenized.  The union's size is counted as
+    `|q| + |o| - |q & o|`, so each score is the same quotient of the same
+    integers as `|q & o| / |q | o|`; an empty union scores 0.0.
+    """
     if k <= 0:
         return []
     query = _word_set(case_input)
+    n_query = len(query)
+    word_sets = pool.word_sets
 
-    def similarity(row) -> float:
-        other = _word_set(row.input)
-        union = query | other
-        if not union:
-            return 0.0
-        return len(query & other) / len(union)
+    def rank(i: int) -> tuple[float, int]:
+        other = word_sets[i]
+        shared = len(query & other)
+        union = n_query + len(other) - shared
+        return -(shared / union if union else 0.0), i
 
-    ranked = sorted(enumerate(rows), key=lambda item: (-similarity(item[1]), item[0]))
-    return [row for _, row in ranked[:k]]
+    return [pool.rows[i] for i in heapq.nsmallest(k, range(len(word_sets)), key=rank)]
 
 
 def format_demo(row, answer_key: str = "Answer") -> str:

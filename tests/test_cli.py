@@ -697,6 +697,40 @@ def test_evaluate_prompt_file(tmp_path, capsys):
     assert len(eval_lines) == 6  # digest comment + header + 4 cases
 
 
+def test_commands_warn_when_evaluation_rows_overlap_the_training_file(tmp_path, caplog):
+    root = setup_run(tmp_path)
+    config = str(root / "run.ini")
+    prompt = str(root / "work" / "elite_prompt.txt")
+
+    def overlap_warnings():
+        found = [r.getMessage() for r in caplog.records if "with the training file" in r.getMessage()]
+        caplog.clear()
+        return found
+
+    assert main(["optimize", "--config", config]) == 0
+    assert main(["local-search", "--config", config]) == 0
+    for split in ("train", "val", "test"):
+        assert main(["evaluate", "--config", config, "--prompt", prompt, "--split", split]) == 0
+    assert overlap_warnings() == []
+
+    # One row shares an id with a training row, another shares an input.
+    val = [
+        {"id": "t0", "input": "validation question 0?", "label": "no"},
+        {"id": "v1", "input": "training question 1?", "label": "yes"},
+        {"id": "v2", "input": "validation question 2?", "label": "no"},
+    ]
+    write_jsonl(root / "val.jsonl", val)
+    expected = [f"{root / 'val.jsonl'}: 2 of 3 rows share an id or an input with the training file"]
+    assert main(["optimize", "--config", config]) == 0
+    assert overlap_warnings() == expected
+    assert main(["local-search", "--config", config]) == 0
+    assert overlap_warnings() == expected
+    assert main(["evaluate", "--config", config, "--prompt", prompt, "--split", "val"]) == 0
+    assert overlap_warnings() == expected
+    assert main(["evaluate", "--config", config, "--prompt", prompt, "--split", "test"]) == 0
+    assert overlap_warnings() == []
+
+
 def test_report_matches_curve(tmp_path):
     root = setup_run(tmp_path)
     config = str(root / "run.ini")

@@ -12,9 +12,11 @@ from promptgp.grammar import (
     crossover,
     decode,
     default_grammar,
+    _collect_terminals,
+    _nonterminal_sites,
+    count_nodes,
     encode,
     iter_nodes,
-    iter_nodes_with_paths,
     load_grammar,
     mutate,
     render_phenotype,
@@ -234,6 +236,58 @@ def test_shared_subtrees_keep_every_recorded_genotype_and_phenotype():
     for tree, genotype, programs in made:
         assert encode(tree) == genotype
         assert render_phenotype(tree).programs == programs
+
+
+# The recursive definitions that the iterative walks in grammar.py replace.
+
+
+def iter_nodes_with_paths(node, path=()):
+    yield node, path
+    for i, child in enumerate(node.children):
+        yield from iter_nodes_with_paths(child, path + (i,))
+
+
+def reference_iter_nodes(node):
+    yield node
+    for child in node.children:
+        yield from reference_iter_nodes(child)
+
+
+def reference_count_nodes(node):
+    return 1 + sum(reference_count_nodes(c) for c in node.children)
+
+
+def reference_collect_terminals(node):
+    if node.terminal:
+        return node.symbol
+    return "".join(reference_collect_terminals(c) for c in node.children)
+
+
+def walked_trees():
+    """PTC2 samples, their variation offspring, and crossovers of a tree
+    with itself, in which one node object sits at two paths."""
+    rng = random.Random(17)
+    samples = [sample_ptc2(G, max_nodes=rng.randint(20, 1024), rng_seed=s) for s in range(30)]
+    yield from samples
+    for tree in samples:
+        yield from crossover(tree, tree, rng_seed=rng.randrange(2**63), max_nodes=2048)
+        yield mutate(tree, max_nodes=1024, rng_seed=rng.randrange(2**63))
+
+
+def test_iterative_walks_match_the_recursive_definitions():
+    shared = 0
+    for tree in walked_trees():
+        nodes = list(reference_iter_nodes(tree.root))
+        assert [id(n) for n in iter_nodes(tree.root)] == [id(n) for n in nodes]
+        shared += len({id(n) for n in nodes}) < len(nodes)
+        for node in nodes:
+            assert count_nodes(node) == reference_count_nodes(node)
+            assert _collect_terminals(node) == reference_collect_terminals(node)
+        assert encode(tree) == tuple(n.choice for n in nodes if not n.terminal)
+        sites = [(n, p) for n, p in iter_nodes_with_paths(tree.root) if not n.terminal]
+        walked = _nonterminal_sites(tree)
+        assert [(id(n), p) for n, p in walked] == [(id(n), p) for n, p in sites]
+    assert shared  # some self-crossover placed one node at two paths
 
 
 def graft_path(child, donor):

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from helpers import identity_phenotype
-from promptgp import tasks
+from promptgp import tasks, template
 from promptgp.gateway import LabelOracleBackend, LlmGateway, ScriptedBackend, TransportError
 from promptgp.tasks import (
     DataRow,
@@ -230,6 +230,26 @@ def test_context_retrieves_each_case_once(monkeypatch):
     assert sorted(calls) == sorted(row.input for row in rows)
     assert first.fitness == second.fitness == 1.0
     assert "Input: is colour 0 a warm colour" in backend.seen[0]
+
+
+def test_context_tokenizes_its_pool_once(monkeypatch):
+    calls = []
+    word_set = template._word_set
+
+    def counting_word_set(text):
+        calls.append(text)
+        return word_set(text)
+
+    monkeypatch.setattr(template, "_word_set", counting_word_set)
+    train = TRAIN + [DataRow(id=f"u{i}", input=f"a {i} cool colour", label="no") for i in range(4)]
+    ctx = icl_context(train, Recorder())
+    cases = [DataRow(id=f"r{i}", input=f"is colour {i} warm", label="yes") for i in range(5)]
+    for row in cases + cases[:2]:
+        ctx.demos(row)
+    assert len(calls) == len(train) + len(cases)  # not len(cases) * (len(train) + 1)
+    calls.clear()
+    no_icl = EvalContext(TaskSettings(), LlmGateway(Recorder()), Dataset(rows=train), icl_k=0)
+    assert no_icl.demos(cases[0]) == [] and calls == []
 
 
 def test_parallel_context_sends_the_serial_requests():

@@ -1,4 +1,6 @@
 import logging
+import random
+import re
 import sys
 import threading
 import time
@@ -15,6 +17,7 @@ from promptgp.template import (
     CONTEXT_PLACEHOLDER,
     TASK_INPUT_PLACEHOLDER,
     BaseTemplate,
+    IclPool,
     RenderedPrompt,
     TemplateError,
     apply_phenotype,
@@ -172,9 +175,10 @@ def test_retrieve_icl_ranks_by_token_overlap():
         DataRow(id="r1", input="dogs bark loudly", label="b"),
         DataRow(id="r2", input="the cat purred", label="c"),
     ]
-    top = retrieve_icl("a cat sat", rows, k=2)
+    pool = IclPool.of(rows)
+    top = retrieve_icl("a cat sat", pool, k=2)
     assert [r.id for r in top] == ["r0", "r2"]
-    assert retrieve_icl("a cat sat", rows, k=0) == []
+    assert retrieve_icl("a cat sat", pool, k=0) == []
 
 
 def test_retrieve_icl_ties_break_by_row_order():
@@ -182,8 +186,47 @@ def test_retrieve_icl_ties_break_by_row_order():
         DataRow(id="r0", input="zeta eta", label="a"),
         DataRow(id="r1", input="theta iota", label="b"),
     ]
-    top = retrieve_icl("unrelated words", rows, k=2)
+    top = retrieve_icl("unrelated words", IclPool.of(rows), k=2)
     assert [r.id for r in top] == ["r0", "r1"]
+
+
+def reference_retrieve_icl(case_input, rows, k):
+    """Tokenize every row per call and sort the whole pool: the ranking
+    that the indexed `retrieve_icl` must reproduce."""
+    if k <= 0:
+        return []
+    query = frozenset(re.findall(r"[a-z0-9]+", case_input.lower()))
+
+    def similarity(row):
+        other = frozenset(re.findall(r"[a-z0-9]+", row.input.lower()))
+        union = query | other
+        if not union:
+            return 0.0
+        return len(query & other) / len(union)
+
+    ranked = sorted(enumerate(rows), key=lambda item: (-similarity(item[1]), item[0]))
+    return [row for _, row in ranked[:k]]
+
+
+# Mixed case, punctuation, and inputs with no tokens at all.
+WORDS = ["Cat", "cat", "DOG", "dog!", "sat", "mat.", "a", "the", "x1", "2", "--", "?!", ""]
+
+
+def random_input(rng):
+    return rng.choice(["", " ", "", "; "]).join(rng.choices(WORDS, k=rng.randint(0, 5)))
+
+
+def test_indexed_retrieval_matches_the_naive_ranking():
+    rng = random.Random(3)
+    for trial in range(300):
+        inputs = [random_input(rng) for _ in range(rng.randint(0, 12))]
+        inputs += rng.choices(inputs, k=rng.randint(0, 3) if inputs else 0)  # duplicates
+        rows = [DataRow(id=f"r{i}", input=text, label="y") for i, text in enumerate(inputs)]
+        pool = IclPool.of(rows)
+        for k in {0, 1, 3, len(rows), len(rows) + 2}:
+            query = random_input(rng) if trial % 4 else rng.choice(["", "?!", "--"])
+            got = retrieve_icl(query, pool, k)
+            assert [r.id for r in got] == [r.id for r in reference_retrieve_icl(query, rows, k)]
 
 
 def test_format_demo_shape():
