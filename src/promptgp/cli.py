@@ -17,7 +17,7 @@ import numpy as np
 
 from . import SECTIONS, __version__
 from .config import RunConfig, config_digest, load_config
-from .evolution import EvalJournal, EvolutionEngine, load_checkpoint
+from .evolution import EvalJournal, EvolutionEngine, check_checkpoint, load_checkpoint
 from .gateway import (
     EchoBackend,
     HttpBackend,
@@ -217,6 +217,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
     if args.resume:
         state = load_checkpoint(args.resume)
+        check_checkpoint(state, digest, cfg.master_seed)  # a refused resume keeps the journal
         EvalJournal.truncate_file(str(journal_path), state["journal_lines"])
         journal = EvalJournal.load(str(journal_path))
     else:

@@ -20,6 +20,7 @@ from typing import Optional
 
 from .editops import ProgramExecutionError
 from .exprlang import ProgramParseError
+from .gateway import append_line
 from .grammar import (
     DerivationTree,
     Genotype,
@@ -87,8 +88,7 @@ class EvalJournal:
     def append(self, record: dict) -> None:
         self.records.append(record)
         if self.path:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+            append_line(self.path, json.dumps(record, sort_keys=True) + "\n")
 
     def __len__(self) -> int:
         return len(self.records)
@@ -376,22 +376,28 @@ class EvolutionEngine:
         assert self.checkpoint_path is not None
         tmp = self.checkpoint_path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(state, fh, sort_keys=True)
+            fh.write(json.dumps(state, sort_keys=True))  # dumps, unlike dump, uses the C encoder
         os.replace(tmp, self.checkpoint_path)
 
     def restore(self, state: dict) -> tuple[list[Individual], int]:
         """Rebuild population and elite from a checkpoint dict; re-renders prompts."""
-        if state.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {state.get('version')}")
-        if self.config_digest and state.get("config_digest") not in ("", self.config_digest):
-            raise ValueError("checkpoint was produced by a different configuration")
-        if state.get("master_seed") != self.master_seed:
-            raise ValueError("checkpoint master seed does not match the configured seed")
+        check_checkpoint(state, self.config_digest, self.master_seed)
         population = [self._unpack_individual(p) for p in state["population"]]
         self.elite = self._unpack_individual(state["elite"]) if state["elite"] else None
         self.ctx.map(self._render, population + ([self.elite] if self.elite else []))
         self.history = list(state["history"])
         return population, state["next_generation"]
+
+
+def check_checkpoint(state: dict, config_digest: str, master_seed: int) -> None:
+    """Raise ValueError unless a run of this config digest ("" skips that
+    check) and master seed may resume from the checkpoint `state`."""
+    if state.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {state.get('version')}")
+    if config_digest and state.get("config_digest") not in ("", config_digest):
+        raise ValueError("checkpoint was produced by a different configuration")
+    if state.get("master_seed") != master_seed:
+        raise ValueError("checkpoint master seed does not match the configured seed")
 
 
 def load_checkpoint(path: str) -> dict:

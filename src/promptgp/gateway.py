@@ -101,6 +101,22 @@ def request_digest(req: LlmRequest) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def append_line(path: str, line: str) -> None:
+    """Append one record line to `path`, created if missing.
+
+    The line goes out in one O_APPEND write, looping only on a short write,
+    and no file object is built, so appends of whole lines from several
+    writers interleave only whole lines.
+    """
+    data = line.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data) :]
+    finally:
+        os.close(fd)
+
+
 class ResponseCache:
     """digest -> response text; optionally persisted as digest<TAB>base64 lines.
 
@@ -143,8 +159,7 @@ class ResponseCache:
             self._mem[digest] = text
             if self.path is not None:
                 blob = base64.b64encode(text.encode("utf-8")).decode("ascii")
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(f"{digest}\t{blob}\n")
+                append_line(self.path, f"{digest}\t{blob}\n")
 
 
 class Backend(Protocol):

@@ -16,6 +16,13 @@ and mutation sites, a section's terminal text) runs one loop over an
 explicit stack, children pushed in reverse, so nodes come off it in the
 depth-first pre-order of the recursive definitions without a generator
 frame per level of depth.
+
+What PTC2 needs to expand a nonterminal depends only on the grammar, so
+`Grammar` builds it once per nonterminal as an `Expansion` table: the
+least node count any alternative adds, the alternatives that add exactly
+that, every other finite-cost alternative with its cost, and each
+alternative's children with the minimal extra nodes each one owes.  `_grow`
+reads the table at every frontier pop instead of recomputing costs.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import random
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import SECTIONS
 
@@ -54,13 +61,25 @@ class Sym:
     terminal: bool
 
 
+class Expansion(NamedTuple):
+    """How PTC2 may expand one nonterminal; alternatives are in index order."""
+
+    least: float  # least node count an alternative adds
+    minimal: tuple[int, ...]  # the alternatives that add exactly `least`
+    others: tuple[tuple[float, int], ...]  # (cost, index) of every other finite-cost one
+    # Per alternative, (name, terminal, min_size - 1) of each child.
+    children: tuple[tuple[tuple[str, bool, float], ...], ...]
+
+
 class Grammar:
-    """Productions plus precomputed minimal completion sizes."""
+    """Productions plus precomputed minimal completion sizes and expansion
+    tables."""
 
     def __init__(self, productions: dict[str, list[tuple[Sym, ...]]], start_symbol: str):
         self.productions = productions
         self.start_symbol = start_symbol
         self._min_size = self._compute_min_sizes()
+        self._expansions = {nt: self._expansion(alts) for nt, alts in productions.items()}
 
     def _compute_min_sizes(self) -> dict[str, float]:
         sizes = {nt: math.inf for nt in self.productions}
@@ -80,16 +99,27 @@ class Grammar:
                     changed = True
         return sizes
 
+    def _expansion(self, alts: list[tuple[Sym, ...]]) -> Expansion:
+        costs = []
+        for alt in alts:
+            cost = 0.0
+            for s in alt:
+                cost += 1 if s.terminal else self._min_size[s.name]
+            costs.append(cost)
+        least = min(costs)
+        return Expansion(
+            least,
+            tuple(k for k, c in enumerate(costs) if c == least),
+            tuple((c, k) for k, c in enumerate(costs) if least < c < math.inf),
+            tuple(
+                tuple((s.name, s.terminal, 0.0 if s.terminal else self._min_size[s.name] - 1) for s in alt)
+                for alt in alts
+            ),
+        )
+
     def min_size(self, symbol: str) -> float:
         """Minimal node count of a full expansion rooted at `symbol`."""
         return self._min_size[symbol]
-
-    def alt_cost(self, symbol: str, alt_index: int) -> float:
-        """Minimal node count added by expanding `symbol` with one alternative."""
-        cost = 0.0
-        for s in self.productions[symbol][alt_index]:
-            cost += 1 if s.terminal else self._min_size[s.name]
-        return cost
 
 
 _SYMBOL_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
@@ -244,34 +274,34 @@ def _grow(grammar: Grammar, max_nodes: int, rng: random.Random, start_symbol: st
             f"symbol '{start_symbol}' needs at least {start_min} nodes, budget is {max_nodes}"
         )
     goal = rng.randint(int(start_min), max_nodes)
+    expansions = grammar._expansions
     root = Node(start_symbol, False)
     frontier = [root]
     size = 1
     pending = start_min - 1  # minimal extra nodes owed to the rest of the frontier
     while frontier:
         node = frontier.pop(rng.randrange(len(frontier)))
-        pending -= grammar.min_size(node.symbol) - 1
-        alts = grammar.productions[node.symbol]
-        costs = [grammar.alt_cost(node.symbol, k) for k in range(len(alts))]
-        feasible = [
-            k for k, c in enumerate(costs) if math.isfinite(c) and size + c + pending <= max_nodes
-        ]
-        if not feasible:
+        least, minimal, others, children = expansions[node.symbol]
+        pending -= least  # the node's own min_size - 1
+        # Every other alternative adds at least `least`, so none fits if these do not.
+        if size + least + pending > max_nodes:
             raise BudgetError(f"no feasible alternative for '{node.symbol}'")
-        min_cost = min(costs[k] for k in feasible)
-        minimal = [k for k in feasible if costs[k] == min_cost]
-        growing = [k for k in feasible if costs[k] > min_cost]
-        if growing and size + pending < goal:
-            choice = growing[rng.randrange(len(growing))]
-        else:
-            choice = minimal[rng.randrange(len(minimal))]
+        choices = minimal
+        if size + pending < goal:
+            growing = [k for c, k in others if size + c + pending <= max_nodes]
+            if growing:
+                choices = growing
+        choice = choices[rng.randrange(len(choices))]
         node.choice = choice
-        node.children = tuple(Node(sym.name, sym.terminal) for sym in alts[choice])
-        size += len(node.children)
-        for child in node.children:
-            if not child.terminal:
+        kids = []
+        for name, terminal, owed in children[choice]:
+            child = Node(name, terminal)
+            kids.append(child)
+            if not terminal:
                 frontier.append(child)
-                pending += grammar.min_size(child.symbol) - 1
+                pending += owed
+        node.children = tuple(kids)
+        size += len(kids)
     return root
 
 

@@ -1,6 +1,7 @@
 """Shared test fixtures that the package itself has no use for."""
 
 import json
+import os
 import socket
 import threading
 import time
@@ -15,6 +16,19 @@ def identity_phenotype() -> Phenotype:
     programs = {section: "BASE" for section in SECTIONS}
     programs["icl"] = "BASE+ICL_LIST"
     return Phenotype(programs)
+
+
+def record_os_writes(monkeypatch):
+    """Spy on `os.write`: the returned list gets the bytes of each call."""
+    written = []
+    write = os.write
+
+    def spy(fd, data):
+        written.append(bytes(data))
+        return write(fd, data)
+
+    monkeypatch.setattr(os, "write", spy)
+    return written
 
 
 def refused_url(path="/v1/chat/completions"):

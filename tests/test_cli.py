@@ -249,6 +249,37 @@ def test_optimize_resume_from_checkpoint_reproduces_report(tmp_path):
     assert (work / "journal.jsonl").read_text() == original_journal
 
 
+@pytest.mark.parametrize(
+    "refusal, message",
+    [
+        ("config", "different configuration"),
+        ("seed", "master seed does not match"),
+        ("version", "unsupported checkpoint version"),
+    ],
+)
+def test_refused_resume_leaves_the_journal_untouched(tmp_path, capsys, refusal, message):
+    # A 1-generation checkpoint, then a 3-generation run that outgrows it.
+    root = setup_run(tmp_path, generations=1)
+    config = root / "run.ini"
+    work = root / "work"
+    one_generation = config.read_text()
+    assert main(["optimize", "--config", str(config)]) == 0
+    checkpoint = root / "checkpoint.json"
+    (work / "checkpoint.json").replace(checkpoint)
+    config.write_text(one_generation.replace("generations = 1", "generations = 3"))
+    assert main(["optimize", "--config", str(config)]) == 0
+    journal = (work / "journal.jsonl").read_bytes()
+    assert json.loads(checkpoint.read_text())["journal_lines"] < len(journal.splitlines())
+    if refusal != "config":
+        config.write_text(one_generation)
+        key, value = ("master_seed", 4) if refusal == "seed" else ("version", 0)
+        checkpoint.write_text(json.dumps({**json.loads(checkpoint.read_text()), key: value}))
+    capsys.readouterr()
+    assert main(["optimize", "--config", str(config), "--resume", str(checkpoint)]) == 2
+    assert message in capsys.readouterr().err
+    assert (work / "journal.jsonl").read_bytes() == journal
+
+
 def test_local_search_after_optimize(tmp_path, capsys):
     root = setup_run(tmp_path)
     config = str(root / "run.ini")
@@ -566,6 +597,7 @@ PINNED_SHA256 = {
     "refined_prompt.txt": "3845f06464c95b83945eaeabbeb36734c2045d47c98426c2ca97cdc24f797cd2",
     "refined_prompt.meta.json": "f3c03708bf4ee08d43f840266e162ce9414e6a51df13c5a5b005d13773e625b5",
     "cache.tsv": "dc6f6b7805a03bab9a294b807b0740bceb3a636dee417110d260ed1f7df9d804",
+    "checkpoint.json": "27aab365153513a1d366cf9e9ab6d725b885363a0b0854346c293ff7d25a8d02",
 }
 
 

@@ -3,6 +3,7 @@ import logging
 from pathlib import Path
 
 import pytest
+from helpers import record_os_writes
 
 from promptgp.evolution import (
     EvalJournal,
@@ -120,6 +121,18 @@ def test_journal_file_round_trip(tmp_path):
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     assert json.loads(lines[0]) == journal.records[0]
     assert lines[0] == json.dumps(journal.records[0], sort_keys=True)
+
+
+def test_journal_append_is_one_write_of_one_whole_line(tmp_path, monkeypatch):
+    path = tmp_path / "journal.jsonl"
+    journal = EvalJournal(str(path))
+    written = record_os_writes(monkeypatch)
+    records = [{"generation": 0}, {"prompt": "two\nlines é " * 1000, "fitness": 0.5}]
+    for record in records:
+        journal.append(record)
+    assert written == [(json.dumps(r, sort_keys=True) + "\n").encode("utf-8") for r in records]
+    assert all(line.count(b"\n") == 1 for line in written)
+    assert path.read_bytes() == b"".join(written)
 
 
 def test_journal_load_drops_torn_last_line(tmp_path, caplog):

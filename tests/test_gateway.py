@@ -6,7 +6,7 @@ import time
 from pathlib import Path
 
 import pytest
-from helpers import LoopbackServer, chat_reply, refused_url
+from helpers import LoopbackServer, chat_reply, record_os_writes, refused_url
 
 from promptgp.gateway import (
     EchoBackend,
@@ -95,6 +95,51 @@ def test_cache_drops_torn_last_line_and_appends_on_a_fresh_line(tmp_path, caplog
     reloaded.put("d3", "third")
     again = ResponseCache(str(path))
     assert (again.get("d1"), again.get("d3")) == ("first", "third")
+
+
+def test_cache_put_appends_each_record_in_one_write_of_one_whole_line(tmp_path, monkeypatch):
+    path = tmp_path / "cache.tsv"
+    cache = ResponseCache(str(path))
+    written = record_os_writes(monkeypatch)
+    for i, text in enumerate(["first", "two\nlines", "unicode é " * 2000]):
+        before = path.read_bytes() if path.exists() else b""
+        cache.put(f"d{i}", text)
+        line = path.read_bytes()[len(before) :]
+        assert written == [line]
+        assert line.endswith(b"\n") and line.count(b"\n") == 1
+        written.clear()
+    cache.put("d0", "known digest")
+    assert written == []
+
+
+def test_caches_on_one_file_interleave_only_whole_lines(tmp_path):
+    # More writers than cores, each with its own cache on the same file.
+    path = str(tmp_path / "cache.tsv")
+    writers = "abcd"
+    texts = {f"{who}{i}": f"reply {who}{i} " * (i % 40 + 1) for who in writers for i in range(200)}
+
+    def fill(cache, who):
+        for i in range(200):
+            cache.put(f"{who}{i}", texts[f"{who}{i}"])
+
+    # Every cache loads the file before any writer starts.
+    caches = [ResponseCache(path) for _ in writers]
+    threads = [threading.Thread(target=fill, args=pair) for pair in zip(caches, writers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(lines) == len(texts)
+    assert all(line.endswith("\n") and line.count("\t") == 1 for line in lines)
+    reloaded = ResponseCache(path)
+    assert {digest: reloaded.get(digest) for digest in texts} == texts
 
 
 def test_cache_malformed_complete_line_still_raises(tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 
 import pytest
@@ -6,13 +7,17 @@ import pytest
 from promptgp import SECTIONS
 from promptgp.exprlang import parse, render
 from promptgp.grammar import (
+    BudgetError,
     DecodeError,
+    DerivationTree,
     GrammarError,
+    Node,
     Sym,
     crossover,
     decode,
     default_grammar,
     _collect_terminals,
+    _grow,
     _nonterminal_sites,
     count_nodes,
     encode,
@@ -109,8 +114,6 @@ def test_sample_ptc2_respects_budget_and_renders_parseable_programs():
 
 
 def test_budget_below_minimum_rejected():
-    from promptgp.grammar import BudgetError
-
     with pytest.raises(BudgetError):
         sample_ptc2(G, max_nodes=19, rng_seed=0)
 
@@ -328,3 +331,91 @@ def test_variation_shares_the_subtrees_it_leaves_alone():
         path = regrown_path(m, a)
         assert path
         assert_rebuilt_only_along(m, a, path)
+
+
+# The loop that `_grow`'s expansion tables replace: it rebuilds every
+# alternative's cost at each frontier pop.
+
+
+def reference_alt_cost(grammar, symbol, alt_index):
+    cost = 0.0
+    for s in grammar.productions[symbol][alt_index]:
+        cost += 1 if s.terminal else grammar.min_size(s.name)
+    return cost
+
+
+def reference_grow(grammar, max_nodes, rng, start_symbol):
+    start_min = grammar.min_size(start_symbol)
+    if not start_min <= max_nodes:
+        raise BudgetError(start_symbol)
+    goal = rng.randint(int(start_min), max_nodes)
+    root = Node(start_symbol, False)
+    frontier = [root]
+    size = 1
+    pending = start_min - 1
+    while frontier:
+        node = frontier.pop(rng.randrange(len(frontier)))
+        pending -= grammar.min_size(node.symbol) - 1
+        alts = grammar.productions[node.symbol]
+        costs = [reference_alt_cost(grammar, node.symbol, k) for k in range(len(alts))]
+        feasible = [
+            k for k, c in enumerate(costs) if math.isfinite(c) and size + c + pending <= max_nodes
+        ]
+        if not feasible:
+            raise BudgetError(node.symbol)
+        min_cost = min(costs[k] for k in feasible)
+        minimal = [k for k in feasible if costs[k] == min_cost]
+        growing = [k for k in feasible if costs[k] > min_cost]
+        if growing and size + pending < goal:
+            choice = growing[rng.randrange(len(growing))]
+        else:
+            choice = minimal[rng.randrange(len(minimal))]
+        node.choice = choice
+        node.children = tuple(Node(sym.name, sym.terminal) for sym in alts[choice])
+        size += len(node.children)
+        for child in node.children:
+            if not child.terminal:
+                frontier.append(child)
+                pending += grammar.min_size(child.symbol) - 1
+    return root
+
+
+def grown(grow, grammar, budget, seed, symbol):
+    """(genotype or None if the budget is refused, RNG state after growing)."""
+    rng = random.Random(seed)
+    try:
+        root = grow(grammar, budget, rng, symbol)
+    except BudgetError:
+        return None, rng.getstate()
+    return encode(DerivationTree(grammar, root)), rng.getstate()
+
+
+def assert_grows_like_reference(grammar, budgets_of, seeds):
+    for symbol in grammar.productions:
+        for budget in budgets_of(symbol):
+            for seed in seeds:
+                expected = grown(reference_grow, grammar, budget, seed, symbol)
+                assert grown(_grow, grammar, budget, seed, symbol) == expected, (symbol, budget, seed)
+
+
+def test_table_driven_grow_matches_the_reference_loop():
+    # Every nonterminal as the start symbol, since `mutate` regrows any
+    # subtree, on budgets from just below its minimum up to 1024.
+    rng = random.Random(7)
+
+    def budgets_of(symbol):
+        least = int(G.min_size(symbol))
+        spread = [rng.randint(least, 1024) for _ in range(8)]
+        return sorted({least - 1, least, least + 1, least + 2, least + 5, *spread, 1024})
+
+    assert_grows_like_reference(G, budgets_of, seeds=range(4))
+
+
+def test_table_driven_grow_matches_the_reference_on_unproductive_alternatives():
+    # `loop` never finishes, so `a`'s first alternative has infinite cost
+    # and `c` has two costs above its least.
+    grammar = load_grammar(
+        "a ::= loop | 'x' c | c c\nloop ::= loop 'y'\nc ::= 'z' | c 'z' | 'w' c c | a\n"
+    )
+    assert math.isinf(grammar.min_size("loop"))
+    assert_grows_like_reference(grammar, lambda symbol: range(0, 40), seeds=range(5))
