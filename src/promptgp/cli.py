@@ -26,6 +26,7 @@ from .gateway import (
     ResponseCache,
     ScriptedBackend,
     TruncateBackend,
+    write_atomic,
 )
 from .grammar import Grammar, decode, default_grammar, load_grammar, render_phenotype
 from .lexicons import Lexicons, default_lexicons, load_stopwords, load_synonyms
@@ -171,18 +172,27 @@ def _curve_rows(journal: EvalJournal) -> list[tuple[int, float, float, int]]:
     return rows
 
 
-def _write_curve(path: Path, rows, digest: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# config_digest={digest}\n")
-        fh.write("generation\tmean_f_train\tstd_f_train\tevaluations\n")
-        for gen, mean, std, count in rows:
-            fh.write(f"{gen}\t{mean:.6f}\t{std:.6f}\t{count}\n")
+def _num(value: Optional[float]) -> str:
+    return "-" if value is None else f"{value:.6f}"
+
+
+def _write_table(path: Path, digest: str, header: list[str], rows) -> None:
+    """A TSV artifact: the config digest line, the header, then `rows` of text cells."""
+    lines = [f"# config_digest={digest}", "\t".join(header), *("\t".join(row) for row in rows)]
+    write_atomic(path, "\n".join(lines) + "\n")
+
+
+def _write_curve(path: Path, digest: str, curve) -> None:
+    _write_table(
+        path,
+        digest,
+        ["generation", "mean_f_train", "std_f_train", "evaluations"],
+        [(str(gen), _num(mean), _num(std), str(count)) for gen, mean, std, count in curve],
+    )
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _read_stats(path: Path) -> dict:
@@ -197,32 +207,42 @@ def _read_stats(path: Path) -> dict:
 # ---- subcommands ------------------------------------------------------------
 
 
-def cmd_optimize(args: argparse.Namespace) -> int:
+def _load_run(args: argparse.Namespace) -> tuple[RunConfig, str, Path]:
+    """The command's config (with `--seed` applied), its digest and its workdir, made if missing."""
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.master_seed = args.seed
-    digest = config_digest(cfg)
     workdir = Path(cfg.paths.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
+    return cfg, config_digest(cfg), workdir
 
+
+def _search_inputs(cfg: RunConfig, workdir: Path) -> tuple[Grammar, BaseTemplate, Dataset, EvalContext]:
+    """What both phases search with: grammar, base template, validation
+    rows and the evaluation context over the training rows."""
     grammar = build_grammar(cfg)
     base = build_template(cfg)
     lexicons = build_lexicons(cfg)
     train_ds = load_dataset(_require(cfg.task.train_data, "train_data"))
     val_ds = load_dataset(_require(cfg.task.val_data, "val_data"))
     warn_train_overlap(cfg.task.val_data, val_ds, train_ds)
-    ctx = build_context(cfg, workdir, train_ds, lexicons)
+    return grammar, base, val_ds, build_context(cfg, workdir, train_ds, lexicons)
 
-    journal_path = workdir / "journal.jsonl"
+
+def cmd_optimize(args: argparse.Namespace) -> int:
+    cfg, digest, workdir = _load_run(args)
+    grammar, base, val_ds, ctx = _search_inputs(cfg, workdir)
+
+    journal_path = str(workdir / "journal.jsonl")
 
     if args.resume:
         state = load_checkpoint(args.resume)
         check_checkpoint(state, digest, cfg.master_seed)  # a refused resume keeps the journal
-        EvalJournal.truncate_file(str(journal_path), state["journal_lines"])
-        journal = EvalJournal.load(str(journal_path))
+        EvalJournal.truncate_file(journal_path, state["journal_lines"])
+        journal = EvalJournal.load(journal_path)
     else:
-        journal_path.write_text("", encoding="utf-8")
-        journal = EvalJournal(str(journal_path))
+        write_atomic(journal_path, "")
+        journal = EvalJournal(journal_path)
         journal.append({"config_digest": digest, "master_seed": cfg.master_seed})
 
     engine = EvolutionEngine(
@@ -248,7 +268,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     elite = result.elite
     if elite is None or elite.prompt is None:
         raise CliError("run finished without an elite individual")
-    (workdir / "elite_prompt.txt").write_text(elite.prompt.text, encoding="utf-8")
+    write_atomic(workdir / "elite_prompt.txt", elite.prompt.text)
     _write_json(
         workdir / "elite_prompt.meta.json",
         {
@@ -260,7 +280,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         },
     )
     curve = _curve_rows(journal)
-    _write_curve(workdir / "curve.tsv", curve, digest)
+    _write_curve(workdir / "curve.tsv", digest, curve)
     _write_json(
         workdir / "report.json",
         {
@@ -285,10 +305,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         workdir / "stats.json",
         {
             "config_digest": digest,
-            "requests": ctx.gateway.stats.requests,
-            "cache_hits": ctx.gateway.stats.cache_hits,
-            "backend_calls": ctx.gateway.stats.backend_calls,
-            "failures": ctx.gateway.stats.failures,
+            **asdict(ctx.gateway.stats),
             "degraded_edits": {op: ctx.degraded[op] for op in ("paraphrase", "summarise")},
         },
     )
@@ -298,28 +315,14 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_local_search(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.master_seed = args.seed
-    digest = config_digest(cfg)
-    workdir = Path(cfg.paths.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-
-    checkpoint_path = args.checkpoint or str(workdir / "checkpoint.json")
-    journal_path = args.journal or str(workdir / "journal.jsonl")
-    state = load_checkpoint(checkpoint_path)
-    journal = EvalJournal.load(journal_path)
+    cfg, digest, workdir = _load_run(args)
+    state = load_checkpoint(args.checkpoint or str(workdir / "checkpoint.json"))
+    journal = EvalJournal.load(args.journal or str(workdir / "journal.jsonl"))
     points = journal.training_points()
     if not state.get("elite"):
         raise CliError("checkpoint holds no elite individual")
 
-    grammar = build_grammar(cfg)
-    base = build_template(cfg)
-    lexicons = build_lexicons(cfg)
-    train_ds = load_dataset(_require(cfg.task.train_data, "train_data"))
-    val_ds = load_dataset(_require(cfg.task.val_data, "val_data"))
-    warn_train_overlap(cfg.task.val_data, val_ds, train_ds)
-    ctx = build_context(cfg, workdir, train_ds, lexicons)
+    grammar, base, val_ds, ctx = _search_inputs(cfg, workdir)
     embedder = build_embedder(cfg)
 
     started = time.perf_counter()
@@ -354,7 +357,7 @@ def cmd_local_search(args: argparse.Namespace) -> int:
         ctx.close()
     searched = time.perf_counter()
 
-    (workdir / "refined_prompt.txt").write_text(result.best.prompt.text, encoding="utf-8")
+    write_atomic(workdir / "refined_prompt.txt", result.best.prompt.text)
     _write_json(
         workdir / "refined_prompt.meta.json",
         {
@@ -370,30 +373,29 @@ def cmd_local_search(args: argparse.Namespace) -> int:
             "programs": {s: result.best.phenotype.programs[s] for s in SECTIONS},
         },
     )
-    with open(workdir / "candidates.tsv", "w", encoding="utf-8") as fh:
-        fh.write(f"# config_digest={digest}\n")
-        fh.write("rank\tdigest\tincumbent\tsection\tparam\tslot\tvalue\tmean\tvariance\tf_val\tf_train\tcombined\n")
-        for rank, cand in enumerate(result.ranking):
-            site = cand.site
-            fh.write(
-                "\t".join(
-                    [
-                        str(rank),
-                        cand.digest[:16],
-                        "1" if cand.is_incumbent else "0",
-                        site.section if site else "-",
-                        site.param if site else "-",
-                        str(site.slot) if site else "-",
-                        str(cand.value) if cand.value is not None else "-",
-                        "-" if cand.mean is None else f"{cand.mean:.6f}",
-                        "-" if cand.variance is None else f"{cand.variance:.6f}",
-                        "-" if cand.f_val is None else f"{cand.f_val:.6f}",
-                        "-" if cand.f_train is None else f"{cand.f_train:.6f}",
-                        "-" if cand.combined is None else f"{cand.combined:.6f}",
-                    ]
-                )
-                + "\n"
+    _write_table(
+        workdir / "candidates.tsv",
+        digest,
+        ["rank", "digest", "incumbent", "section", "param", "slot", "value",
+         "mean", "variance", "f_val", "f_train", "combined"],
+        [
+            (
+                str(rank),
+                cand.digest[:16],
+                "1" if cand.is_incumbent else "0",
+                cand.site.section if cand.site else "-",
+                cand.site.param if cand.site else "-",
+                str(cand.site.slot) if cand.site else "-",
+                "-" if cand.value is None else str(cand.value),
+                _num(cand.mean),
+                _num(cand.variance),
+                _num(cand.f_val),
+                _num(cand.f_train),
+                _num(cand.combined),
             )
+            for rank, cand in enumerate(result.ranking)
+        ],
+    )
     stats = _read_stats(workdir / "stats.json")  # optimize's keys stay
     stats["local_search"] = {
         "config_digest": digest,
@@ -416,13 +418,7 @@ def cmd_local_search(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.master_seed = args.seed
-    digest = config_digest(cfg)
-    workdir = Path(cfg.paths.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-
+    cfg, digest, workdir = _load_run(args)
     data_paths = {
         "train": cfg.task.train_data,
         "val": cfg.task.val_data,
@@ -443,11 +439,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     finally:
         ctx.close()
     out = workdir / f"eval_{args.split}.tsv"
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(f"# config_digest={digest}\n")
-        fh.write("case_id\tscore\n")
-        for case_id, score in report.per_case:
-            fh.write(f"{case_id}\t{score:.6f}\n")
+    _write_table(out, digest, ["case_id", "score"], [(i, _num(score)) for i, score in report.per_case])
     print(f"{args.split} fitness: {report.fitness:.6f} over {len(report.per_case)} cases")
     print(f"parse failures: {report.parse_failures}")
     print(f"gateway failures: {ctx.gateway.stats.failures}")
@@ -457,14 +449,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     journal = EvalJournal.load(args.journal)
-    digest = ""
-    for record in journal.records:
-        if "config_digest" in record and "split" not in record:
-            digest = record["config_digest"]
-            break
+    heads = (r["config_digest"] for r in journal.records if "config_digest" in r and "split" not in r)
+    digest = next(heads, "")
     rows = _curve_rows(journal)
     out = Path(args.out)
-    _write_curve(out, rows, digest)
+    _write_curve(out, digest, rows)
     print(f"wrote {len(rows)} generation rows to {out}")
     return 0
 

@@ -13,14 +13,13 @@ import hashlib
 import json
 import logging
 import math
-import os
 import random
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .editops import ProgramExecutionError
 from .exprlang import ProgramParseError
-from .gateway import append_line
+from .gateway import append_line, write_atomic
 from .grammar import (
     DerivationTree,
     Genotype,
@@ -118,17 +117,11 @@ class EvalJournal:
 
     @staticmethod
     def truncate_file(path: str, lines: int) -> None:
-        """Drop trailing lines past `lines` (partial-generation leftovers).
-
-        The kept lines go to a temporary file that replaces the journal, so
-        a failure part-way leaves the journal as it was.
-        """
+        """Drop trailing lines past `lines` (partial-generation leftovers);
+        the journal is replaced whole, so a failure leaves it as it was."""
         with open(path, "r", encoding="utf-8") as fh:
             kept = fh.readlines()[:lines]
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(kept)
-        os.replace(tmp, path)
+        write_atomic(path, "".join(kept))
 
 
 @dataclass
@@ -374,10 +367,8 @@ class EvolutionEngine:
             "history": self.history,
         }
         assert self.checkpoint_path is not None
-        tmp = self.checkpoint_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(state, sort_keys=True))  # dumps, unlike dump, uses the C encoder
-        os.replace(tmp, self.checkpoint_path)
+        # dumps, unlike dump, uses the C encoder
+        write_atomic(self.checkpoint_path, json.dumps(state, sort_keys=True))
 
     def restore(self, state: dict) -> tuple[list[Individual], int]:
         """Rebuild population and elite from a checkpoint dict; re-renders prompts."""

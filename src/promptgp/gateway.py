@@ -9,6 +9,7 @@ resume cheaply and offline runs are fully deterministic.
 from __future__ import annotations
 
 import base64
+import contextlib
 import hashlib
 import http.client
 import json
@@ -115,6 +116,21 @@ def append_line(path: str, line: str) -> None:
             data = data[os.write(fd, data) :]
     finally:
         os.close(fd)
+
+
+def write_atomic(path: str | os.PathLike[str], text: str) -> None:
+    """Replace the file at `path` with `text`: it is written to a `.tmp`
+    sibling that is then renamed over `path`, so a kill or a failed write
+    leaves the old whole file or the new one, never a torn one."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 class ResponseCache:

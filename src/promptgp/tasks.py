@@ -76,7 +76,8 @@ class Dataset:
 
 
 def parse_dataset(text: str) -> Dataset:
-    """Parse JSONL rows with fields id, input, label, optional context."""
+    """Parse JSONL rows with fields id, input, label and an optional context,
+    each text or a number; a null context reads as absent."""
     rows: list[DataRow] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -87,17 +88,19 @@ def parse_dataset(text: str) -> Dataset:
             raise DatasetError(f"line {lineno}: invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise DatasetError(f"line {lineno}: expected an object")
-        try:
-            rows.append(
-                DataRow(
-                    id=str(obj["id"]),
-                    input=str(obj["input"]),
-                    label=str(obj["label"]),
-                    context=str(obj.get("context", "")),
+        if obj.get("context") is None:
+            obj["context"] = ""  # optional: absent or null reads as empty
+        fields = {}
+        for name in ("id", "input", "label", "context"):
+            if name not in obj:
+                raise DatasetError(f"line {lineno}: missing field '{name}'")
+            value = obj[name]
+            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                raise DatasetError(
+                    f"line {lineno}: field '{name}' must be text or a number, got {json.dumps(value)}"
                 )
-            )
-        except KeyError as exc:
-            raise DatasetError(f"line {lineno}: missing field {exc}") from exc
+            fields[name] = str(value)
+        rows.append(DataRow(**fields))
     return Dataset(rows=rows)
 
 

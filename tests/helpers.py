@@ -1,5 +1,7 @@
 """Shared test fixtures that the package itself has no use for."""
 
+import builtins
+import io
 import json
 import os
 import socket
@@ -29,6 +31,45 @@ def record_os_writes(monkeypatch):
 
     monkeypatch.setattr(os, "write", spy)
     return written
+
+
+class _TornWriter:
+    """A real write handle whose first write lands half its text and then
+    raises, as a full disk or a kill part-way through would."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, text):
+        self._fh.write(text[: len(text) // 2])
+        self._fh.flush()
+        raise OSError(28, "No space left on device")
+
+    def writelines(self, lines):
+        self.write("".join(lines))
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def fail_writes_to(monkeypatch, name):
+    """Make every write-mode open of a file called `name`, or of its `.tmp`
+    sibling, tear part-way; other opens are untouched."""
+    real_open = io.open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        torn = isinstance(file, (str, os.PathLike)) and os.path.basename(file) in (name, name + ".tmp")
+        return _TornWriter(fh) if torn and any(c in mode for c in "wax+") else fh
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+    monkeypatch.setattr(io, "open", failing_open)  # what `Path.open` calls
 
 
 def refused_url(path="/v1/chat/completions"):

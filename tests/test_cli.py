@@ -5,7 +5,7 @@ import threading
 from pathlib import Path
 
 import pytest
-from helpers import LoopbackServer, refused_url
+from helpers import LoopbackServer, fail_writes_to, refused_url
 
 from promptgp.cli import main
 from promptgp.config import load_config, config_digest
@@ -631,6 +631,33 @@ def test_optimize_then_local_search_artifacts_are_pinned(tmp_path, monkeypatch):
     work = root / "work"
     assert len((work / "candidates.tsv").read_text().splitlines()) > 3  # neighbours were screened
     assert {name: masked_sha256(work, name) for name in PINNED_SHA256} == PINNED_SHA256
+
+
+@pytest.mark.parametrize(
+    "name, command",
+    [
+        ("report.json", "optimize"),
+        ("elite_prompt.txt", "optimize"),
+        ("elite_prompt.meta.json", "optimize"),
+        ("curve.tsv", "optimize"),
+        ("stats.json", "optimize"),
+        ("checkpoint.json", "optimize"),
+        ("refined_prompt.txt", "local-search"),
+        ("candidates.tsv", "local-search"),
+        ("stats.json", "local-search"),
+    ],
+)
+def test_interrupted_artifact_write_keeps_the_previous_whole_file(tmp_path, monkeypatch, name, command):
+    root = setup_run(tmp_path)
+    config = str(root / "run.ini")
+    assert main(["optimize", "--config", config]) == 0
+    assert main(["local-search", "--config", config]) == 0
+    target = root / "work" / name
+    before = target.read_text(encoding="utf-8")
+    fail_writes_to(monkeypatch, name)
+    assert main([command, "--config", config]) == 2
+    assert target.read_text(encoding="utf-8") == before
+    assert not target.with_name(name + ".tmp").exists()
 
 
 def test_optimize_over_http_closes_every_connection(tmp_path, monkeypatch):

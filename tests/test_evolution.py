@@ -3,7 +3,7 @@ import logging
 from pathlib import Path
 
 import pytest
-from helpers import record_os_writes
+from helpers import fail_writes_to, record_os_writes
 
 from promptgp.evolution import (
     EvalJournal,
@@ -166,33 +166,11 @@ def test_journal_truncate_failure_keeps_the_journal(tmp_path, monkeypatch):
     for i in range(5):
         journal.append({"generation": i})
     before = Path(path).read_text(encoding="utf-8")
-
-    class FailingWriter:
-        """A real write handle whose first write raises, as a full disk would."""
-
-        def __init__(self, fh):
-            self.fh = fh
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def writelines(self, lines):
-            self.fh.write(lines[0])
-            raise OSError("disk full")
-
-    real_open = open
-
-    def failing_open(file, mode="r", *args, **kwargs):
-        fh = real_open(file, mode, *args, **kwargs)
-        return FailingWriter(fh) if "w" in mode else fh
-
-    monkeypatch.setattr("promptgp.evolution.open", failing_open, raising=False)
+    fail_writes_to(monkeypatch, "journal.jsonl")
     with pytest.raises(OSError):
         EvalJournal.truncate_file(path, 3)
     assert Path(path).read_text(encoding="utf-8") == before
+    assert not Path(path + ".tmp").exists()
 
 
 def test_initialise_is_deterministic_and_renders():

@@ -44,6 +44,24 @@ def test_parse_dataset_errors():
         parse_dataset('{"id": "a", "input": "x"}\n')  # missing label
     with pytest.raises(DatasetError):
         parse_dataset("[1, 2]\n")
+    for field, value in [
+        ("id", "null"),
+        ("input", "[1, 2]"),
+        ("label", "null"),
+        ("label", "true"),
+        ("input", '{"q": "x"}'),
+        ("context", "false"),
+        ("context", '["c"]'),
+    ]:
+        row = {"id": '"a"', "input": '"x"', "label": '"y"', field: value}
+        line = "{" + ", ".join(f'"{k}": {v}' for k, v in row.items()) + "}"
+        with pytest.raises(DatasetError, match=f"line 2: field '{field}'"):
+            parse_dataset('{"id": "z", "input": "w", "label": "v"}\n' + line + "\n")
+
+
+def test_parse_dataset_reads_numbers_as_text_and_a_null_context_as_absent():
+    ds = parse_dataset('{"id": 7, "input": 2.5, "label": 1, "context": null}\n')
+    assert ds.rows == [DataRow(id="7", input="2.5", label="1", context="")]
 
 
 def test_dataset_validates_ids_and_labels():
