@@ -40,7 +40,7 @@ from .surrogate import (
     train,
     tune_hyperparameters,
 )
-from .tasks import Dataset, EvalContext, load_dataset, warn_train_overlap
+from .tasks import Dataset, EvalContext, evaluate_prompt, load_dataset, warn_train_overlap
 from .template import BaseTemplate, RenderedPrompt, builtin_template, load_template
 
 log = logging.getLogger(__name__)
@@ -435,7 +435,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     prompt_text = Path(args.prompt).read_text(encoding="utf-8")
     try:
-        report = ctx.score(RenderedPrompt(prompt_text), dataset.rows)
+        report = evaluate_prompt(RenderedPrompt(prompt_text), dataset.rows, ctx)
     finally:
         ctx.close()
     out = workdir / f"eval_{args.split}.tsv"

@@ -85,7 +85,13 @@ def _coerce(raw: str, default) -> object:
 
 
 def _apply(obj, section_name: str, items: dict[str, str]) -> None:
-    known = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    """Set each key of one section on `obj`; fields that hold a section of
+    their own (`RunConfig.task` and the like) are not keys."""
+    known = {
+        f.name: getattr(obj, f.name)
+        for f in dataclasses.fields(obj)
+        if not dataclasses.is_dataclass(getattr(obj, f.name))
+    }
     for key, raw in items.items():
         if key not in known:
             raise ConfigError(f"unknown key {key!r} in section [{section_name}]")
@@ -148,17 +154,10 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"malformed config: {exc}") from exc
     cfg = RunConfig()
     for section in parser.sections():
-        items = dict(parser.items(section))
-        if section == "run":
-            run_keys = {"master_seed", "placeholder_guard"}
-            for key, raw in items.items():
-                if key not in run_keys:
-                    raise ConfigError(f"unknown key {key!r} in section [run]")
-                setattr(cfg, key, _coerce(raw, getattr(cfg, key)))
-        elif section in _SECTIONS:
-            _apply(getattr(cfg, section), section, items)
-        else:
+        if section != "run" and section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
+        target = cfg if section == "run" else getattr(cfg, section)
+        _apply(target, section, dict(parser.items(section)))
     check_bounds(cfg)
     return cfg
 

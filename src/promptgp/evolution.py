@@ -34,8 +34,8 @@ from .grammar import (
     sample_ptc2,
 )
 from .seeds import derive_seed
-from .tasks import Dataset, EvalContext, sample_rows
-from .template import BaseTemplate, RenderedPrompt, TemplateError
+from .tasks import Dataset, EvalContext, evaluate_prompt, sample_rows
+from .template import BaseTemplate, RenderedPrompt, TemplateError, apply_phenotype
 
 log = logging.getLogger(__name__)
 
@@ -109,9 +109,12 @@ class EvalJournal:
             lines = fh.readlines()
         if lines and not lines[-1].endswith("\n"):
             log.warning("%s: dropped a torn last line of %d characters", path, len(lines.pop()))
-        for line in lines:
+        for lineno, line in enumerate(lines, start=1):
             if line.strip():
-                journal.records.append(json.loads(line))
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError(f"{path}: line {lineno}: a journal record must be an object")
+                journal.records.append(record)
         journal.path = path
         return journal
 
@@ -169,7 +172,7 @@ class EvolutionEngine:
     def _render(self, ind: Individual) -> None:
         try:
             ind.phenotype = render_phenotype(ind.tree)
-            ind.prompt = self.ctx.render(self.base, ind.phenotype)
+            ind.prompt = apply_phenotype(self.base, ind.phenotype, self.ctx)
         except (ProgramParseError, ProgramExecutionError, MalformedTreeError, TemplateError) as exc:
             log.warning("individual %s failed to render: %s", ind.digest, exc)
 
@@ -204,7 +207,7 @@ class EvolutionEngine:
             if ind.prompt is None:
                 ind.f_train = 0.0
         rendered = [ind for ind in inds if ind.prompt is not None]
-        reports = self.ctx.score_many([(ind.prompt, rows) for ind in rendered])
+        reports = self.ctx.map(lambda ind: evaluate_prompt(ind.prompt, rows, self.ctx), rendered)
         for ind, report in zip(rendered, reports):
             ind.f_train = report.fitness
             self.journal.append(
@@ -228,7 +231,7 @@ class EvolutionEngine:
         if champion.prompt is None:
             champion.f_val = 0.0
         else:
-            champion.f_val = self.ctx.score(champion.prompt, self.val_dataset.rows).fitness
+            champion.f_val = evaluate_prompt(champion.prompt, self.val_dataset.rows, self.ctx).fitness
             self.journal.append(
                 {
                     "generation": gen,
@@ -325,8 +328,8 @@ class EvolutionEngine:
             population = self.initialise()
         if self.settings.generations == 0 and start_generation == 0:
             self._score_generation(population, 0)
-            if self.checkpoint_path:
-                self.save_checkpoint(population, next_generation=0)
+            if self.checkpoint_path:  # generation 0 is done, so a resume appends nothing
+                self.save_checkpoint(population, next_generation=1)
             return RunResult(self.elite, population, self.history)
         for gen in range(start_generation, self.settings.generations):
             population = self.run_generation(population, gen)
@@ -381,11 +384,11 @@ class EvolutionEngine:
 
 
 def check_checkpoint(state: dict, config_digest: str, master_seed: int) -> None:
-    """Raise ValueError unless a run of this config digest ("" skips that
-    check) and master seed may resume from the checkpoint `state`."""
+    """Raise ValueError unless a run of exactly this config digest and
+    master seed may resume from the checkpoint `state`."""
     if state.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {state.get('version')}")
-    if config_digest and state.get("config_digest") not in ("", config_digest):
+    if state.get("config_digest") != config_digest:
         raise ValueError("checkpoint was produced by a different configuration")
     if state.get("master_seed") != master_seed:
         raise ValueError("checkpoint master seed does not match the configured seed")
@@ -393,4 +396,7 @@ def check_checkpoint(state: dict, config_digest: str, master_seed: int) -> None:
 
 def load_checkpoint(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        state = json.load(fh)
+    if not isinstance(state, dict):
+        raise ValueError(f"{path}: a checkpoint must be an object")
+    return state

@@ -21,8 +21,8 @@ from .exprlang import Expr, iter_index_slots, parse, render, replace_index_slot
 from .grammar import Phenotype
 from .seeds import derive_seed
 from .surrogate import SurrogateEnsemble
-from .tasks import Dataset, EvalContext, sample_rows
-from .template import BaseTemplate, RenderedPrompt, phenotype_digest
+from .tasks import Dataset, EvalContext, evaluate_prompt, sample_rows
+from .template import BaseTemplate, RenderedPrompt, apply_phenotype, phenotype_digest
 
 log = logging.getLogger(__name__)
 
@@ -141,7 +141,8 @@ def finalize(
     sample, all in one batch; pick argmax."""
     d_train = sample_rows(ctx.train, len(val_rows), seed)
     entries = [*candidates, incumbent]
-    reports = ctx.score_many([(c.prompt, rows) for c in entries for rows in (val_rows, d_train)])
+    jobs = [(c.prompt, rows) for c in entries for rows in (val_rows, d_train)]
+    reports = ctx.map(lambda job: evaluate_prompt(*job, ctx), jobs)
     for cand, val, train in zip(entries, reports[::2], reports[1::2]):
         cand.f_val, cand.f_train = val.fitness, train.fitness
         cand.combined = (cand.f_val + cand.f_train) / 2.0
@@ -170,7 +171,7 @@ def run_local_search(
     master_seed: int = 0,
 ) -> LocalSearchResult:
     settings = settings or LocalSearchSettings()
-    prompt = ctx.render(base, incumbent_ph)
+    prompt = apply_phenotype(base, incumbent_ph, ctx)
     incumbent = Candidate(
         incumbent_ph, prompt, phenotype_digest(incumbent_ph), is_incumbent=True
     )
@@ -188,7 +189,7 @@ def run_local_search(
     nb = build_neighborhood(
         incumbent_ph, sites, bound, derive_seed(master_seed, "neighborhood"), settings.per_site
     )
-    prompts = ctx.map(lambda n: ctx.render(base, n.phenotype), nb.neighbors)
+    prompts = ctx.map(lambda n: apply_phenotype(base, n.phenotype, ctx), nb.neighbors)
     for neighbor, rendered in zip(nb.neighbors, prompts):
         neighbor.prompt = rendered
     candidates = screen(nb.neighbors, ensemble, settings)

@@ -14,17 +14,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .gateway import GatewayError, LlmGateway
-from .grammar import Phenotype
 from .lexicons import Lexicons
-from .template import (
-    BaseTemplate,
-    IclPool,
-    RenderedPrompt,
-    apply_phenotype,
-    format_demo,
-    instantiate,
-    retrieve_icl,
-)
+from .template import IclPool, RenderedPrompt, format_demo, instantiate, retrieve_icl
 from .textparse import extract_key
 
 log = logging.getLogger(__name__)
@@ -191,29 +182,26 @@ def evaluate_prompt(
     prompt: RenderedPrompt, rows: Sequence[DataRow], ctx: EvalContext
 ) -> FitnessReport:
     """Mean per-case score of one rendered prompt over the given rows,
-    asked of `ctx.model` with the cases sent through `ctx.map`.
+    asked of `ctx.model` with the cases sent through `ctx.map`, each with
+    its demonstrations from `ctx.demos`.
 
-    Every row's demonstrations are resolved through `ctx.demos`, in row
-    order, before any case is sent.  Transport failures and unparseable
-    replies score zero for that case; only the latter are counted as parse
-    failures.
+    Transport failures and unparseable replies score zero for that case;
+    only the latter are counted as parse failures.
     """
     if not rows:
         raise ValueError("cannot evaluate on zero rows")
     task = ctx.task
-    cases = [(row, ctx.demos(row)) for row in rows]
 
-    def eval_case(case: tuple[DataRow, list[str]]) -> tuple[float, bool]:
-        row, case_demos = case
+    def eval_case(row: DataRow) -> tuple[float, bool]:
         try:
-            reply = ctx.gateway.ask(instantiate(prompt, row, case_demos), ctx.model)
+            reply = ctx.gateway.ask(instantiate(prompt, row, ctx.demos(row)), ctx.model)
         except GatewayError as exc:
             log.warning("case %s: gateway failure: %s", row.id, exc)
             return 0.0, False
         pred = extract_answer(reply, task.answer_key)
         return score_case(pred, row.label, task.metric), pred is None
 
-    outcomes = ctx.map(eval_case, cases)
+    outcomes = ctx.map(eval_case, rows)
     per_case = [(row.id, score) for row, (score, _) in zip(rows, outcomes)]
     fitness = sum(score for _, score in per_case) / len(per_case)
     return FitnessReport(
@@ -234,29 +222,28 @@ def _mark_pool_thread() -> None:
 
 @dataclass(frozen=True)
 class EvalContext:
-    """How a prompt-creating programme is judged, shared by GP, local search
-    and `evaluate`: its edits are applied to the base template with
-    `render`, and the rendered prompt is scored by the task LLM with `score`.
-    Both hand the context itself down; `lexicons` may stay empty in a
-    context that renders nothing.
+    """The per-command state with which a prompt-creating programme is
+    judged, shared by GP, local search and `evaluate`: `apply_phenotype`
+    applies its edits to the base template, and `evaluate_prompt` scores the
+    rendered prompt with the task LLM.  Both take the context itself;
+    `lexicons` may stay empty in a context that renders nothing.
 
     `train` is the ICL demonstration pool; GP and local search also sample
     their training rows from it.  When `icl_k > 0`, each training input is
     tokenized once, as the context is built, into `_icl`, the index every
     retrieval ranks against, so a command tokenizes its pool once however
     many cases it retrieves for.  Each case's demonstrations are retrieved
-    once per context and kept in `_demos`, keyed on the row itself: ids are
-    unique only within one file.  Each rendered section is memoised in
-    `_sections` (see `apply_phenotype`); `degraded` counts, per op, the LLM
-    edits that fell back to identity after a transport failure.
+    once per context, by `demos`, and kept in `_demos`, keyed on the row
+    itself: ids are unique only within one file.  Each rendered section is
+    memoised in `_sections` (see `apply_phenotype`); `degraded` counts, per
+    op, the LLM edits that fell back to identity after a transport failure.
 
     Independent renders and scores go through `map`, which runs them on the
     context's one pool of `max_workers` threads; maps nested inside it run
     inline, so at most `max_workers` LLM requests are in flight.  The
     pool's threads start on the first map and end at `close`, which also
-    closes the gateway's connections.  `_lock` guards `_sections` and
-    `degraded`.  `_demos` holds no lock: `score_many` and `evaluate_prompt`
-    resolve demonstrations on the calling thread before they map.
+    closes the gateway's connections.  `_lock` guards `_sections`,
+    `degraded` and `_demos`.
     """
 
     task: TaskSettings
@@ -300,25 +287,11 @@ class EvalContext:
         self.gateway.close()
 
     def demos(self, row: DataRow) -> list[str]:
-        """The formatted demonstrations shown with `row`, retrieved on first use."""
-        found = self._demos.get(row)
-        if found is None:
-            nearest = retrieve_icl(row.input, self._icl, self.icl_k)
-            found = self._demos[row] = [format_demo(r, self.task.answer_key) for r in nearest]
+        """The formatted demonstrations shown with `row`, retrieved under
+        `_lock` on first use, so each row is retrieved once on any thread."""
+        with self._lock:
+            found = self._demos.get(row)
+            if found is None:
+                nearest = retrieve_icl(row.input, self._icl, self.icl_k)
+                found = self._demos[row] = [format_demo(r, self.task.answer_key) for r in nearest]
         return found
-
-    def score(self, prompt: RenderedPrompt, rows: Sequence[DataRow]) -> FitnessReport:
-        return evaluate_prompt(prompt, rows, self)
-
-    def score_many(
-        self, jobs: Sequence[tuple[RenderedPrompt, Sequence[DataRow]]]
-    ) -> list[FitnessReport]:
-        """`score` of each (prompt, rows) job, the jobs scored concurrently;
-        every row's demonstrations are resolved first, in job order."""
-        for _, rows in jobs:
-            for row in rows:
-                self.demos(row)
-        return self.map(lambda job: evaluate_prompt(*job, self), jobs)
-
-    def render(self, base: BaseTemplate, ph: Phenotype) -> RenderedPrompt:
-        return apply_phenotype(base, ph, self)

@@ -1,11 +1,15 @@
 """The benchmark's traced run patches promptgp functions by name; every name
-it lists must exist, or `bench/run.py --trace 1` fails on its first round."""
+it lists must exist, or `bench/run.py --trace 1` fails on its first round,
+and each layer must be reached through its patched name, or the layer reads 0."""
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
+from test_cli import setup_run, site_elite
+
+from promptgp.cli import main
 from promptgp.config import parse_config
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -37,6 +41,34 @@ def test_every_traced_name_resolves(monkeypatch):
         if owner is None or not callable(getattr(owner, attr, None)):
             missing.append(f"{module}.{cls + '.' if cls else ''}{attr}")
     assert missing == []
+
+
+def test_traced_commands_reach_every_patched_layer(tmp_path, monkeypatch):
+    run = load_bench_run(monkeypatch)
+    root = setup_run(tmp_path)
+    config = str(root / "run.ini")
+    tracer = run.Tracer()
+    for span, module, cls, attr in run.TRACE_POINTS:
+        owner = importlib.import_module(f"promptgp.{module}")
+        if cls is not None:
+            owner = getattr(owner, cls)
+        tracer.patch(owner, attr, span, run.COUNT_HOOKS.get(attr))
+    try:
+        assert main(["optimize", "--config", config]) == 0
+        site_elite(root / "work")  # so that local search screens and finalizes
+        assert main(["local-search", "--config", config]) == 0
+    finally:
+        tracer.restore()
+    calls = {name: n for name, (n, _) in tracer.self_times().items()}
+    for name in (
+        "tasks.evaluate_prompt",
+        "template.apply_phenotype",
+        "template.retrieve_icl",
+        "exprlang.parse",
+        "localsearch.finalize",
+    ):
+        assert calls.get(name, 0) >= 1, name
+    assert tracer.counts["tasks.cases_scored"] >= calls["tasks.evaluate_prompt"]
 
 
 def test_every_workload_config_passes_the_bounds(monkeypatch):

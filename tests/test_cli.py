@@ -235,18 +235,20 @@ def test_optimize_counts_degraded_edits_in_stats(tmp_path, monkeypatch, caplog):
     assert degraded["paraphrase"] > 0 and degraded["summarise"] > 0
 
 
-def test_optimize_resume_from_checkpoint_reproduces_report(tmp_path):
-    root = setup_run(tmp_path)
+@pytest.mark.parametrize("generations", [0, 2])
+def test_optimize_resume_from_checkpoint_reproduces_report(tmp_path, generations):
+    # Resuming a finished run appends nothing, even with no generation to run.
+    root = setup_run(tmp_path, generations=generations)
     config = str(root / "run.ini")
     assert main(["optimize", "--config", config]) == 0
     work = root / "work"
-    original_report = (work / "report.json").read_text()
-    original_journal = (work / "journal.jsonl").read_text()
+    original_report = (work / "report.json").read_bytes()
+    original_journal = (work / "journal.jsonl").read_bytes()
     assert (
         main(["optimize", "--config", config, "--resume", str(work / "checkpoint.json")]) == 0
     )
-    assert (work / "report.json").read_text() == original_report
-    assert (work / "journal.jsonl").read_text() == original_journal
+    assert (work / "report.json").read_bytes() == original_report
+    assert (work / "journal.jsonl").read_bytes() == original_journal
 
 
 @pytest.mark.parametrize(
@@ -255,6 +257,7 @@ def test_optimize_resume_from_checkpoint_reproduces_report(tmp_path):
         ("config", "different configuration"),
         ("seed", "master seed does not match"),
         ("version", "unsupported checkpoint version"),
+        ("digest", "different configuration"),  # an empty digest matches no config
     ],
 )
 def test_refused_resume_leaves_the_journal_untouched(tmp_path, capsys, refusal, message):
@@ -272,12 +275,41 @@ def test_refused_resume_leaves_the_journal_untouched(tmp_path, capsys, refusal, 
     assert json.loads(checkpoint.read_text())["journal_lines"] < len(journal.splitlines())
     if refusal != "config":
         config.write_text(one_generation)
-        key, value = ("master_seed", 4) if refusal == "seed" else ("version", 0)
+        key, value = {
+            "seed": ("master_seed", 4),
+            "version": ("version", 0),
+            "digest": ("config_digest", ""),
+        }[refusal]
         checkpoint.write_text(json.dumps({**json.loads(checkpoint.read_text()), key: value}))
     capsys.readouterr()
     assert main(["optimize", "--config", str(config), "--resume", str(checkpoint)]) == 2
     assert message in capsys.readouterr().err
     assert (work / "journal.jsonl").read_bytes() == journal
+
+
+@pytest.mark.parametrize(
+    "command, text, where",
+    [
+        ("optimize", "[1, 2]\n", "a checkpoint must be an object"),
+        ("local-search", "[1, 2]\n", "a checkpoint must be an object"),
+        ("report", '{"config_digest": "x"}\n[1]\n', "line 2: a journal record must be an object"),
+    ],
+    ids=["optimize", "local-search", "report"],
+)
+def test_checkpoint_or_journal_record_that_is_not_an_object_exits_2(
+    tmp_path, capsys, command, text, where
+):
+    root = setup_run(tmp_path)
+    config = str(root / "run.ini")
+    bad = root / "bad.json"
+    bad.write_text(text)
+    argv = {
+        "optimize": ["optimize", "--config", config, "--resume", str(bad)],
+        "local-search": ["local-search", "--config", config, "--checkpoint", str(bad)],
+        "report": ["report", "--journal", str(bad), "--out", str(root / "curve.tsv")],
+    }[command]
+    assert main(argv) == 2
+    assert f"{bad}: {where}" in capsys.readouterr().err
 
 
 def test_local_search_after_optimize(tmp_path, capsys):

@@ -79,6 +79,8 @@ def test_parse_config_rejects_unknown():
         parse_config("[gp]\nbanana = 1\n")
     with pytest.raises(ConfigError):
         parse_config("[run]\nbanana = 1\n")
+    with pytest.raises(ConfigError, match=r"unknown key 'task' in section \[run\]"):
+        parse_config("[run]\ntask = x\n")  # sections are not [run] keys
     # [gp] icl_k serves both phases; local search has no key of its own.
     with pytest.raises(ConfigError):
         parse_config("[local_search]\nicl_k = 0\n")
@@ -99,6 +101,12 @@ def test_parse_config_rejects_unknown():
         parse_config("[run]\nplaceholder_guard = maybe\n")
     with pytest.raises(ConfigError):
         parse_config("not an ini file")
+
+
+@pytest.mark.parametrize("key, value", [("master_seed", "abc"), ("placeholder_guard", "maybe")])
+def test_bad_run_value_is_refused_naming_its_key(key, value):
+    with pytest.raises(ConfigError, match=f"bad value for run.{key}: "):
+        parse_config(f"[run]\n{key} = {value}\n")
 
 
 def test_model_keys_come_from_gateway_section():

@@ -243,8 +243,8 @@ def test_context_retrieves_each_case_once(monkeypatch):
     backend = Recorder()
     ctx = icl_context(TRAIN, backend)
     rows = [DataRow(id=f"r{i}", input=f"is colour {i} warm", label="yes") for i in range(3)]
-    first = ctx.score(rendered(), rows)
-    second = ctx.score(RenderedPrompt("Q: __TASK_INPUT_0__ __ICL_0__"), rows + rows[:1])
+    first = evaluate_prompt(rendered(), rows, ctx)
+    second = evaluate_prompt(RenderedPrompt("Q: __TASK_INPUT_0__ __ICL_0__"), rows + rows[:1], ctx)
     assert sorted(calls) == sorted(row.input for row in rows)
     assert first.fitness == second.fitness == 1.0
     assert "Input: is colour 0 a warm colour" in backend.seen[0]
@@ -274,8 +274,8 @@ def test_parallel_context_sends_the_serial_requests():
     prompt = RenderedPrompt("Q: __TASK_INPUT_0__\n__ICL_0__\n__ICL_1__")
     rows = [DataRow(id=f"r{i}", input=f"is colour {i % 4} warm", label="yes") for i in range(8)]
     serial, parallel = Recorder(), Recorder()
-    icl_context(TRAIN, serial).score(prompt, rows)
-    icl_context(TRAIN, parallel, max_workers=4).score(prompt, rows)
+    evaluate_prompt(prompt, rows, icl_context(TRAIN, serial))
+    evaluate_prompt(prompt, rows, icl_context(TRAIN, parallel, max_workers=4))
     assert sorted(parallel.seen) == sorted(serial.seen)
     assert len(set(serial.seen)) == 4
 
@@ -293,11 +293,11 @@ def test_pooled_scores_retrieve_each_row_once(monkeypatch):
     rows = [DataRow(id=f"r{i}", input=f"is colour {i} warm", label="yes") for i in range(5)]
     prompts = [rendered(), RenderedPrompt("Q: __TASK_INPUT_0__ __ICL_0__"), rendered()]
     ctx = icl_context(TRAIN, Recorder(), max_workers=3)
-    reports = ctx.score_many([(prompt, rows + rows[:2]) for prompt in prompts])
-    ctx.score(prompts[1], rows[1:])
+    reports = ctx.map(lambda prompt: evaluate_prompt(prompt, rows + rows[:2], ctx), prompts)
+    evaluate_prompt(prompts[1], rows[1:], ctx)
     assert sorted(calls) == sorted(row.input for row in rows)
     serial = icl_context(TRAIN, Recorder())
-    assert reports == [serial.score(prompt, rows + rows[:2]) for prompt in prompts]
+    assert reports == [evaluate_prompt(prompt, rows + rows[:2], serial) for prompt in prompts]
 
 
 class InFlight:
@@ -326,10 +326,11 @@ def test_nested_maps_hold_at_most_max_workers_requests_in_flight():
     rows = [DataRow(id=f"r{i}", input=f"Question {i}", label="yes") for i in range(6)]
     prompts = [RenderedPrompt(f"Prompt {i}: __TASK_INPUT_0__") for i in range(4)]
     # Each prompt's cases map again inside a pool thread; that map runs inline.
-    reports = ctx.score_many([(prompt, rows) for prompt in prompts])
+    reports = ctx.map(lambda prompt: evaluate_prompt(prompt, rows, ctx), prompts)
     assert [r.fitness for r in reports] == [1.0] * 4
     assert backend.most == 2
-    ctx.score(prompts[0], [DataRow(id=f"s{i}", input=f"Other {i}", label="yes") for i in range(6)])
+    others = [DataRow(id=f"s{i}", input=f"Other {i}", label="yes") for i in range(6)]
+    evaluate_prompt(prompts[0], others, ctx)
     assert backend.most == 2
 
 
