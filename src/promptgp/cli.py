@@ -53,33 +53,35 @@ class CliError(RuntimeError):
 # ---- runtime construction -------------------------------------------------
 
 
+def _read_backend_data(path: str) -> dict:
+    """The JSON object that `gateway.backend_data` names."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"gateway.backend_data {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"gateway.backend_data {path}: must hold a JSON object")
+    return data
+
+
 def build_gateway(cfg: RunConfig, workdir: Path) -> LlmGateway:
+    """The command's gateway; `check_bounds` has vetted the backend keys."""
     gw = cfg.gateway
     if gw.backend == "echo":
         backend = EchoBackend()
     elif gw.backend == "truncate":
         backend = TruncateBackend()
     elif gw.backend == "label_oracle":
-        if not gw.backend_data:
-            raise CliError("label_oracle backend needs gateway.backend_data (truth JSON)")
-        with open(gw.backend_data, "r", encoding="utf-8") as fh:
-            truth = json.load(fh)
+        truth = _read_backend_data(gw.backend_data)
         backend = LabelOracleBackend(truth, answer_key=cfg.task.answer_key)
     elif gw.backend == "scripted":
-        if not gw.backend_data:
-            raise CliError("scripted backend needs gateway.backend_data (reply table JSON)")
-        with open(gw.backend_data, "r", encoding="utf-8") as fh:
-            table = json.load(fh)
+        table = _read_backend_data(gw.backend_data)
         backend = ScriptedBackend(table, default=table.pop("__default__", None))
-    elif gw.backend == "http":
-        if not gw.endpoint:
-            raise CliError("http backend needs gateway.endpoint")
+    else:  # http
         api_key = os.environ.get(gw.api_key_env) if gw.api_key_env else None
         if gw.api_key_env and not api_key:
             raise CliError(f"gateway.api_key_env names {gw.api_key_env}, which is unset or empty")
         backend = HttpBackend(gw.endpoint, api_key=api_key, timeout=gw.timeout)
-    else:
-        raise CliError(f"unknown gateway backend {gw.backend!r}")
     cache_path: Optional[str] = None
     if gw.cache_file:
         p = Path(gw.cache_file)
@@ -104,8 +106,8 @@ def build_grammar(cfg: RunConfig) -> Grammar:
 def build_template(cfg: RunConfig) -> BaseTemplate:
     ref = cfg.task.template
     if ref.startswith("builtin:"):
-        return builtin_template(ref.split(":", 1)[1], icl_slot_count=cfg.task.icl_slot_count)
-    return load_template(ref, icl_slot_count=cfg.task.icl_slot_count)
+        return builtin_template(ref.split(":", 1)[1])
+    return load_template(ref)
 
 
 def build_lexicons(cfg: RunConfig) -> Lexicons:
@@ -147,11 +149,7 @@ def _require(path: str, what: str) -> str:
 def build_embedder(cfg: RunConfig):
     if cfg.surrogate.embedder == "hashing":
         return HashingEmbedder(dim=cfg.surrogate.dim, seed=derive_seed(cfg.master_seed, "embedder"))
-    if cfg.surrogate.embedder == "remote":
-        if not cfg.surrogate.endpoint:
-            raise CliError("remote embedder needs surrogate.endpoint")
-        return RemoteEmbedder(cfg.surrogate.endpoint, dim=cfg.surrogate.dim)
-    raise CliError(f"unknown embedder {cfg.surrogate.embedder!r}")
+    return RemoteEmbedder(cfg.surrogate.endpoint, dim=cfg.surrogate.dim)
 
 
 # ---- artifacts -------------------------------------------------------------

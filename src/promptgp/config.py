@@ -101,10 +101,15 @@ def _apply(obj, section_name: str, items: dict[str, str]) -> None:
             raise ConfigError(f"bad value for {section_name}.{key}: {exc}") from exc
 
 
+_BACKENDS = ("echo", "truncate", "label_oracle", "scripted", "http")
+_EMBEDDERS = ("hashing", "remote")
+
 # Every bound on a single key, as (keys, test, wording); keys listed in no
 # row take any value of their type.
 _BOUNDS = (
     ("task.metric", lambda v: v in METRICS, f"one of {', '.join(METRICS)}"),
+    ("gateway.backend", lambda v: v in _BACKENDS, f"one of {', '.join(_BACKENDS)}"),
+    ("surrogate.embedder", lambda v: v in _EMBEDDERS, f"one of {', '.join(_EMBEDDERS)}"),
     # Seconds handed to time.sleep and the socket timeout, which reject inf.
     ("gateway.timeout", lambda v: 0 < v < math.inf, "finite and > 0"),
     ("gateway.backoff_base gateway.temperature", lambda v: 0 <= v < math.inf, "finite and >= 0"),
@@ -127,16 +132,32 @@ _BOUNDS = (
 )
 
 
+# (key, value, key that must then be set): what one choice needs.
+_NEEDS = (
+    ("gateway.backend", "http", "gateway.endpoint"),
+    ("gateway.backend", "label_oracle", "gateway.backend_data"),
+    ("gateway.backend", "scripted", "gateway.backend_data"),
+    ("surrogate.embedder", "remote", "surrogate.endpoint"),
+)
+
+
+def _value(cfg: RunConfig, name: str) -> object:
+    section, key = name.split(".")
+    return getattr(getattr(cfg, section), key)
+
+
 def check_bounds(cfg: RunConfig) -> None:
     """Reject the first value no command can honour, naming its key.  The
     one bound that needs the grammar, on `gp.max_nodes`, is checked by
     `EvolutionEngine`."""
     for keys, holds, wording in _BOUNDS:
         for name in keys.split():
-            section, key = name.split(".")
-            value = getattr(getattr(cfg, section), key)
+            value = _value(cfg, name)
             if not holds(value):
                 raise ConfigError(f"{name} must be {wording}, got {value!r}")
+    for name, choice, needed in _NEEDS:
+        if _value(cfg, name) == choice and not _value(cfg, needed):
+            raise ConfigError(f"{name} = {choice} needs {needed}")
     ls = cfg.local_search
     if ls.top_mean + ls.top_variance > ls.screen_limit:
         raise ConfigError(

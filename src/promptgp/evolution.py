@@ -111,7 +111,10 @@ class EvalJournal:
             log.warning("%s: dropped a torn last line of %d characters", path, len(lines.pop()))
         for lineno, line in enumerate(lines, start=1):
             if line.strip():
-                record = json.loads(line)
+                try:
+                    record = json.loads(line)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {lineno}: {exc}") from exc
                 if not isinstance(record, dict):
                     raise ValueError(f"{path}: line {lineno}: a journal record must be an object")
                 journal.records.append(record)
@@ -396,7 +399,10 @@ def check_checkpoint(state: dict, config_digest: str, master_seed: int) -> None:
 
 def load_checkpoint(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        state = json.load(fh)
+        try:
+            state = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(state, dict):
         raise ValueError(f"{path}: a checkpoint must be an object")
     return state

@@ -1,4 +1,4 @@
-"""Edit-program expression language: AST, parser, renderer.
+"""Edit-program expression language: AST, parser, index scanner.
 
 Programs are nested operator calls over three atoms: BASE (the section's
 base text), NULL (blank section), and ICL_LIST (the demonstration
@@ -8,8 +8,8 @@ renders, e.g.
     swap_elements(index1=[3], index2=[5,7], level=phrase, texts=BASE)
 
 Parsing produces an AST that the edit runtime interprets; the program text
-is never evaluated as host code.  ``render`` is the exact inverse of
-``parse`` on canonical text.
+is never evaluated as host code.  ``index_spans`` finds every index value
+in the text itself, so local search edits a program's digits in place.
 """
 
 from __future__ import annotations
@@ -77,6 +77,22 @@ OPS: dict[str, OpSpec] = {
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<num>\d+(?:\.\d+)?)|(?P<punct>[()\[\],=+]))"
 )
+
+
+# One index argument, `kwarg=[a]` or `kwarg=[a,b]`, with the whitespace
+# between tokens that _TOKEN_RE allows.
+_INDEX_RE = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)\s*=\s*\[\s*(\d+)\s*(?:,\s*(\d+)\s*)?\]")
+
+
+def index_spans(text: str) -> Iterator[tuple[str, int, int, int]]:
+    """Yield (kwarg, slot, start, end) for every index value of a program
+    text, in text order, which is the AST's pre-order.  Slot 0 is an
+    index's first value and slot 1 a slice's second; `text[start:end]` is
+    the value's digits."""
+    for m in _INDEX_RE.finditer(text):
+        for slot in (0, 1):
+            if m.group(slot + 2) is not None:
+                yield m.group(1), slot, m.start(slot + 2), m.end(slot + 2)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -210,78 +226,3 @@ def parse(text: str) -> Expr:
     if not stripped:
         raise ProgramParseError("empty program")
     return _Parser(stripped).parse()
-
-
-def _render_value(value: object) -> str:
-    if isinstance(value, ViewIndex):
-        if value.kind == "atomic":
-            return f"[{value.a}]"
-        return f"[{value.a},{value.b}]"
-    if isinstance(value, float):
-        return f"{value:g}"
-    return str(value)
-
-
-def render(expr: Expr) -> str:
-    """Canonical program text; inverse of parse on grammar-rendered programs."""
-    if isinstance(expr, Atom):
-        return expr.name
-    if isinstance(expr, Concat):
-        return "+".join(render(p) for p in expr.parts)
-    if isinstance(expr, Call):
-        inner = ", ".join(f"{k}={_render_value(v)}" for k, v in expr.args)
-        return f"{expr.name}({inner}, texts={render(expr.texts)})"
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
-# Index-slot addressing: a path is a tuple of child positions from the root
-# (Concat part index or 0 for a Call's texts child), plus the kwarg name and
-# the slot within the index (0 = a, 1 = b for slices).
-
-
-def iter_index_slots(expr: Expr, _path: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int, ...], str, int, int]]:
-    """Yield (path, kwarg, slot, value) for every index digit, pre-order."""
-    if isinstance(expr, Concat):
-        for i, part in enumerate(expr.parts):
-            yield from iter_index_slots(part, _path + (i,))
-    elif isinstance(expr, Call):
-        for key, value in expr.args:
-            if isinstance(value, ViewIndex):
-                yield (_path, key, 0, value.a)
-                if value.kind == "slice":
-                    yield (_path, key, 1, value.b)
-        yield from iter_index_slots(expr.texts, _path + (0,))
-
-
-def replace_index_slot(expr: Expr, path: tuple[int, ...], key: str, slot: int, new_value: int) -> Expr:
-    """Return a copy of expr with one index digit replaced."""
-    if path:
-        head, rest = path[0], path[1:]
-        if isinstance(expr, Concat):
-            parts = list(expr.parts)
-            parts[head] = replace_index_slot(parts[head], rest, key, slot, new_value)
-            return Concat(tuple(parts))
-        if isinstance(expr, Call):
-            if head != 0:
-                raise KeyError(f"bad path step {head} at call {expr.name}")
-            return Call(expr.name, expr.args, replace_index_slot(expr.texts, rest, key, slot, new_value))
-        raise KeyError("path descends below a leaf")
-    if not isinstance(expr, Call):
-        raise KeyError("path does not end at an operator call")
-    args = []
-    hit = False
-    for k, v in expr.args:
-        if k == key:
-            if not isinstance(v, ViewIndex):
-                raise KeyError(f"{key} is not an index parameter")
-            if slot == 0:
-                v = ViewIndex(v.kind, new_value, v.b)
-            elif slot == 1 and v.kind == "slice":
-                v = ViewIndex(v.kind, v.a, new_value)
-            else:
-                raise KeyError(f"index {key} has no slot {slot}")
-            hit = True
-        args.append((k, v))
-    if not hit:
-        raise KeyError(f"call {expr.name} has no parameter {key}")
-    return Call(expr.name, tuple(args), expr.texts)

@@ -155,11 +155,14 @@ class ResponseCache:
             if end < len(data):
                 log.warning("%s: dropped a torn last line of %d bytes", path, len(data) - end)
                 os.truncate(path, end)
-            for line in data[:end].decode("utf-8").splitlines():
+            for lineno, line in enumerate(data[:end].split(b"\n"), start=1):
                 if not line:
                     continue
-                digest, _, blob = line.partition("\t")
-                self._mem[digest] = base64.b64decode(blob).decode("utf-8")
+                try:
+                    digest, _, blob = line.decode("utf-8").partition("\t")
+                    self._mem[digest] = base64.b64decode(blob).decode("utf-8")
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {lineno}: {exc}") from exc
 
     def __len__(self) -> int:
         return len(self._mem)

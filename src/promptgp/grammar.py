@@ -11,11 +11,11 @@ Derivation trees are persistent: no node is changed after `_grow` or
 root to the node it replaces and shares every other subtree with the
 parents, so one node may belong to many trees.
 
-Every whole-tree walk (`iter_nodes`, `count_nodes`, `encode`, crossover
-and mutation sites, a section's terminal text) runs one loop over an
-explicit stack, children pushed in reverse, so nodes come off it in the
-depth-first pre-order of the recursive definitions without a generator
-frame per level of depth.
+Every whole-tree walk (`count_nodes`, `encode`, crossover and mutation
+sites, a section's terminal text) runs one loop over an explicit stack,
+children pushed in reverse, so nodes come off it in the depth-first
+pre-order of the recursive definitions without a generator frame per
+level of depth.
 
 What PTC2 needs to expand a nonterminal depends only on the grammar, so
 `Grammar` builds it once per nonterminal as an `Expansion` table: the
@@ -32,7 +32,7 @@ import random
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import SECTIONS
 
@@ -230,15 +230,6 @@ def count_nodes(node: Node) -> int:
         count += 1
         stack += stack.pop().children
     return count
-
-
-def iter_nodes(node: Node) -> Iterator[Node]:
-    """Every node of the subtree at `node`, in depth-first pre-order."""
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack += node.children[::-1]
 
 
 @dataclass

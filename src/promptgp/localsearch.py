@@ -1,12 +1,15 @@
 """Index point-mutation refinement of a champion phenotype.
 
-Every digit in every view index of the incumbent's programs is a mutation
-site.  Each site receives up to 10 distinct replacement values drawn from
-{1, ..., U}, where U is twice the largest chunk count the incumbent's ops
-saw during execution.  The surrogate screens the neighborhood down to the
-25 highest-mean plus 25 highest-variance predictions; survivors and the
-incumbent are LLM-scored on the validation set plus an equally sized
-training sample, and the best combined score wins.
+Every value of every view index in the incumbent's programs is a mutation
+site, found in the program text.  A neighbour is the incumbent with one
+site's digits replaced, so every other byte of its programs is the
+incumbent's.  Each site receives up to 10 distinct replacement values
+drawn from {1, ..., U}, where U is twice the largest chunk count the
+incumbent's ops saw during execution.  The surrogate screens the
+neighborhood down to the 25 highest-mean plus 25 highest-variance
+predictions; survivors and the incumbent are LLM-scored on the validation
+set plus an equally sized training sample, and the best combined score
+wins.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import SECTIONS
-from .exprlang import Expr, iter_index_slots, parse, render, replace_index_slot
+from .exprlang import index_spans
 from .grammar import Phenotype
 from .seeds import derive_seed
 from .surrogate import SurrogateEnsemble
@@ -38,7 +41,7 @@ class LocalSearchSettings:
 @dataclass(frozen=True)
 class IndexSite:
     section: str
-    path: tuple[int, ...]
+    span: tuple[int, int]  # (start, end) of the value's digits in the section's program
     param: str
     slot: int
     value: int
@@ -67,20 +70,19 @@ class Neighborhood:
 
 
 def enumerate_sites(ph: Phenotype) -> list[IndexSite]:
-    """One site per index digit, in section order then program pre-order."""
+    """One site per index value, in section order then program text order."""
     sites: list[IndexSite] = []
     for section in SECTIONS:
-        expr = parse(ph.programs[section])
-        for path, param, slot, value in iter_index_slots(expr):
-            sites.append(IndexSite(section, path, param, slot, value))
+        program = ph.programs[section]
+        for param, slot, start, end in index_spans(program):
+            sites.append(IndexSite(section, (start, end), param, slot, int(program[start:end])))
     return sites
 
 
-def _mutate_site(ph: Phenotype, parsed: dict[str, Expr], site: IndexSite, value: int) -> Phenotype:
-    new_expr = replace_index_slot(parsed[site.section], site.path, site.param, site.slot, value)
-    programs = dict(ph.programs)
-    programs[site.section] = render(new_expr)
-    return Phenotype(programs)
+def _mutate_site(ph: Phenotype, site: IndexSite, value: int) -> Phenotype:
+    program = ph.programs[site.section]
+    start, end = site.span
+    return Phenotype({**ph.programs, site.section: f"{program[:start]}{value}{program[end:]}"})
 
 
 def build_neighborhood(
@@ -90,12 +92,11 @@ def build_neighborhood(
     if bound < 1:
         raise ValueError("bound must be >= 1")
     rng = random.Random(seed)
-    parsed = {section: parse(ph.programs[section]) for section in SECTIONS}
     neighbors: list[Candidate] = []
     for site in sites:
         pool = [v for v in range(1, bound + 1) if v != site.value]
         for value in rng.sample(pool, min(per_site, len(pool))):
-            mutated = _mutate_site(ph, parsed, site, value)
+            mutated = _mutate_site(ph, site, value)
             neighbors.append(
                 Candidate(mutated, None, phenotype_digest(mutated), site=site, value=value)
             )

@@ -257,7 +257,7 @@ class EvalContext:
     placeholder_guard: bool = True
     degraded: Counter = field(default_factory=Counter, init=False, repr=False, compare=False)
     _demos: dict[DataRow, list[str]] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _sections: dict[tuple[str, str, int, str], tuple[str, int]] = field(
+    _sections: dict[tuple[str, str, str], tuple[str, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)

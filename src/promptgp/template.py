@@ -42,7 +42,6 @@ class TemplateError(ValueError):
 @dataclass
 class BaseTemplate:
     sections: dict[str, str]
-    icl_slot_count: int = 5
 
     def __post_init__(self) -> None:
         for section in SECTIONS:
@@ -53,7 +52,7 @@ class BaseTemplate:
             raise TemplateError(f"context section must contain {CONTEXT_PLACEHOLDER}")
 
 
-def parse_template(text: str, icl_slot_count: int = 5) -> BaseTemplate:
+def parse_template(text: str) -> BaseTemplate:
     """Split a template file into sections on `== NAME ==` header lines."""
     sections: dict[str, str] = {}
     current: Optional[str] = None
@@ -74,22 +73,22 @@ def parse_template(text: str, icl_slot_count: int = 5) -> BaseTemplate:
             raise TemplateError("template text before the first section header")
     for section, lines in buffers.items():
         sections[section] = "\n".join(lines).strip("\n")
-    return BaseTemplate(sections=sections, icl_slot_count=icl_slot_count)
+    return BaseTemplate(sections=sections)
 
 
-def load_template(path: str, icl_slot_count: int = 5) -> BaseTemplate:
+def load_template(path: str) -> BaseTemplate:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_template(fh.read(), icl_slot_count=icl_slot_count)
+        return parse_template(fh.read())
 
 
-def builtin_template(name: str, icl_slot_count: int = 5) -> BaseTemplate:
+def builtin_template(name: str) -> BaseTemplate:
     try:
         text = resources.files("promptgp").joinpath("data", "templates", f"{name}.txt").read_text(
             encoding="utf-8"
         )
     except FileNotFoundError as exc:
         raise TemplateError(f"no built-in template named {name!r}") from exc
-    return parse_template(text, icl_slot_count=icl_slot_count)
+    return parse_template(text)
 
 
 def icl_placeholders(count: int) -> list[str]:
@@ -112,14 +111,15 @@ class RenderedPrompt:
 
 def apply_phenotype(base: BaseTemplate, ph: Phenotype, ctx: EvalContext) -> RenderedPrompt:
     """Execute each section's program on its base text with the edit
-    settings of `ctx`; join with newlines.
+    settings of `ctx`; join with newlines.  The ICL section's program sees
+    `ctx.task.icl_slot_count` demonstration placeholders.
 
     Each section's (text, chunk count) is memoised on `ctx` by section,
-    base text, ICL slot count and program text, unless one of its LLM edits
-    degraded after a transport failure, so that a later render retries that
-    edit.  Every miss is parsed before any section executes.  Two renders
-    that miss one section at once both execute it; their LLM edits are
-    identical requests, which the gateway sends once.
+    base text and program text, unless one of its LLM edits degraded after
+    a transport failure, so that a later render retries that edit.  Every
+    miss is parsed before any section executes.  Two renders that miss one
+    section at once both execute it; their LLM edits are identical
+    requests, which the gateway sends once.
 
     Raises ProgramParseError if any section program is malformed; callers
     treat that as a whole-prompt failure.
@@ -127,12 +127,12 @@ def apply_phenotype(base: BaseTemplate, ph: Phenotype, ctx: EvalContext) -> Rend
     missing = [s for s in SECTIONS if s not in ph.programs]
     if missing:
         raise TemplateError(f"phenotype lacks sections: {missing}")
-    keys = {s: (s, base.sections[s], base.icl_slot_count, ph.programs[s]) for s in SECTIONS}
+    keys = {s: (s, base.sections[s], ph.programs[s]) for s in SECTIONS}
     with ctx._lock:
         found = {s: ctx._sections.get(keys[s]) for s in SECTIONS}
     parsed = {s: parse(ph.programs[s]) for s in SECTIONS if found[s] is None}
     for section, expr in parsed.items():
-        icl_items = icl_placeholders(base.icl_slot_count) if section == "icl" else ()
+        icl_items = icl_placeholders(ctx.task.icl_slot_count) if section == "icl" else ()
         result, chunks, degraded = execute_program(expr, base.sections[section], ctx, icl_items)
         found[section] = ("\n".join(result) if isinstance(result, list) else result), chunks
         with ctx._lock:

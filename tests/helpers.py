@@ -10,6 +10,8 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from promptgp import SECTIONS
+from promptgp.chunking import ViewIndex
+from promptgp.exprlang import Atom, Call, Concat
 from promptgp.grammar import Phenotype
 
 
@@ -18,6 +20,58 @@ def identity_phenotype() -> Phenotype:
     programs = {section: "BASE" for section in SECTIONS}
     programs["icl"] = "BASE+ICL_LIST"
     return Phenotype(programs)
+
+
+# The AST path that local search once took to a neighbour: walk the parsed
+# program to each index slot, replace its value, print the tree back.  A
+# path is the child positions from the root (a Concat part, or 0 for a
+# Call's texts), then the kwarg and the slot (0 = a, 1 = b of a slice).
+
+
+def ast_index_slots(expr, path=()):
+    """Yield (path, kwarg, slot, value) for every index value, pre-order."""
+    if isinstance(expr, Concat):
+        for i, part in enumerate(expr.parts):
+            yield from ast_index_slots(part, path + (i,))
+    elif isinstance(expr, Call):
+        for key, value in expr.args:
+            if isinstance(value, ViewIndex):
+                yield path, key, 0, value.a
+                if value.kind == "slice":
+                    yield path, key, 1, value.b
+        yield from ast_index_slots(expr.texts, path + (0,))
+
+
+def replace_index_slot(expr, path, key, slot, new_value):
+    """A copy of `expr` with the one index value at (path, key, slot) replaced."""
+    if path:
+        if isinstance(expr, Concat):
+            parts = list(expr.parts)
+            parts[path[0]] = replace_index_slot(parts[path[0]], path[1:], key, slot, new_value)
+            return Concat(tuple(parts))
+        return Call(expr.name, expr.args, replace_index_slot(expr.texts, path[1:], key, slot, new_value))
+    args = []
+    for k, v in expr.args:
+        if k == key:
+            v = ViewIndex(v.kind, new_value, v.b) if slot == 0 else ViewIndex(v.kind, v.a, new_value)
+        args.append((k, v))
+    return Call(expr.name, tuple(args), expr.texts)
+
+
+def render_program(expr):
+    """Canonical program text: the grammar's own spelling of `expr`."""
+    if isinstance(expr, Atom):
+        return expr.name
+    if isinstance(expr, Concat):
+        return "+".join(render_program(p) for p in expr.parts)
+
+    def value(v):
+        if isinstance(v, ViewIndex):
+            return f"[{v.a}]" if v.kind == "atomic" else f"[{v.a},{v.b}]"
+        return f"{v:g}" if isinstance(v, float) else str(v)
+
+    inner = ", ".join(f"{k}={value(v)}" for k, v in expr.args)
+    return f"{expr.name}({inner}, texts={render_program(expr.texts)})"
 
 
 def record_os_writes(monkeypatch):

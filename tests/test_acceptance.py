@@ -16,13 +16,13 @@ import numpy as np
 import pytest
 
 import promptgp
-from helpers import identity_phenotype
+from helpers import ast_index_slots, identity_phenotype
 from promptgp.chunking import LEVELS, ViewIndex, chunk, reassemble, resolve
 from promptgp.cli import main
 from promptgp.config import RunConfig, config_to_dict
 from promptgp.editops import execute_program
 from promptgp.evolution import EvalJournal, EvolutionEngine, GpSettings
-from promptgp.exprlang import iter_index_slots, parse
+from promptgp.exprlang import parse
 from promptgp.gateway import EchoBackend, LabelOracleBackend, LlmGateway
 from promptgp.grammar import (
     crossover,
@@ -319,11 +319,14 @@ class ArbitraryEnsemble:
 
 
 def slot_values(ph):
-    values = {}
-    for section in SECTIONS:
-        for path, param, slot, value in iter_index_slots(parse(ph.programs[section])):
-            values[(section, path, param, slot)] = value
-    return values
+    """Every index value, read from the parsed programs and keyed by its
+    place in section then pre-order, section, param and slot."""
+    slots = [
+        (section, param, slot, value)
+        for section in SECTIONS
+        for _, param, slot, value in ast_index_slots(parse(ph.programs[section]))
+    ]
+    return {(i, section, param, slot): value for i, (section, param, slot, value) in enumerate(slots)}
 
 
 def test_08_neighborhood_combinatorics():
@@ -337,15 +340,16 @@ def test_08_neighborhood_combinatorics():
         assert len(nb.neighbors) == 10 * len(sites)
 
         incumbent_slots = slot_values(ph)
+        place = {site: i for i, site in enumerate(sites)}
         for n in nb.neighbors:
             changed = {
                 key: val
                 for key, val in slot_values(n.phenotype).items()
                 if incumbent_slots[key] != val
             }
-            assert changed == {
-                (n.site.section, n.site.path, n.site.param, n.site.slot): n.value
-            }
+            key = (place[n.site], n.site.section, n.site.param, n.site.slot)
+            assert changed == {key: n.value}
+            assert incumbent_slots[key] == n.site.value
             n.prompt = apply_phenotype(base, n.phenotype, EDIT_CTX)
 
         out = screen(nb.neighbors, ArbitraryEnsemble(), LocalSearchSettings())

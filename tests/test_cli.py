@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 import re
@@ -5,12 +6,15 @@ import threading
 from pathlib import Path
 
 import pytest
-from helpers import LoopbackServer, fail_writes_to, refused_url
+from helpers import LoopbackServer, fail_writes_to, identity_phenotype, refused_url
 
 from promptgp.cli import main
 from promptgp.config import load_config, config_digest
 from promptgp.gateway import LabelOracleBackend, TransportError
 from promptgp.grammar import decode, default_grammar, render_phenotype
+from promptgp.lexicons import Lexicons
+from promptgp.tasks import Dataset
+from promptgp.template import apply_phenotype
 
 TEMPLATE = """== PERSONA ==
 You are a precise assistant.
@@ -310,6 +314,81 @@ def test_checkpoint_or_journal_record_that_is_not_an_object_exits_2(
     }[command]
     assert main(argv) == 2
     assert f"{bad}: {where}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, name, text, where",
+    [
+        ("optimize", "checkpoint.json", '{"version": ', ""),
+        ("local-search", "journal.jsonl", '{"config_digest": "x"}\n{oops\n', "line 2: "),
+        ("report", "journal.jsonl", '{"config_digest": "x"}\n{oops\n', "line 2: "),
+        ("optimize", "cache.tsv", f"a\t{base64.b64encode(b'ok').decode()}\nb\tabc\n", "line 2: "),
+        ("optimize", "cache.tsv", f"a\t{base64.b64encode(b'ok').decode()}\nb\t/w==\n", "line 2: "),
+    ],
+    ids=["checkpoint", "journal-local-search", "journal-report", "cache-base64", "cache-utf8"],
+)
+def test_workdir_file_that_does_not_parse_exits_2_naming_it(tmp_path, capsys, command, name, text, where):
+    root = setup_run(tmp_path)
+    config = str(root / "run.ini")
+    work = root / "work"
+    assert main(["optimize", "--config", config]) == 0  # local-search needs its checkpoint
+    bad = work / name
+    bad.write_text(text)
+    argv = {
+        "optimize": ["optimize", "--config", config],
+        "local-search": ["local-search", "--config", config],
+        "report": ["report", "--journal", str(bad), "--out", str(root / "curve.tsv")],
+    }[command]
+    if name == "checkpoint.json":
+        argv += ["--resume", str(bad)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"{bad}: {where}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("backend", ["label_oracle", "scripted"])
+@pytest.mark.parametrize(
+    "text, says", [("[1, 2]", "must hold a JSON object"), ('{"a": ', "Expecting value")], ids=["array", "torn"]
+)
+def test_backend_data_that_is_not_a_json_object_exits_2_naming_it(tmp_path, capsys, backend, text, says):
+    root = setup_run(tmp_path)
+    config = root / "run.ini"
+    (root / "truth.json").write_text(text)
+    config.write_text(config.read_text().replace("backend = label_oracle\n", f"backend = {backend}\n"))
+    assert main(["optimize", "--config", str(config)]) == 2
+    assert f"gateway.backend_data {root / 'truth.json'}: {says}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("backend = label_oracle\n", "backend = bogus\n", "gateway.backend"),
+        ("[surrogate]\n", "[surrogate]\nembedder = bogus\n", "surrogate.embedder"),
+    ],
+    ids=["backend", "embedder"],
+)
+def test_optimize_with_unknown_backend_or_embedder_exits_2_naming_the_key(tmp_path, capsys, old, new, key):
+    root = setup_run(tmp_path)
+    config = root / "run.ini"
+    config.write_text(config.read_text().replace(old, new))
+    assert main(["optimize", "--config", str(config)]) == 2
+    assert f"{key} must be one of" in capsys.readouterr().err
+    assert not (root / "work" / "journal.jsonl").exists()
+
+
+def test_icl_slot_count_sets_the_rendered_demonstration_placeholders(tmp_path):
+    from promptgp import cli
+
+    root = setup_run(tmp_path)
+    config = root / "run.ini"
+    config.write_text(config.read_text().replace("[task]\n", "[task]\nicl_slot_count = 2\n"))
+    cfg = load_config(str(config))
+    ctx = cli.build_context(cfg, root, Dataset(rows=[]), Lexicons())
+    try:
+        prompt = apply_phenotype(cli.build_template(cfg), identity_phenotype(), ctx)
+    finally:
+        ctx.close()
+    assert re.findall(r"__ICL_\d+__", prompt.text) == ["__ICL_0__", "__ICL_1__"]
 
 
 def test_local_search_after_optimize(tmp_path, capsys):

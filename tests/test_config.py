@@ -23,6 +23,7 @@ template = builtin:ethos
 
 [gateway]
 backend = label_oracle
+backend_data = truth.json
 max_attempts = 5
 temperature = 0.0
 
@@ -164,6 +165,8 @@ def test_default_config_passes_the_bounds():
 OUT_OF_BOUNDS = [
     ("task.metric", "bleu"),
     ("task.icl_slot_count", "-1"),
+    ("gateway.backend", "bogus"),
+    ("surrogate.embedder", "bogus"),
     ("gateway.timeout", "0"),
     ("gateway.timeout", "inf"),
     ("gateway.max_attempts", "0"),
@@ -209,6 +212,22 @@ def test_parse_config_rejects_out_of_bounds_value(name, value):
 def test_every_bounded_key_has_a_case():
     bounded = {name for keys, _, _ in config._BOUNDS for name in keys.split()}
     assert bounded == {name for name, _ in OUT_OF_BOUNDS}
+
+
+@pytest.mark.parametrize(
+    "section, choice, needed",
+    [
+        ("gateway", "backend = http", "gateway.endpoint"),
+        ("gateway", "backend = label_oracle", "gateway.backend_data"),
+        ("gateway", "backend = scripted", "gateway.backend_data"),
+        ("surrogate", "embedder = remote", "surrogate.endpoint"),
+    ],
+)
+def test_choice_without_the_key_it_needs_is_refused(section, choice, needed):
+    with pytest.raises(ConfigError, match=rf"^{section}\.{choice} needs {needed}$"):
+        parse_config(f"[{section}]\n{choice}\n")
+    key = needed.split(".")[1]
+    parse_config(f"[{section}]\n{choice}\n{key} = x\n")
 
 
 def test_parse_config_rejects_tops_over_screen_limit():

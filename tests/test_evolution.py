@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 from pathlib import Path
 
 import pytest
@@ -147,7 +148,7 @@ def test_journal_load_drops_torn_last_line(tmp_path, caplog):
     assert [r.name for r in caplog.records] == ["promptgp.evolution"]
     # A malformed line that ends in a newline is not a torn append.
     path.write_text('{"generation": 0}\n{"gen\n', encoding="utf-8")
-    with pytest.raises(json.JSONDecodeError):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: ")):
         EvalJournal.load(str(path))
 
 

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from promptgp import SECTIONS
-from promptgp.exprlang import parse, render
+from helpers import render_program
+from promptgp.exprlang import parse
 from promptgp.grammar import (
     BudgetError,
     DecodeError,
@@ -21,7 +22,6 @@ from promptgp.grammar import (
     _nonterminal_sites,
     count_nodes,
     encode,
-    iter_nodes,
     load_grammar,
     mutate,
     render_phenotype,
@@ -110,7 +110,9 @@ def test_sample_ptc2_respects_budget_and_renders_parseable_programs():
         ph = render_phenotype(tree)
         assert set(ph.programs) == set(SECTIONS)
         for program in ph.programs.values():
-            assert render(parse(program)) == program
+            # Parsed and printed back in the grammar's canonical spelling,
+            # the program is unchanged, so no whitespace sits between tokens.
+            assert render_program(parse(program)) == program
 
 
 def test_budget_below_minimum_rejected():
@@ -241,7 +243,17 @@ def test_shared_subtrees_keep_every_recorded_genotype_and_phenotype():
         assert render_phenotype(tree).programs == programs
 
 
-# The recursive definitions that the iterative walks in grammar.py replace.
+def iter_nodes(node):
+    """Every node of the subtree at `node`, in depth-first pre-order, off
+    an explicit stack as the walks in grammar.py go."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack += node.children[::-1]
+
+
+# The recursive definitions that the iterative walks replace.
 
 
 def iter_nodes_with_paths(node, path=()):

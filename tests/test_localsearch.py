@@ -1,9 +1,13 @@
+import random
+
 import numpy as np
 import pytest
 
-from helpers import identity_phenotype
+from helpers import ast_index_slots, identity_phenotype, render_program, replace_index_slot
+from promptgp import SECTIONS
+from promptgp.exprlang import parse
 from promptgp.gateway import LabelOracleBackend, LlmGateway
-from promptgp.grammar import Phenotype
+from promptgp.grammar import Phenotype, default_grammar, render_phenotype, sample_ptc2
 from promptgp.lexicons import default_lexicons
 from promptgp.localsearch import (
     LocalSearchSettings,
@@ -94,6 +98,76 @@ def test_build_neighborhood_multi_digit_values_render():
     assert big, "with bound 90 some sampled values should be multi-digit"
     for n in big:
         assert f"index=[{n.value}]" in n.phenotype.programs["task"]
+
+
+def test_mutate_site_changes_exactly_one_value():
+    text = "swap_elements(index1=[3], index2=[5,7], level=phrase, texts=BASE)"
+    ph = make_phenotype(task=text)
+    site = enumerate_sites(ph)[2]
+    assert (site.param, site.slot, site.value) == ("index2", 1, 7)
+    (n,) = build_neighborhood(ph, [site], bound=9, seed=0, per_site=1).neighbors
+    assert n.phenotype.programs["task"] == text.replace("[5,7]", f"[5,{n.value}]")
+    assert ph.programs["task"] == text
+
+
+def test_mutate_site_supports_values_beyond_digit_range():
+    ph = make_phenotype(task="remove_element(index=[2], level=word, texts=BASE)")
+    nb = build_neighborhood(ph, enumerate_sites(ph), bound=24, seed=0, per_site=23)
+    n = next(n for n in nb.neighbors if n.value == 24)
+    text = "remove_element(index=[24], level=word, texts=BASE)"
+    assert n.phenotype.programs["task"] == text
+    assert [s.value for s in enumerate_sites(n.phenotype)] == [24]
+
+
+def reference_sites(ph):
+    """(section, AST path, param, slot, value) of every index value, read
+    from each section's parsed program, and the parsed programs."""
+    parsed = {section: parse(ph.programs[section]) for section in SECTIONS}
+    sites = [(section, *slot) for section in SECTIONS for slot in ast_index_slots(parsed[section])]
+    return sites, parsed
+
+
+def reference_neighbour(ph, parsed, ref_site, value):
+    """Programs of `ph` with one slot replaced on the AST and printed back."""
+    section, path, param, slot, _ = ref_site
+    expr = replace_index_slot(parsed[section], path, param, slot, value)
+    return {**ph.programs, section: render_program(expr)}
+
+
+def test_text_sites_and_neighbours_match_the_ast_reference():
+    grammar, rng, sited = default_grammar(), random.Random(3), 0
+    for seed in range(1000):
+        ph = render_phenotype(sample_ptc2(grammar, max_nodes=rng.randint(20, 600), rng_seed=seed))
+        sites, (ref, parsed) = enumerate_sites(ph), reference_sites(ph)
+        assert [(s.section, s.param, s.slot, s.value) for s in sites] == [
+            (section, param, slot, value) for section, _, param, slot, value in ref
+        ]
+        ref_of = dict(zip(sites, ref))
+        for n in build_neighborhood(ph, sites, bound=20, seed=seed, per_site=10).neighbors:
+            programs = reference_neighbour(ph, parsed, ref_of[n.site], n.value)
+            assert n.phenotype.programs == programs
+            assert n.digest == phenotype_digest(Phenotype(programs))
+        sited += bool(sites)
+    assert sited > 900
+
+
+def test_spaced_program_keeps_its_spacing_and_mutates_like_the_ast():
+    spaced = " swap_elements( index1 = [ 3 ] ,index2=[5 , 17],\n level=phrase, texts= BASE )+ICL_LIST "
+    ph = make_phenotype(icl=spaced)
+    sites, (ref, parsed) = enumerate_sites(ph), reference_sites(ph)
+    assert [(s.param, s.slot, s.value) for s in sites] == [
+        ("index1", 0, 3), ("index2", 0, 5), ("index2", 1, 17)
+    ]
+    assert [(param, slot, value) for _, _, param, slot, value in ref] == [
+        (s.param, s.slot, s.value) for s in sites
+    ]
+    pattern = spaced.replace("3", "{}").replace("5", "{}").replace("17", "{}")
+    for n in build_neighborhood(ph, sites, bound=30, seed=4, per_site=3).neighbors:
+        i = sites.index(n.site)
+        digits = [s.value for s in sites]
+        digits[i] = n.value
+        assert n.phenotype.programs["icl"] == pattern.format(*digits)
+        assert parse(n.phenotype.programs["icl"]) == parse(reference_neighbour(ph, parsed, ref[i], n.value)["icl"])
 
 
 def constant_ensemble(value, dim=8):
@@ -258,15 +332,14 @@ def test_run_local_search_no_sites_returns_incumbent():
 def test_run_local_search_parses_each_neighbour_section_once(monkeypatch):
     from promptgp import localsearch, template
 
+    assert not hasattr(localsearch, "parse")  # sites are read from the text
     parsed = []
-    for module in (localsearch, template):
-        parse = module.parse
 
-        def counting_parse(text, parse=parse):
-            parsed.append(text)
-            return parse(text)
+    def counting_parse(text, parse=template.parse):
+        parsed.append(text)
+        return parse(text)
 
-        monkeypatch.setattr(module, "parse", counting_parse)
+    monkeypatch.setattr(template, "parse", counting_parse)
     ctx, val = make_task_setup()
     base = parse_template(BASE_TEXT)
     ph = make_phenotype(
@@ -278,9 +351,9 @@ def test_run_local_search_parses_each_neighbour_section_once(monkeypatch):
     )
     neighbours = [c for c in result.ranking if not c.is_incumbent]
     assert len(neighbours) == 12  # 3 sites x 4 values, all under the screen limit
-    # The incumbent's six programs: once to render, once for its sites, once
-    # for its neighbours; then one mutated program per neighbour.
-    incumbent = 3 * len(ph.programs)
+    # The incumbent's six programs once, to render it; then one mutated
+    # program per neighbour.
+    incumbent = len(ph.programs)
     assert len(parsed) == incumbent + len(neighbours)
     assert sorted(parsed[incumbent:]) == sorted(n.phenotype.programs["task"] for n in neighbours)
     for n in neighbours:
