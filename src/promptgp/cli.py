@@ -76,6 +76,11 @@ def build_gateway(cfg: RunConfig, workdir: Path) -> LlmGateway:
         backend = LabelOracleBackend(truth, answer_key=cfg.task.answer_key)
     elif gw.backend == "scripted":
         table = _read_backend_data(gw.backend_data)
+        for key, reply in table.items():
+            if not isinstance(reply, str):
+                raise ValueError(
+                    f"gateway.backend_data {gw.backend_data}: the reply to {key!r} is not a string"
+                )
         backend = ScriptedBackend(table, default=table.pop("__default__", None))
     else:  # http
         api_key = os.environ.get(gw.api_key_env) if gw.api_key_env else None
@@ -399,6 +404,7 @@ def cmd_local_search(args: argparse.Namespace) -> int:
         "config_digest": digest,
         "journal_points": len(points),
         "distinct_texts": len({text for text, _ in points}),
+        "embedding_dims_used": int(np.count_nonzero(X.any(axis=0))),
         "hp": asdict(hp),
         "seconds": {
             "embed": embedded - started,

@@ -11,6 +11,18 @@ stacked over a leading model axis, so one backprop and one in-place Adam
 step serve the whole ensemble.  Every submodel keeps its own generator and
 draws in the order it would alone, so it is bitwise equal to training it
 by itself.  Peak memory grows with submodels x parameters.
+
+The first layer trains only the weight rows its training inputs reach; a
+hashed embedding leaves many columns zero.  A row whose input column is
+zero in every training row gets a gradient of exactly +-0 at every step,
+so Adam keeps its m and v at +0.0 and its weights unchanged (x - (+0.0)
+is x, and +0.0 + -0.0 is +0.0): skipping it is bitwise the dense fit
+whenever the gradients are finite.  (With a non-finite gradient the dense
+fit would turn those rows into NaN, 0 x inf, but the reached rows are NaN
+either way.)  The backward product for the reached rows reduces over the
+batch as the dense one does, so each row's bytes are the same.  The
+forward pass stays dense: a product over the reached columns alone is
+not bitwise the dense product on every BLAS.
 """
 
 from __future__ import annotations
@@ -227,9 +239,11 @@ def loss_and_grads(
     y: np.ndarray,
     dropout: float = 0.0,
     rngs: Sequence[np.random.Generator] = (),
+    rows: slice | np.ndarray = slice(None),
 ) -> tuple[float, Params]:
     """MSE and its gradient; with stacked params the loss is the sum of the
-    models' MSEs, so each model's gradient is that of its own MSE."""
+    models' MSEs, so each model's gradient is that of its own MSE.  The first
+    layer's weight gradient is given for its input `rows` only."""
     pred, caches = forward(params, X, dropout=dropout, rngs=rngs)
     n = y.shape[-1]
     diff = pred - y
@@ -242,6 +256,8 @@ def loss_and_grads(
             if mask is not None:
                 delta = delta * mask
             delta = delta * (1.0 - t * t)
+        if l == 0:
+            act_in = act_in[..., rows]
         grads[l] = [act_in.swapaxes(-1, -2) @ delta, delta.sum(axis=-2)]
         if l > 0:
             delta = delta @ params[l][0].swapaxes(-1, -2)
@@ -316,7 +332,15 @@ def fit_models(
     # Each generator draws its initial weights after its bootstrap.
     inits = (init_params(X.shape[1], hp.widths, rng) for rng in rngs)
     params: Params = [[np.stack(arrays) for arrays in zip(*layers)] for layers in zip(*inits)]
-    adam = AdamState(params)
+    # Adam trains the first-layer rows that some training input reaches; the
+    # bootstrap draws from train_idx, so no batch reaches another.  When every
+    # row is reached, the full slice trains the layer in place.
+    W0 = params[0][0]
+    reached = np.flatnonzero(X[train_idx].any(axis=0))
+    sparse = len(reached) < X.shape[1]
+    rows = reached if sparse else slice(None)
+    trained = [[W0[:, rows], params[0][1]], *params[1:]]
+    adam = AdamState(trained)
     models = np.arange(len(rngs))[:, None]
 
     best_loss = float("inf")
@@ -326,9 +350,12 @@ def fit_models(
         for start in range(0, n_train, hp.batch):
             idx = orders[:, start : start + hp.batch]
             _, grads = loss_and_grads(
-                params, X_boot[models, idx], y_boot[models, idx], dropout=hp.dropout, rngs=rngs
+                params, X_boot[models, idx], y_boot[models, idx],
+                dropout=hp.dropout, rngs=rngs, rows=rows,
             )
-            adam.step(params, grads, hp.lr)
+            adam.step(trained, grads, hp.lr)
+            if sparse:
+                W0[:, rows] = trained[0][0]
         val_loss = float(np.mean([mse(pred, y_val) for pred in predict_params(params, X_val)]))
         if val_loss < best_loss:
             best_loss = val_loss

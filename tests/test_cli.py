@@ -5,10 +5,11 @@ import re
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from helpers import LoopbackServer, fail_writes_to, identity_phenotype, refused_url
 
-from promptgp.cli import main
+from promptgp.cli import build_embedder, main
 from promptgp.config import load_config, config_digest
 from promptgp.gateway import LabelOracleBackend, TransportError
 from promptgp.grammar import decode, default_grammar, render_phenotype
@@ -359,6 +360,27 @@ def test_backend_data_that_is_not_a_json_object_exits_2_naming_it(tmp_path, caps
     assert f"gateway.backend_data {root / 'truth.json'}: {says}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["optimize", "local-search", "evaluate"])
+@pytest.mark.parametrize("table, key", [({"x": 2, "__default__": "no"}, "x"), ({"__default__": 3}, "__default__")])
+def test_scripted_reply_that_is_not_a_string_exits_2_naming_it(tmp_path, capsys, command, table, key):
+    root = setup_run(tmp_path)
+    config = root / "run.ini"
+    assert main(["optimize", "--config", str(config)]) == 0  # local-search needs its checkpoint
+    (root / "table.json").write_text(json.dumps(table))
+    config.write_text(
+        config.read_text()
+        .replace("backend = label_oracle\n", "backend = scripted\n")
+        .replace(str(root / "truth.json"), str(root / "table.json"))
+    )
+    argv = [command, "--config", str(config)]
+    if command == "evaluate":
+        argv += ["--prompt", str(root / "work" / "elite_prompt.txt")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"gateway.backend_data {root / 'table.json'}: the reply to {key!r} is not a string" in err
+
+
 @pytest.mark.parametrize(
     "old, new, key",
     [
@@ -472,6 +494,9 @@ def test_local_search_adds_its_section_to_stats(tmp_path):
     assert section["config_digest"] == stats["config_digest"]
     assert section["journal_points"] == len(texts) < 50  # too few to tune: the default hp
     assert section["distinct_texts"] == len(set(texts)) < len(texts)
+    embedder = build_embedder(load_config(config))
+    assert section["embedding_dims_used"] == np.count_nonzero(embedder.embed_many(texts).any(axis=0))
+    assert 0 < section["embedding_dims_used"] < embedder.dim
     assert section["hp"] == {"widths": [128, 64, 1], "dropout": 0.1, "batch": 32, "lr": 0.001}
     assert sorted(section["seconds"]) == ["embed", "fit", "search", "tune"]
     assert all(seconds >= 0.0 for seconds in section["seconds"].values())

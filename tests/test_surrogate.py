@@ -253,10 +253,15 @@ def embed_points(points, embedder):
     return X, y
 
 
-def validation_loss(models, X, y, seed, train_fraction=0.7):
+def split_indices(n, seed, train_fraction=0.7):
+    perm = np.random.default_rng(derive_seed(seed, "split")).permutation(n)
+    n_train = min(max(int(round(train_fraction * n)), 1), n - 1)
+    return perm[:n_train], perm[n_train:]
+
+
+def validation_loss(models, X, y, seed):
     """Mean submodel MSE on the validation split that `fit_models` draws."""
-    perm = np.random.default_rng(derive_seed(seed, "split")).permutation(len(y))
-    val_idx = perm[min(max(int(round(train_fraction * len(y))), 1), len(y) - 1):]
+    _, val_idx = split_indices(len(y), seed)
     return float(np.mean([mse(predict_params(p, X[val_idx]), y[val_idx]) for p in models]))
 
 
@@ -363,16 +368,51 @@ def reference_fit_models(X, y, hp, seed, settings, epochs):
     return best
 
 
-# (points, submodels): 21 and 35 training points are multiples of neither batch size.
-EQUIVALENCE_SHAPES = [(30, 3), (50, 1)]
+def hashed_inputs(n, dim):
+    return embed_points(make_points(n, seed=n), HashingEmbedder(dim=dim))
+
+
+def val_only_column_inputs(n):
+    """A column that is nonzero in validation rows only."""
+    X, y = hashed_inputs(n, 24)
+    train_idx, val_idx = split_indices(n, seed=n)
+    X[train_idx, 5] = 0.0
+    X[val_idx, 5] = 0.5
+    return X, y
+
+
+def empty_text_inputs(n):
+    """One all-zero row: the embedding of an empty text."""
+    emb = HashingEmbedder(dim=64)
+    return embed_points([("", 0.25), *make_points(n - 1, seed=n)], emb)
+
+
+def dense_inputs(n):
+    """Every column is nonzero in every row, so the first layer trains whole."""
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((n, 24))
+    return X / np.linalg.norm(X, axis=1, keepdims=True), rng.random(n)
+
+
+# (name, points, submodels, inputs): 21 and 35 training points are multiples
+# of neither batch size.
+EQUIVALENCE_INPUTS = [
+    ("hashed-24", 30, 3, lambda n: hashed_inputs(n, 24)),
+    ("hashed-24-single", 50, 1, lambda n: hashed_inputs(n, 24)),
+    ("hashed-64", 30, 3, lambda n: hashed_inputs(n, 64)),
+    ("val-only-column", 30, 3, val_only_column_inputs),
+    ("empty-text", 30, 2, empty_text_inputs),
+    ("dense", 30, 3, dense_inputs),
+]
 
 
 @pytest.mark.parametrize(
     "hp", hp_grid(), ids=lambda hp: f"w{len(hp.widths)}-d{hp.dropout}-b{hp.batch}-lr{hp.lr}"
 )
 def test_fit_models_is_bitwise_the_reference_trainer(hp):
-    for n, submodels in EQUIVALENCE_SHAPES:
-        X, y = embed_points(make_points(n, seed=n), HashingEmbedder(dim=24))
+    unreached_rows = {}
+    for name, n, submodels, make_inputs in EQUIVALENCE_INPUTS:
+        X, y = make_inputs(n)
         settings = SurrogateSettings(submodels=submodels)
         got = fit_models(X, y, hp, seed=n, settings=settings, epochs=3)
         want = reference_fit_models(X, y, hp, seed=n, settings=settings, epochs=3)
@@ -380,6 +420,17 @@ def test_fit_models_is_bitwise_the_reference_trainer(hp):
         for model_got, model_want in zip(got, want):
             for (W, b), (W_ref, b_ref) in zip(model_got, model_want, strict=True):
                 assert W.tobytes() == W_ref.tobytes() and b.tobytes() == b_ref.tobytes()
+        # A first-layer row that no training input reaches keeps its initial draw.
+        train_idx, _ = split_indices(n, seed=n)
+        unreached = np.flatnonzero(~X[train_idx].any(axis=0))
+        unreached_rows[name] = len(unreached)
+        for i, model in enumerate(got):
+            rng = np.random.default_rng(derive_seed(n, "submodel", i))
+            rng.integers(0, len(train_idx), len(train_idx))  # the bootstrap comes first
+            W0 = init_params(X.shape[1], hp.widths, rng)[0][0]
+            assert model[0][0][unreached].tobytes() == W0[unreached].tobytes()
+    assert unreached_rows["hashed-64"] >= 16 and unreached_rows["dense"] == 0
+    assert unreached_rows["val-only-column"] >= 1
 
 
 def test_train_requires_min_points():
