@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import random
 import re
@@ -10,6 +11,7 @@ import pytest
 from helpers import identity_phenotype
 from promptgp import SECTIONS
 from promptgp.exprlang import ProgramParseError
+from promptgp.grammar import default_grammar, render_phenotype, sample_ptc2
 from promptgp.gateway import EchoBackend, LlmGateway, TransportError, TruncateBackend
 from promptgp.lexicons import default_lexicons
 from promptgp.tasks import DataRow, Dataset, EvalContext, TaskSettings
@@ -500,3 +502,23 @@ def test_many_concurrent_renders_match_serial_renders():
     # A section two renders miss at once may execute twice, but each distinct
     # LLM edit (2 persona and 2 cot programs) reaches the backend once.
     assert ctx.gateway.stats.backend_calls == serial.gateway.stats.backend_calls == 4
+
+
+PTC2_RENDERS_SHA256 = "0af0ead448f9eb52251891fc3ce8304dfd715a90e8c10f297afe24a69c6bb8b8"
+
+
+def test_ptc2_renders_are_pinned():
+    # 300 sampled phenotypes run every list op on demonstration lists, and
+    # readd and every lexicon and LLM op on text; a change to any edit's
+    # bytes or chunk count shows.
+    base = builtin_template("pubmedqa")
+    gw = LlmGateway(TruncateBackend())
+    ctx = EvalContext(TaskSettings(), gw, Dataset(rows=[]), lexicons=default_lexicons())
+    digest = hashlib.sha256()
+    for seed in range(300):
+        ph = render_phenotype(sample_ptc2(default_grammar(), 1024, seed))
+        rp = apply_phenotype(base, ph, ctx)
+        digest.update(f"{rp.text}\x1f{rp.max_chunks}\x1e".encode("utf-8"))
+    assert digest.hexdigest() == PTC2_RENDERS_SHA256
+    assert (gw.stats.requests, gw.stats.backend_calls) == (2780, 1285)
+    assert not ctx.degraded
