@@ -33,6 +33,7 @@ from .lexicons import Lexicons, default_lexicons, load_stopwords, load_synonyms
 from .localsearch import run_local_search
 from .seeds import derive_seed
 from .surrogate import (
+    MIN_TRAIN_POINTS,
     MIN_TUNE_POINTS,
     HashingEmbedder,
     RemoteEmbedder,
@@ -145,10 +146,15 @@ def build_context(
     )
 
 
-def _require(path: str, what: str) -> str:
+def _load_rows(path: str, key: str) -> Dataset:
+    """The rows of the file that config key `task.<key>` names; a missing
+    key or a file without rows is refused."""
     if not path:
-        raise CliError(f"config is missing task.{what}")
-    return path
+        raise CliError(f"config is missing task.{key}")
+    dataset = load_dataset(path)
+    if not dataset.rows:
+        raise CliError(f"task.{key}: {path} holds no rows")
+    return dataset
 
 
 def build_embedder(cfg: RunConfig):
@@ -226,8 +232,8 @@ def _search_inputs(cfg: RunConfig, workdir: Path) -> tuple[Grammar, BaseTemplate
     grammar = build_grammar(cfg)
     base = build_template(cfg)
     lexicons = build_lexicons(cfg)
-    train_ds = load_dataset(_require(cfg.task.train_data, "train_data"))
-    val_ds = load_dataset(_require(cfg.task.val_data, "val_data"))
+    train_ds = _load_rows(cfg.task.train_data, "train_data")
+    val_ds = _load_rows(cfg.task.val_data, "val_data")
     warn_train_overlap(cfg.task.val_data, val_ds, train_ds)
     return grammar, base, val_ds, build_context(cfg, workdir, train_ds, lexicons)
 
@@ -320,8 +326,12 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 def cmd_local_search(args: argparse.Namespace) -> int:
     cfg, digest, workdir = _load_run(args)
     state = load_checkpoint(args.checkpoint or str(workdir / "checkpoint.json"))
-    journal = EvalJournal.load(args.journal or str(workdir / "journal.jsonl"))
-    points = journal.training_points()
+    journal_path = args.journal or str(workdir / "journal.jsonl")
+    points = EvalJournal.load(journal_path).training_points()
+    if len(points) < MIN_TRAIN_POINTS:
+        raise CliError(
+            f"{journal_path}: need at least {MIN_TRAIN_POINTS} data points, got {len(points)}"
+        )
     if not state.get("elite"):
         raise CliError("checkpoint holds no elite individual")
 
@@ -423,15 +433,9 @@ def cmd_local_search(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg, digest, workdir = _load_run(args)
-    data_paths = {
-        "train": cfg.task.train_data,
-        "val": cfg.task.val_data,
-        "test": cfg.task.test_data,
-    }
-    path = data_paths[args.split]
-    if not path:
-        raise CliError(f"config has no {args.split} dataset")
-    dataset = load_dataset(path)
+    key = f"{args.split}_data"
+    path = getattr(cfg.task, key)
+    dataset = _load_rows(path, key)
     train = load_dataset(cfg.task.train_data) if cfg.task.train_data else Dataset(rows=[])
     if args.split != "train":
         warn_train_overlap(path, dataset, train)

@@ -1,8 +1,10 @@
 """Interpreter for edit programs.
 
-Evaluation is innermost-first: an operator's `texts` argument is evaluated,
-the result is re-chunked at the operator's own level, edited, and
-reassembled.  A FIFO removal queue and the largest chunk count any operator
+Evaluation is innermost-first: an operator's `texts` argument is
+evaluated, made one ChunkList, edited, and reassembled.  A text is chunked
+at the operator's own level; a demonstration list, which only list
+operators take, is its own chunk list, its items one space apart in a
+queued span.  A FIFO removal queue and the largest chunk count any operator
 saw are scoped to one program execution.  Errors in LLM-backed operations
 degrade to identity with a warning; they never abort an execution.  A
 transport failure is also counted per op, for the execution it hit.
@@ -15,7 +17,7 @@ import re
 import string
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 from . import chunking
 from .chunking import ChunkList, EditedChunk, ViewIndex, join_span, rejoin, resolve
@@ -80,78 +82,55 @@ def _eval(expr: Expr, state: _ExecState) -> Union[str, list[str]]:
     if isinstance(expr, Call):
         value = _eval(expr.texts, state)
         if isinstance(value, list):
-            return _apply_list_op(expr, value, state)
-        return _apply_text_op(expr, value, state)
+            if OPS[expr.name].kind != "list":
+                raise ProgramExecutionError(f"{expr.name} cannot operate on a demonstration list")
+            # Items one space apart: join_span of any span is " ".join of its items.
+            cl = ChunkList(value, ["", *[" "] * (len(value) - 1), ""] if value else [""])
+        else:
+            cl = chunking.chunk(value, expr.arg("level"))
+        n = len(cl.chunks)
+        state.max_chunks = max(state.max_chunks, n)
+        items: list[EditedChunk] = [(c, i) for i, c in enumerate(cl.chunks)]
+        spans = [_as_span(resolve(v, n)) for _, v in expr.args if isinstance(v, ViewIndex)]
+        result = _edit_chunks(expr, items, spans, state, cl)
+        if isinstance(value, list):
+            return [text for text, _ in result]
+        if result is items:
+            return value  # identity fast path keeps original bytes
+        return rejoin(result, cl)
     raise ProgramExecutionError(f"not an expression node: {expr!r}")
 
 
-def _resolved_indices(call: Call, n: int) -> tuple:
-    out = []
-    for key, value in call.args:
-        if isinstance(value, ViewIndex):
-            out.append(resolve(value, n))
-    return tuple(out)
-
-
-def _as_span(resolved: Union[int, tuple[int, int]]) -> tuple[int, int]:
+def _as_span(resolved: Union[int, tuple[int, int], None]) -> tuple[int, int]:
     if isinstance(resolved, int):
         return (resolved, resolved)
     return resolved
 
 
-def _apply_list_op(call: Call, items: list[str], state: _ExecState) -> list[str]:
-    if OPS[call.name].kind != "list":
-        raise ProgramExecutionError(f"{call.name} cannot operate on a demonstration list")
-    n = len(items)
-    edited: list[EditedChunk] = [(s, i) for i, s in enumerate(items)]
-    resolved = _resolved_indices(call, n)
-    state.max_chunks = max(state.max_chunks, n)
-    result = _edit_chunks(call, edited, resolved, state, original=None)
-    return [text for text, _ in result]
-
-
-def _apply_text_op(call: Call, text: str, state: _ExecState) -> str:
-    cl = chunking.chunk(text, call.arg("level"))
-    n = len(cl.chunks)
-    resolved = _resolved_indices(call, n)
-    state.max_chunks = max(state.max_chunks, n)
-    edited: list[EditedChunk] = [(c, i) for i, c in enumerate(cl.chunks)]
-    result = _edit_chunks(call, edited, resolved, state, original=cl)
-    if result is edited:
-        return text  # identity fast path keeps original bytes
-    return rejoin(result, cl)
-
-
 def _edit_chunks(
     call: Call,
     items: list[EditedChunk],
-    resolved: tuple,
+    spans: list[tuple[int, int]],
     state: _ExecState,
-    original: Optional[ChunkList],
+    original: ChunkList,
 ) -> list[EditedChunk]:
-    """Apply one op to a chunk sequence; returns `items` itself for identity."""
+    """Apply one op to the chunks of `original`, one inclusive span per
+    index argument; returns `items` itself for identity."""
     name = call.name
     n = len(items)
-
-    def span_text(span: list[EditedChunk]) -> str:
-        if original is not None:
-            return join_span(span, original)
-        return " ".join(t for t, _ in span)
 
     if name == "readd_element":
         if not state.queue:
             return items
         entry = state.queue.popleft()
-        pos = resolved[0] if n > 0 else 0
+        pos = spans[0][0] if n > 0 else 0
         return items[:pos] + [(entry, None)] + items[pos:]
 
     if n == 0:
         return items
 
     if name == "swap_elements":
-        a, b = (_as_span(r) for r in resolved)
-        if a > b:
-            a, b = b, a
+        a, b = sorted(spans)
         if a[1] >= b[0]:  # overlapping spans
             return items
         return (
@@ -163,24 +142,23 @@ def _edit_chunks(
         )
 
     if name == "remove_element":
-        lo, hi = _as_span(resolved[0])
-        state.queue.append(span_text(items[lo : hi + 1]))
+        lo, hi = spans[0]
+        state.queue.append(join_span(items[lo : hi + 1], original))
         return items[:lo] + items[hi + 1 :]
 
     if name == "duplicate_element":
-        lo, hi = _as_span(resolved[0])
-        target = resolved[1]
-        copies = items[lo : hi + 1]
-        return items[:target] + copies + items[target:]
+        lo, hi = spans[0]
+        target = spans[1][0]
+        return items[:target] + items[lo : hi + 1] + items[target:]
 
     if name == "remove_stopwords":
-        return _remove_stopwords(items, _as_span(resolved[0]), state.ctx.lexicons.stopwords)
+        return _remove_stopwords(items, spans[0], state.ctx.lexicons.stopwords)
 
     if name == "synonimise":
-        return _synonimise(items, _as_span(resolved[0]), state.ctx.lexicons.synonyms)
+        return _synonimise(items, spans[0], state.ctx.lexicons.synonyms)
 
     if name in ("paraphrase", "summarise"):
-        return _llm_rewrite(call, items, _as_span(resolved[0]), state, span_text)
+        return _llm_rewrite(call, items, spans[0], state, original)
 
     raise ProgramExecutionError(f"unknown operator {name!r}")
 
@@ -231,10 +209,10 @@ def _llm_rewrite(
     items: list[EditedChunk],
     span: tuple[int, int],
     state: _ExecState,
-    span_text,
+    original: ChunkList,
 ) -> list[EditedChunk]:
     lo, hi = span
-    source = span_text(items[lo : hi + 1])
+    source = join_span(items[lo : hi + 1], original)
     ctx = state.ctx
     try:
         if call.name == "paraphrase":

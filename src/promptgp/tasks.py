@@ -96,8 +96,13 @@ def parse_dataset(text: str) -> Dataset:
 
 
 def load_dataset(path: str) -> Dataset:
+    """Parse the JSONL file at `path`; a DatasetError names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_dataset(fh.read())
+        text = fh.read()
+    try:
+        return parse_dataset(text)
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from exc
 
 
 def warn_train_overlap(path: str, dataset: Dataset, train: Dataset) -> None:

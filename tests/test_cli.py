@@ -567,14 +567,19 @@ def test_local_search_embeds_each_journal_point_once(tmp_path, monkeypatch):
     assert embedded[60:] == [n.prompt.text for n in neighbors]
 
 
-def test_local_search_needs_ten_journal_points(tmp_path, capsys):
+def test_local_search_needs_ten_journal_points(tmp_path, capsys, monkeypatch):
+    from promptgp import cli
+
     root = setup_run(tmp_path)
     config = str(root / "run.ini")
     assert main(["optimize", "--config", config]) == 0
     journal = write_journal(root / "points.jsonl", 9)
+    # Refused before the inputs are loaded or a point is embedded.
+    monkeypatch.setattr(cli, "build_embedder", lambda cfg: pytest.fail("embedder built"))
+    monkeypatch.setattr(cli, "_search_inputs", lambda cfg, workdir: pytest.fail("inputs loaded"))
     capsys.readouterr()
     assert main(["local-search", "--config", config, "--journal", journal]) == 2
-    assert "need at least 10 data points" in capsys.readouterr().err
+    assert f"error: {journal}: need at least 10 data points, got 9" in capsys.readouterr().err
 
 
 def test_local_search_needs_journal_points_when_journal_is_empty(tmp_path, capsys):
@@ -956,6 +961,75 @@ def test_evaluate_requires_configured_split(tmp_path):
         )
         == 2
     )
+
+
+BAD_ROWS = {
+    "torn": ('{"id": "a", "input": "q?", "label": "yes"}\n{"id": "b", "inp\n', "line 2: invalid JSON"),
+    "twice": (
+        '{"id": "a", "input": "q?", "label": "yes"}\n{"id": "a", "input": "r?", "label": "no"}\n',
+        "duplicate row id 'a'",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BAD_ROWS))
+@pytest.mark.parametrize("name", ["train.jsonl", "val.jsonl"])
+def test_optimize_dataset_error_names_the_file(tmp_path, capsys, name, fault):
+    root = setup_run(tmp_path)
+    text, says = BAD_ROWS[fault]
+    (root / name).write_text(text)
+    assert main(["optimize", "--config", str(root / "run.ini")]) == 2
+    assert f"error: {root / name}: {says}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", sorted(BAD_ROWS))
+@pytest.mark.parametrize(
+    "split, name", [("test", "test.jsonl"), ("val", "val.jsonl"), ("test", "train.jsonl")]
+)
+def test_evaluate_dataset_error_names_the_file(tmp_path, capsys, split, name, fault):
+    root = setup_run(tmp_path)
+    prompt = root / "prompt.txt"
+    prompt.write_text("Answer: __TASK_INPUT_0__")
+    text, says = BAD_ROWS[fault]
+    (root / name).write_text(text)
+    argv = ["evaluate", "--config", str(root / "run.ini"), "--prompt", str(prompt), "--split", split]
+    assert main(argv) == 2
+    assert f"error: {root / name}: {says}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["optimize", "local-search"])
+@pytest.mark.parametrize("key, name", [("train_data", "train.jsonl"), ("val_data", "val.jsonl")])
+def test_empty_search_file_is_refused_before_any_work(tmp_path, capsys, command, key, name):
+    root = setup_run(tmp_path)
+    config = str(root / "run.ini")
+    work = root / "work"
+    if command == "local-search":
+        assert main(["optimize", "--config", config]) == 0
+        for artifact in ("journal.jsonl", "cache.tsv"):
+            (work / artifact).rename(root / artifact)
+        journal = ["--journal", write_journal(root / "points.jsonl", 12)]
+    else:
+        journal = []
+    (root / name).write_text("\n")
+    capsys.readouterr()
+    assert main([command, "--config", config, *journal]) == 2
+    assert f"error: task.{key}: {root / name} holds no rows" in capsys.readouterr().err
+    assert not (work / "journal.jsonl").exists()
+    assert not (work / "cache.tsv").exists()
+
+
+def test_evaluate_refuses_an_empty_split_naming_its_key(tmp_path, capsys):
+    root = setup_run(tmp_path)
+    prompt = root / "prompt.txt"
+    prompt.write_text("Answer: __TASK_INPUT_0__")
+    (root / "test.jsonl").write_text("")
+    argv = ["evaluate", "--config", str(root / "run.ini"), "--prompt", str(prompt), "--split", "test"]
+    assert main(argv) == 2
+    assert f"error: task.test_data: {root / 'test.jsonl'} holds no rows" in capsys.readouterr().err
+    # The training file is only the demonstration pool, so it may be empty.
+    (root / "train.jsonl").write_text("")
+    argv[-1] = "val"
+    assert main(argv) == 0
 
 
 def demo_dependent_oracle(root):

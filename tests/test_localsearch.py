@@ -236,6 +236,43 @@ def test_screen_union_of_mean_and_variance_tops():
     assert means == sorted(means, reverse=True)
 
 
+class TiedRandomEnsemble:
+    """Seeded small-integer means and variances, so both rankings have ties."""
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def predict_many(self, texts):
+        rng = np.random.default_rng(self.seed)
+        return rng.integers(0, 6, len(texts)).astype(float), rng.integers(0, 6, len(texts)).astype(float)
+
+
+def test_screen_is_the_same_for_every_top_mean():
+    # The backfill takes mean ranks in order until the union fills
+    # screen_limit, and top_mean + top_variance <= screen_limit, so the
+    # result is the variance tops plus the shortest mean prefix that fills
+    # the limit, whatever top_mean is.  LengthEnsemble ties every neighbour
+    # here, so the predictions are drawn at random.
+    neighbors = rendered_neighbors(per_site=10)
+    by_variance = set()
+    for seed in range(40):
+        for top_variance in range(11):
+            screens = {
+                tuple(
+                    n.digest
+                    for n in screen(
+                        neighbors,
+                        TiedRandomEnsemble(seed),
+                        LocalSearchSettings(screen_limit=10, top_mean=top_mean, top_variance=top_variance),
+                    )
+                )
+                for top_mean in range(11 - top_variance)
+            }
+            assert len(screens) == 1
+            by_variance |= screens
+    assert len(by_variance) > 40  # top_variance, unlike top_mean, does change the screen
+
+
 def test_screen_requires_rendered_prompts():
     base = parse_template(BASE_TEXT)
     ph = make_phenotype(task="remove_element(index=[2], level=word, texts=BASE)")
