@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 import time
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import SECTIONS, __version__
 from .config import RunConfig, config_digest, load_config
-from .evolution import EvalJournal, EvolutionEngine, check_checkpoint, load_checkpoint
+from .evolution import EvalJournal, EvolutionEngine, checkpoint_elite, load_checkpoint
 from .gateway import (
     EchoBackend,
     HttpBackend,
@@ -28,7 +27,7 @@ from .gateway import (
     TruncateBackend,
     write_atomic,
 )
-from .grammar import Grammar, decode, default_grammar, load_grammar, render_phenotype
+from .grammar import Grammar, default_grammar, load_grammar, render_phenotype
 from .lexicons import Lexicons, default_lexicons, load_stopwords, load_synonyms
 from .localsearch import run_local_search
 from .seeds import derive_seed
@@ -166,21 +165,6 @@ def build_embedder(cfg: RunConfig):
 # ---- artifacts -------------------------------------------------------------
 
 
-def _curve_rows(journal: EvalJournal) -> list[tuple[int, float, float, int]]:
-    """Per-generation (generation, mean, population std, count) of train fitness."""
-    by_gen: dict[int, list[float]] = {}
-    for record in journal.records:
-        if record.get("split") == "train":
-            by_gen.setdefault(record["generation"], []).append(record["fitness"])
-    rows = []
-    for gen in sorted(by_gen):
-        values = by_gen[gen]
-        mean = sum(values) / len(values)
-        std = math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
-        rows.append((gen, mean, std, len(values)))
-    return rows
-
-
 def _num(value: Optional[float]) -> str:
     return "-" if value is None else f"{value:.6f}"
 
@@ -226,33 +210,36 @@ def _load_run(args: argparse.Namespace) -> tuple[RunConfig, str, Path]:
     return cfg, config_digest(cfg), workdir
 
 
-def _search_inputs(cfg: RunConfig, workdir: Path) -> tuple[Grammar, BaseTemplate, Dataset, EvalContext]:
-    """What both phases search with: grammar, base template, validation
-    rows and the evaluation context over the training rows."""
-    grammar = build_grammar(cfg)
+def _search_inputs(cfg: RunConfig, workdir: Path) -> tuple[BaseTemplate, Dataset, EvalContext]:
+    """What both phases search with, beside the grammar: base template,
+    validation rows and the evaluation context over the training rows."""
     base = build_template(cfg)
     lexicons = build_lexicons(cfg)
     train_ds = _load_rows(cfg.task.train_data, "train_data")
     val_ds = _load_rows(cfg.task.val_data, "val_data")
     warn_train_overlap(cfg.task.val_data, val_ds, train_ds)
-    return grammar, base, val_ds, build_context(cfg, workdir, train_ds, lexicons)
+    return base, val_ds, build_context(cfg, workdir, train_ds, lexicons)
+
+
+def _decoded(checkpoint: str, decode, *args):
+    """`decode(*args)`, with a refusal of it named by the checkpoint file."""
+    try:
+        return decode(*args)
+    except ValueError as exc:
+        raise ValueError(f"{checkpoint}: {exc}") from exc
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     cfg, digest, workdir = _load_run(args)
-    grammar, base, val_ds, ctx = _search_inputs(cfg, workdir)
+    grammar = build_grammar(cfg)
+    base, val_ds, ctx = _search_inputs(cfg, workdir)
 
     journal_path = str(workdir / "journal.jsonl")
-
     if args.resume:
         state = load_checkpoint(args.resume)
-        check_checkpoint(state, digest, cfg.master_seed)  # a refused resume keeps the journal
-        EvalJournal.truncate_file(journal_path, state["journal_lines"])
-        journal = EvalJournal.load(journal_path)
+        journal = EvalJournal.load(journal_path)  # `restore` cuts it
     else:
-        write_atomic(journal_path, "")
-        journal = EvalJournal(journal_path)
-        journal.append({"config_digest": digest, "master_seed": cfg.master_seed})
+        journal = EvalJournal.start(journal_path, digest, cfg.master_seed)
 
     engine = EvolutionEngine(
         grammar,
@@ -266,11 +253,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         config_digest=digest,
     )
     try:
-        if args.resume:
-            population, start_generation = engine.restore(state)
-            result = engine.run(population, start_generation)
-        else:
-            result = engine.run()
+        population, start = _decoded(args.resume, engine.restore, state) if args.resume else (None, 0)
+        result = engine.run(population, start)
     finally:
         ctx.close()
 
@@ -288,7 +272,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             "born": elite.born,
         },
     )
-    curve = _curve_rows(journal)
+    curve = journal.curve()
     _write_curve(workdir / "curve.tsv", digest, curve)
     _write_json(
         workdir / "report.json",
@@ -325,17 +309,17 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_local_search(args: argparse.Namespace) -> int:
     cfg, digest, workdir = _load_run(args)
-    state = load_checkpoint(args.checkpoint or str(workdir / "checkpoint.json"))
+    grammar = build_grammar(cfg)
+    checkpoint = args.checkpoint or str(workdir / "checkpoint.json")
+    elite = _decoded(checkpoint, checkpoint_elite, load_checkpoint(checkpoint), grammar)
     journal_path = args.journal or str(workdir / "journal.jsonl")
     points = EvalJournal.load(journal_path).training_points()
     if len(points) < MIN_TRAIN_POINTS:
         raise CliError(
             f"{journal_path}: need at least {MIN_TRAIN_POINTS} data points, got {len(points)}"
         )
-    if not state.get("elite"):
-        raise CliError("checkpoint holds no elite individual")
 
-    grammar, base, val_ds, ctx = _search_inputs(cfg, workdir)
+    base, val_ds, ctx = _search_inputs(cfg, workdir)
     embedder = build_embedder(cfg)
 
     started = time.perf_counter()
@@ -353,8 +337,7 @@ def cmd_local_search(args: argparse.Namespace) -> int:
     )
     fitted = time.perf_counter()
 
-    elite_tree = decode(grammar, state["elite"]["genotype"])
-    incumbent_ph = render_phenotype(elite_tree)
+    incumbent_ph = render_phenotype(elite.tree)
 
     try:
         result = run_local_search(
@@ -457,11 +440,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     journal = EvalJournal.load(args.journal)
-    heads = (r["config_digest"] for r in journal.records if "config_digest" in r and "split" not in r)
-    digest = next(heads, "")
-    rows = _curve_rows(journal)
+    rows = journal.curve()
     out = Path(args.out)
-    _write_curve(out, digest, rows)
+    _write_curve(out, journal.config_digest(), rows)
     print(f"wrote {len(rows)} generation rows to {out}")
     return 0
 

@@ -21,6 +21,7 @@ from .editops import ProgramExecutionError
 from .exprlang import ProgramParseError
 from .gateway import append_line, write_atomic
 from .grammar import (
+    DecodeError,
     DerivationTree,
     Genotype,
     Grammar,
@@ -78,19 +79,72 @@ class Individual:
 
 
 class EvalJournal:
-    """Append-only evaluation log; optionally mirrored to a JSONL file."""
+    """The evaluation journal, and the only code that reads or writes its
+    format: a header record, then one record per scored prompt, each one
+    JSON line appended whole; optionally mirrored to a file."""
 
     def __init__(self, path: Optional[str] = None):
         self.path = path
         self.records: list[dict] = []
+
+    @classmethod
+    def start(cls, path: str, config_digest: str, master_seed: int) -> "EvalJournal":
+        """A new journal file at `path` that holds only its header."""
+        write_atomic(path, "")
+        journal = cls(path)
+        journal.append({"config_digest": config_digest, "master_seed": master_seed})
+        return journal
 
     def append(self, record: dict) -> None:
         self.records.append(record)
         if self.path:
             append_line(self.path, json.dumps(record, sort_keys=True) + "\n")
 
+    def append_evaluation(self, generation: int, split: str, ind: Individual, fitness: float) -> None:
+        """Journal `ind`'s `fitness` on split "train" (the rows sampled for `generation`) or "val"."""
+        self.append(
+            {
+                "generation": generation,
+                "digest": ind.digest,
+                "split": split,
+                "fitness": fitness,
+                "prompt": ind.prompt.text,
+                "sample": str(generation) if split == "train" else split,
+            }
+        )
+
+    def cut(self, count: int) -> None:
+        """Keep the first `count` records, refusing a journal that holds fewer; the
+        file is replaced whole, so a failure leaves it as it was."""
+        if len(self.records) < count:
+            raise ValueError(
+                f"{self.path}: holds {len(self.records)} records, fewer than the "
+                f"{count} the checkpoint counted"
+            )
+        del self.records[count:]
+        if self.path:
+            write_atomic(self.path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.records))
+
     def __len__(self) -> int:
         return len(self.records)
+
+    def config_digest(self) -> str:
+        """The header's config digest, or "" without a header."""
+        heads = (r["config_digest"] for r in self.records if "config_digest" in r and "split" not in r)
+        return next(heads, "")
+
+    def curve(self) -> list[tuple[int, float, float, int]]:
+        """Per-generation (generation, mean, population std, count) of train fitness."""
+        by_gen: dict[int, list[float]] = {}
+        for record in self.records:
+            if record.get("split") == "train":
+                by_gen.setdefault(record["generation"], []).append(record["fitness"])
+        rows = []
+        for gen, values in sorted(by_gen.items()):
+            mean = sum(values) / len(values)
+            std = math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
+            rows.append((gen, mean, std, len(values)))
+        return rows
 
     def training_points(self) -> list[tuple[str, float]]:
         """(prompt, f_train) pairs usable as surrogate training data."""
@@ -104,7 +158,7 @@ class EvalJournal:
     def load(cls, path: str) -> "EvalJournal":
         """Read a journal file; a last line without a newline was torn by a
         killed append and is dropped."""
-        journal = cls(path=None)
+        journal = cls(path)
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
         if lines and not lines[-1].endswith("\n"):
@@ -117,17 +171,8 @@ class EvalJournal:
                     raise ValueError(f"{path}: line {lineno}: {exc}") from exc
                 if not isinstance(record, dict):
                     raise ValueError(f"{path}: line {lineno}: a journal record must be an object")
-                journal.records.append(record)
-        journal.path = path
+                journal.records.append(record)  # read, so not written again
         return journal
-
-    @staticmethod
-    def truncate_file(path: str, lines: int) -> None:
-        """Drop trailing lines past `lines` (partial-generation leftovers);
-        the journal is replaced whole, so a failure leaves it as it was."""
-        with open(path, "r", encoding="utf-8") as fh:
-            kept = fh.readlines()[:lines]
-        write_atomic(path, "".join(kept))
 
 
 @dataclass
@@ -213,16 +258,7 @@ class EvolutionEngine:
         reports = self.ctx.map(lambda ind: evaluate_prompt(ind.prompt, rows, self.ctx), rendered)
         for ind, report in zip(rendered, reports):
             ind.f_train = report.fitness
-            self.journal.append(
-                {
-                    "generation": gen,
-                    "digest": ind.digest,
-                    "split": "train",
-                    "fitness": ind.f_train,
-                    "prompt": ind.prompt.text,
-                    "sample": str(gen),
-                }
-            )
+            self.journal.append_evaluation(gen, "train", ind, ind.f_train)
 
     def _champion(self, pop: list[Individual]) -> Individual:
         return min(pop, key=lambda ind: (-(ind.f_train or 0.0), ind.genotype))
@@ -235,16 +271,7 @@ class EvolutionEngine:
             champion.f_val = 0.0
         else:
             champion.f_val = evaluate_prompt(champion.prompt, self.val_dataset.rows, self.ctx).fitness
-            self.journal.append(
-                {
-                    "generation": gen,
-                    "digest": champion.digest,
-                    "split": "val",
-                    "fitness": champion.f_val,
-                    "prompt": champion.prompt.text,
-                    "sample": "val",
-                }
-            )
+            self.journal.append_evaluation(gen, "val", champion, champion.f_val)
         if self.elite is None or champion.f_val > (self.elite.f_val or 0.0):
             self.elite = champion.clone()
 
@@ -350,17 +377,6 @@ class EvolutionEngine:
             "f_val": ind.f_val,
         }
 
-    def _unpack_individual(self, packed: dict) -> Individual:
-        """The packed individual, not yet rendered."""
-        tree = decode(self.grammar, packed["genotype"])
-        return Individual(
-            genotype=encode(tree),
-            tree=tree,
-            born=packed["born"],
-            f_train=packed["f_train"],
-            f_val=packed["f_val"],
-        )
-
     def save_checkpoint(self, population: list[Individual], next_generation: int) -> None:
         state = {
             "version": CHECKPOINT_VERSION,
@@ -377,24 +393,91 @@ class EvolutionEngine:
         write_atomic(self.checkpoint_path, json.dumps(state, sort_keys=True))
 
     def restore(self, state: dict) -> tuple[list[Individual], int]:
-        """Rebuild population and elite from a checkpoint dict; re-renders prompts."""
+        """Rebuild population and elite from a checkpoint dict, then cut the
+        journal to the records it counted and re-render the prompts; a refused
+        checkpoint, decoded whole before the cut, leaves the journal as it was."""
         check_checkpoint(state, self.config_digest, self.master_seed)
-        population = [self._unpack_individual(p) for p in state["population"]]
-        self.elite = self._unpack_individual(state["elite"]) if state["elite"] else None
-        self.ctx.map(self._render, population + ([self.elite] if self.elite else []))
-        self.history = list(state["history"])
-        return population, state["next_generation"]
+        packed = _field(state, "population", (list,))
+        size = self.settings.population_size
+        if len(packed) != size:
+            raise ValueError(f"population: holds {len(packed)} entries, gp.population_size is {size}")
+        population = [_unpack_individual(self.grammar, p, f"population[{i}]") for i, p in enumerate(packed)]
+        elite = _field(state, "elite", (dict, type(None)))
+        elite = None if elite is None else _unpack_individual(self.grammar, elite, "elite")
+        history = _field(state, "history", (list,))
+        history = [_typed(h, (dict,), f"history[{i}]") for i, h in enumerate(history)]
+        next_generation = _field(state, "next_generation", (int,))
+        self.journal.cut(_field(state, "journal_lines", (int,)))
+        self.elite, self.history = elite, history
+        self.ctx.map(self._render, population + ([elite] if elite else []))
+        return population, next_generation
+
+
+_JSON_TYPES = {
+    dict: "object", list: "array", str: "string", int: "integer",
+    float: "number", bool: "boolean", type(None): "null",
+}
+
+
+def _typed(value, kinds: tuple, name: str):
+    """`value`, refused naming the checkpoint field `name` unless its type is
+    exactly one of `kinds` (so a bool is no integer); each integer field
+    counts something, so none may be negative."""
+    if type(value) not in kinds:
+        wanted = " or ".join(_JSON_TYPES[kind] for kind in kinds)
+        raise ValueError(f"{name}: must be {wanted}, got {_JSON_TYPES[type(value)]}")
+    if type(value) is int and value < 0:
+        raise ValueError(f"{name}: must be >= 0, got {value}")
+    return value
+
+
+def _field(obj: dict, key: str, kinds: tuple, where: str = ""):
+    if key not in obj:
+        raise ValueError(f"{where}{key}: missing")
+    return _typed(obj[key], kinds, where + key)
+
+
+def _unpack_individual(grammar: Grammar, packed, where: str) -> Individual:
+    """The individual packed at `where` in a checkpoint, not yet rendered."""
+    _typed(packed, (dict,), where)
+    genotype = _field(packed, "genotype", (list,), f"{where}.")
+    if any(type(codon) is not int for codon in genotype):
+        raise ValueError(f"{where}.genotype: must hold integers only")
+    try:
+        tree = decode(grammar, genotype)
+    except DecodeError as exc:
+        raise ValueError(f"{where}.genotype: {exc}") from exc
+    score = (float, int, type(None))
+    return Individual(
+        genotype=tuple(genotype),  # decode consumed every choice, so this is encode(tree)
+        tree=tree,
+        born=_field(packed, "born", (int,), f"{where}."),
+        f_train=_field(packed, "f_train", score, f"{where}."),
+        f_val=_field(packed, "f_val", score, f"{where}."),
+    )
+
+
+def _check_version(state: dict) -> None:
+    if state.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {state.get('version')}")
 
 
 def check_checkpoint(state: dict, config_digest: str, master_seed: int) -> None:
     """Raise ValueError unless a run of exactly this config digest and
     master seed may resume from the checkpoint `state`."""
-    if state.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {state.get('version')}")
+    _check_version(state)
     if state.get("config_digest") != config_digest:
         raise ValueError("checkpoint was produced by a different configuration")
     if state.get("master_seed") != master_seed:
         raise ValueError("checkpoint master seed does not match the configured seed")
+
+
+def checkpoint_elite(state: dict, grammar: Grammar) -> Individual:
+    """The elite of checkpoint `state`, not yet rendered, through a resume's
+    version and field checks.  Its digest and seed go unchecked: local search
+    may run under other settings and another seed."""
+    _check_version(state)
+    return _unpack_individual(grammar, _field(state, "elite", (dict,)), "elite")
 
 
 def load_checkpoint(path: str) -> dict:

@@ -1,7 +1,11 @@
 import base64
 import hashlib
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -9,6 +13,7 @@ import numpy as np
 import pytest
 from helpers import LoopbackServer, fail_writes_to, identity_phenotype, refused_url
 
+import promptgp
 from promptgp.cli import build_embedder, main
 from promptgp.config import load_config, config_digest
 from promptgp.gateway import LabelOracleBackend, TransportError
@@ -256,6 +261,22 @@ def test_optimize_resume_from_checkpoint_reproduces_report(tmp_path, generations
     assert (work / "journal.jsonl").read_bytes() == original_journal
 
 
+# How each refused resume edits a checkpoint whose config and seed match.
+CHECKPOINT_EDITS = {
+    "seed": lambda state: state.update(master_seed=4),
+    "version": lambda state: state.update(version=0),
+    "digest": lambda state: state.update(config_digest=""),
+    "born": lambda state: state["population"][0].pop("born"),
+    "size": lambda state: state["population"].pop(),
+    "history": lambda state: state["history"].append(1),
+    "elite": lambda state: state["elite"].update(genotype=[99] * 5),
+    "count-missing": lambda state: state.pop("journal_lines"),
+    "count-text": lambda state: state.update(journal_lines="10"),
+    "count-negative": lambda state: state.update(next_generation=-1),
+    "short-journal": lambda state: None,  # the journal is cut to 3 lines instead
+}
+
+
 @pytest.mark.parametrize(
     "refusal, message",
     [
@@ -263,6 +284,14 @@ def test_optimize_resume_from_checkpoint_reproduces_report(tmp_path, generations
         ("seed", "master seed does not match"),
         ("version", "unsupported checkpoint version"),
         ("digest", "different configuration"),  # an empty digest matches no config
+        ("born", "population[0].born: missing"),
+        ("size", "population: holds 5 entries, gp.population_size is 6"),
+        ("history", "history[1]: must be object, got integer"),
+        ("elite", "elite.genotype: choice 99 at position 0 out of range"),
+        ("count-missing", "journal_lines: missing"),
+        ("count-text", "journal_lines: must be integer, got string"),
+        ("count-negative", "next_generation: must be >= 0, got -1"),
+        ("short-journal", "journal.jsonl: holds 3 records, fewer than the"),
     ],
 )
 def test_refused_resume_leaves_the_journal_untouched(tmp_path, capsys, refusal, message):
@@ -277,18 +306,22 @@ def test_refused_resume_leaves_the_journal_untouched(tmp_path, capsys, refusal, 
     config.write_text(one_generation.replace("generations = 1", "generations = 3"))
     assert main(["optimize", "--config", str(config)]) == 0
     journal = (work / "journal.jsonl").read_bytes()
-    assert json.loads(checkpoint.read_text())["journal_lines"] < len(journal.splitlines())
+    counted = json.loads(checkpoint.read_text())["journal_lines"]
+    assert counted < len(journal.splitlines())
     if refusal != "config":
         config.write_text(one_generation)
-        key, value = {
-            "seed": ("master_seed", 4),
-            "version": ("version", 0),
-            "digest": ("config_digest", ""),
-        }[refusal]
-        checkpoint.write_text(json.dumps({**json.loads(checkpoint.read_text()), key: value}))
+        state = json.loads(checkpoint.read_text())
+        CHECKPOINT_EDITS[refusal](state)
+        checkpoint.write_text(json.dumps(state))
+    if refusal == "short-journal":
+        journal = b"".join(journal.splitlines(keepends=True)[:3])
+        (work / "journal.jsonl").write_bytes(journal)
+        message += f" {counted} the checkpoint counted"
     capsys.readouterr()
     assert main(["optimize", "--config", str(config), "--resume", str(checkpoint)]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert f"error: {checkpoint}: " in err
     assert (work / "journal.jsonl").read_bytes() == journal
 
 
@@ -298,8 +331,15 @@ def test_refused_resume_leaves_the_journal_untouched(tmp_path, capsys, refusal, 
         ("optimize", "[1, 2]\n", "a checkpoint must be an object"),
         ("local-search", "[1, 2]\n", "a checkpoint must be an object"),
         ("report", '{"config_digest": "x"}\n[1]\n', "line 2: a journal record must be an object"),
+        # local-search checks the version and decodes the elite as a resume
+        # does, but neither the digest nor the seed
+        ("local-search", '{"version": 99}\n', "unsupported checkpoint version 99"),
+        ("local-search", '{"version": 1, "elite": {"born": 0}}\n', "elite.genotype: missing"),
+        ("local-search", '{"version": 1, "elite": {"genotype": "abc"}}\n', "elite.genotype: must be array"),
+        ("local-search", '{"version": 1, "elite": null}\n', "elite: must be object, got null"),
     ],
-    ids=["optimize", "local-search", "report"],
+    ids=["optimize", "local-search", "report", "local-search-version", "local-search-no-genotype",
+         "local-search-genotype-text", "local-search-no-elite"],
 )
 def test_checkpoint_or_journal_record_that_is_not_an_object_exits_2(
     tmp_path, capsys, command, text, where
@@ -799,6 +839,92 @@ def test_interrupted_artifact_write_keeps_the_previous_whole_file(tmp_path, monk
     assert main([command, "--config", config]) == 2
     assert target.read_text(encoding="utf-8") == before
     assert not target.with_name(name + ".tmp").exists()
+
+
+# Runs `main(argv)` with one kind of write patched so that the process
+# SIGKILLs itself part-way through it.  argv: kill point, workdir, then the
+# command line.  The package itself has no hook for this.
+KILL_LAUNCHER = r"""
+import json, os, signal, sys
+from promptgp import evolution, gateway
+from promptgp.cli import main
+
+point, work, argv = sys.argv[1], sys.argv[2], sys.argv[3:]
+checkpoint = os.path.join(work, "checkpoint.json")
+seen = []
+
+def die():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+def torn(append, kill_on):
+    def append_then_die(path, line):
+        if kill_on(path, line):
+            append(path, line[: len(line) // 2])
+            die()
+        append(path, line)
+    return append_then_die
+
+def third_record_of_generation_2(path, line):
+    seen.extend([line] if json.loads(line).get("generation") == 2 else [])
+    return len(seen) == 3
+
+def second_cache_line_after_a_checkpoint(path, line):
+    seen.extend([line] if os.path.exists(checkpoint) else [])
+    return len(seen) == 2
+
+def replace_then_die(src, dst, replace=os.replace):
+    if src == checkpoint + ".tmp":
+        with open(src, encoding="utf-8") as fh:
+            if json.load(fh)["next_generation"] == 3:  # generation 2's checkpoint
+                die()
+    replace(src, dst)
+
+if point == "journal":
+    evolution.append_line = torn(evolution.append_line, third_record_of_generation_2)
+elif point == "cache":
+    gateway.append_line = torn(gateway.append_line, second_cache_line_after_a_checkpoint)
+else:
+    os.replace = replace_then_die
+sys.exit(main(argv))
+"""
+
+RUN_ARTIFACTS = [*PINNED_SHA256, "eval_test.tsv", "report_curve.tsv"]
+
+
+def finish_run(root):
+    """Resume `root`'s run from its checkpoint, then run every later command."""
+    config, work = str(root / "run.ini"), root / "work"
+    assert main(["optimize", "--config", config, "--resume", str(work / "checkpoint.json")]) == 0
+    assert main(["local-search", "--config", config]) == 0
+    assert main(["evaluate", "--config", config, "--prompt", str(work / "refined_prompt.txt")]) == 0
+    curve = str(work / "report_curve.tsv")
+    assert main(["report", "--journal", str(work / "journal.jsonl"), "--out", curve]) == 0
+
+
+def test_run_killed_mid_write_resumes_to_the_uninterrupted_artifacts(tmp_path):
+    reference = setup_run(tmp_path, "reference", generations=3)
+    assert main(["optimize", "--config", str(reference / "run.ini")]) == 0
+    finish_run(reference)  # resuming a finished run changes nothing
+    expected = {name: masked_sha256(reference / "work", name) for name in RUN_ARTIFACTS}
+    env = {**os.environ, "PYTHONPATH": str(Path(promptgp.__file__).parents[1])}
+    for point in ("journal", "checkpoint", "cache"):
+        root = setup_run(tmp_path, point, generations=3)
+        work = root / "work"
+        argv = ["optimize", "--config", str(root / "run.ini")]
+        killed = subprocess.run(
+            [sys.executable, "-c", KILL_LAUNCHER, point, str(work), *argv], env=env, capture_output=True
+        )
+        assert killed.returncode == -signal.SIGKILL, killed.stderr.decode()
+        # the last whole checkpoint is that of the generation before the kill
+        next_generation = json.loads((work / "checkpoint.json").read_text())["next_generation"]
+        assert next_generation == {"journal": 2, "checkpoint": 2, "cache": 1}[point]
+        if point == "checkpoint":
+            assert (work / "checkpoint.json.tmp").exists()
+        else:
+            torn = work / {"journal": "journal.jsonl", "cache": "cache.tsv"}[point]
+            assert not torn.read_text().endswith("\n")
+        finish_run(root)
+        assert {name: masked_sha256(work, name) for name in RUN_ARTIFACTS} == expected, point
 
 
 def test_optimize_over_http_closes_every_connection(tmp_path, monkeypatch):

@@ -152,24 +152,29 @@ def test_journal_load_drops_torn_last_line(tmp_path, caplog):
         EvalJournal.load(str(path))
 
 
-def test_journal_truncate_file(tmp_path):
+def test_journal_cut_keeps_the_counted_records(tmp_path):
     path = str(tmp_path / "journal.jsonl")
     journal = EvalJournal(path)
     for i in range(5):
         journal.append({"generation": i})
-    EvalJournal.truncate_file(path, 3)
+    EvalJournal.load(path).cut(3)
     assert len(EvalJournal.load(path).records) == 3
+    before = Path(path).read_text(encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: holds 3 records, fewer than the 4 ")):
+        EvalJournal.load(path).cut(4)
+    assert Path(path).read_text(encoding="utf-8") == before
 
 
-def test_journal_truncate_failure_keeps_the_journal(tmp_path, monkeypatch):
+def test_journal_cut_failure_keeps_the_journal(tmp_path, monkeypatch):
     path = str(tmp_path / "journal.jsonl")
     journal = EvalJournal(path)
     for i in range(5):
         journal.append({"generation": i})
     before = Path(path).read_text(encoding="utf-8")
+    loaded = EvalJournal.load(path)  # reads, so before the writes fail
     fail_writes_to(monkeypatch, "journal.jsonl")
     with pytest.raises(OSError):
-        EvalJournal.truncate_file(path, 3)
+        loaded.cut(3)
     assert Path(path).read_text(encoding="utf-8") == before
     assert not Path(path + ".tmp").exists()
 

@@ -215,16 +215,34 @@ def test_screen_returns_all_when_under_limit():
     assert all(n.variance == pytest.approx(0.0) for n in out)
 
 
+class PositionEnsemble:
+    """Distinct predictions by input position: the mean falls with the
+    position, and the variance peaks at `PEAKS`, two of which are mean tops."""
+
+    PEAKS = [3, 4, 20, 25, 29]
+
+    def predict_many(self, texts):
+        means = np.arange(len(texts), 0, -1, dtype=float)
+        variances = np.arange(len(texts), dtype=float) / len(texts)
+        variances[self.PEAKS] += 10.0
+        return means, variances
+
+
 def test_screen_union_of_mean_and_variance_tops():
     neighbors = rendered_neighbors(per_site=10)  # 3 sites x 10 = 30 neighbors
     assert len(neighbors) == 30
     settings = LocalSearchSettings(screen_limit=10, top_mean=5, top_variance=5)
-    out = screen(neighbors, LengthEnsemble(), settings)
+    out = screen(neighbors, PositionEnsemble(), settings)
     assert len(out) == 10
     digests = [n.digest for n in out]
     assert len(set(digests)) == 10
     by_mean = sorted(neighbors, key=lambda n: (-n.mean, n.digest))
     by_var = sorted(neighbors, key=lambda n: (-n.variance, n.digest))
+    # The tops share two neighbours, so the backfill adds two by mean rank,
+    # and three variance tops lie outside the mean top-10.
+    assert len({n.digest for n in by_mean[:5]} & {n.digest for n in by_var[:5]}) == 2
+    beyond = {n.digest for n in out} - {n.digest for n in by_mean[:10]}
+    assert beyond == {neighbors[i].digest for i in PositionEnsemble.PEAKS[2:]}
     expected = {n.digest for n in by_mean[:5]} | {n.digest for n in by_var[:5]}
     for n in by_mean[5:]:
         if len(expected) >= 10:
