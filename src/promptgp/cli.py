@@ -313,10 +313,11 @@ def cmd_local_search(args: argparse.Namespace) -> int:
     checkpoint = args.checkpoint or str(workdir / "checkpoint.json")
     elite = _decoded(checkpoint, checkpoint_elite, load_checkpoint(checkpoint), grammar)
     journal_path = args.journal or str(workdir / "journal.jsonl")
-    points = EvalJournal.load(journal_path).training_points()
+    journal = EvalJournal.load(journal_path)
+    points = journal.training_points()
     if len(points) < MIN_TRAIN_POINTS:
         raise CliError(
-            f"{journal_path}: need at least {MIN_TRAIN_POINTS} data points, got {len(points)}"
+            f"{journal_path}: need at least {MIN_TRAIN_POINTS} distinct training texts, got {len(points)}"
         )
 
     base, val_ds, ctx = _search_inputs(cfg, workdir)
@@ -330,7 +331,7 @@ def cmd_local_search(args: argparse.Namespace) -> int:
         hp = tune_hyperparameters(X, y, derive_seed(cfg.master_seed, "hp_tune"), cfg.surrogate)
     else:
         hp = SurrogateHp()
-        log.warning("only %d journal points; skipping CV, using default hp", len(points))
+        log.warning("only %d distinct training texts; skipping CV, using default hp", len(points))
     tuned = time.perf_counter()
     ensemble = train(
         X, y, hp, derive_seed(cfg.master_seed, "surrogate_train"), embedder, cfg.surrogate
@@ -395,8 +396,8 @@ def cmd_local_search(args: argparse.Namespace) -> int:
     stats = _read_stats(workdir / "stats.json")  # optimize's keys stay
     stats["local_search"] = {
         "config_digest": digest,
-        "journal_points": len(points),
-        "distinct_texts": len({text for text, _ in points}),
+        "journal_points": journal.training_record_count(),
+        "distinct_texts": len(points),
         "embedding_dims_used": int(np.count_nonzero(X.any(axis=0))),
         "hp": asdict(hp),
         "seconds": {

@@ -136,9 +136,8 @@ class EvalJournal:
     def curve(self) -> list[tuple[int, float, float, int]]:
         """Per-generation (generation, mean, population std, count) of train fitness."""
         by_gen: dict[int, list[float]] = {}
-        for record in self.records:
-            if record.get("split") == "train":
-                by_gen.setdefault(record["generation"], []).append(record["fitness"])
+        for record in self._train_records():
+            by_gen.setdefault(record["generation"], []).append(record["fitness"])
         rows = []
         for gen, values in sorted(by_gen.items()):
             mean = sum(values) / len(values)
@@ -146,13 +145,22 @@ class EvalJournal:
             rows.append((gen, mean, std, len(values)))
         return rows
 
+    def _train_records(self) -> list[dict]:
+        return [r for r in self.records if r.get("split") == "train"]
+
+    def training_record_count(self) -> int:
+        """How many train records carry a prompt: what `training_points` collapses."""
+        return sum(1 for r in self._train_records() if r["prompt"])
+
     def training_points(self) -> list[tuple[str, float]]:
-        """(prompt, f_train) pairs usable as surrogate training data."""
-        return [
-            (r["prompt"], r["fitness"])
-            for r in self.records
-            if r.get("split") == "train" and r.get("prompt")
-        ]
+        """The surrogate's training data: one (prompt, mean f_train) pair per
+        distinct prompt, in the order each first appears, so that no split of
+        the points can put one text on both sides."""
+        scores: dict[str, list[float]] = {}
+        for record in self._train_records():
+            if record["prompt"]:
+                scores.setdefault(record["prompt"], []).append(record["fitness"])
+        return [(text, sum(values) / len(values)) for text, values in scores.items()]
 
     @classmethod
     def load(cls, path: str) -> "EvalJournal":
@@ -167,10 +175,12 @@ class EvalJournal:
             if line.strip():
                 try:
                     record = json.loads(line)
+                    if not isinstance(record, dict):
+                        raise ValueError("a journal record must be an object")
+                    if record.get("split") == "train":
+                        _check_train_record(record)
                 except ValueError as exc:
                     raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-                if not isinstance(record, dict):
-                    raise ValueError(f"{path}: line {lineno}: a journal record must be an object")
                 journal.records.append(record)  # read, so not written again
         return journal
 
@@ -420,7 +430,7 @@ _JSON_TYPES = {
 
 
 def _typed(value, kinds: tuple, name: str):
-    """`value`, refused naming the checkpoint field `name` unless its type is
+    """`value`, refused naming the field `name` unless its type is
     exactly one of `kinds` (so a bool is no integer); each integer field
     counts something, so none may be negative."""
     if type(value) not in kinds:
@@ -435,6 +445,14 @@ def _field(obj: dict, key: str, kinds: tuple, where: str = ""):
     if key not in obj:
         raise ValueError(f"{where}{key}: missing")
     return _typed(obj[key], kinds, where + key)
+
+
+def _check_train_record(record: dict) -> None:
+    """Refuse a train record whose fields the journal's readers could not use."""
+    _field(record, "generation", (int,))
+    _field(record, "prompt", (str,))
+    if not math.isfinite(_field(record, "fitness", (float, int))):
+        raise ValueError(f"fitness: must be finite, got {record['fitness']}")
 
 
 def _unpack_individual(grammar: Grammar, packed, where: str) -> Individual:

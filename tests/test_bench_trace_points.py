@@ -7,7 +7,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from test_cli import setup_run, site_elite
+from test_cli import SEARCH_POPULATION, setup_run, site_elite
 
 from promptgp.cli import main
 from promptgp.config import parse_config
@@ -45,7 +45,7 @@ def test_every_traced_name_resolves(monkeypatch):
 
 def test_traced_commands_reach_every_patched_layer(tmp_path, monkeypatch):
     run = load_bench_run(monkeypatch)
-    root = setup_run(tmp_path)
+    root = setup_run(tmp_path, population=SEARCH_POPULATION)
     config = str(root / "run.ini")
     tracer = run.Tracer()
     for span, module, cls, attr in run.TRACE_POINTS:

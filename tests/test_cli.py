@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,11 @@ per_site = 3
 """
     (root / "run.ini").write_text(config)
     return root
+
+
+# The default run journals only 6 distinct training texts, and local search
+# fits the surrogate on at least 10; a population of 12 journals 15.
+SEARCH_POPULATION = 12
 
 
 def test_version_flag(capsys):
@@ -363,10 +369,16 @@ def test_checkpoint_or_journal_record_that_is_not_an_object_exits_2(
         ("optimize", "checkpoint.json", '{"version": ', ""),
         ("local-search", "journal.jsonl", '{"config_digest": "x"}\n{oops\n', "line 2: "),
         ("report", "journal.jsonl", '{"config_digest": "x"}\n{oops\n', "line 2: "),
+        ("report", "journal.jsonl", '{"config_digest": "x"}\n{"split": "train", "generation": 0}\n',
+         "line 2: prompt: missing"),
+        ("local-search", "journal.jsonl",
+         '{"config_digest": "x"}\n{"split": "train", "generation": 0, "prompt": "p", "fitness": "0.5"}\n',
+         "line 2: fitness: must be number or integer, got string"),
         ("optimize", "cache.tsv", f"a\t{base64.b64encode(b'ok').decode()}\nb\tabc\n", "line 2: "),
         ("optimize", "cache.tsv", f"a\t{base64.b64encode(b'ok').decode()}\nb\t/w==\n", "line 2: "),
     ],
-    ids=["checkpoint", "journal-local-search", "journal-report", "cache-base64", "cache-utf8"],
+    ids=["checkpoint", "journal-local-search", "journal-report", "train-record-report",
+         "train-record-local-search", "cache-base64", "cache-utf8"],
 )
 def test_workdir_file_that_does_not_parse_exits_2_naming_it(tmp_path, capsys, command, name, text, where):
     root = setup_run(tmp_path)
@@ -403,7 +415,7 @@ def test_backend_data_that_is_not_a_json_object_exits_2_naming_it(tmp_path, caps
 @pytest.mark.parametrize("command", ["optimize", "local-search", "evaluate"])
 @pytest.mark.parametrize("table, key", [({"x": 2, "__default__": "no"}, "x"), ({"__default__": 3}, "__default__")])
 def test_scripted_reply_that_is_not_a_string_exits_2_naming_it(tmp_path, capsys, command, table, key):
-    root = setup_run(tmp_path)
+    root = setup_run(tmp_path, population=SEARCH_POPULATION)
     config = root / "run.ini"
     assert main(["optimize", "--config", str(config)]) == 0  # local-search needs its checkpoint
     (root / "table.json").write_text(json.dumps(table))
@@ -454,7 +466,7 @@ def test_icl_slot_count_sets_the_rendered_demonstration_placeholders(tmp_path):
 
 
 def test_local_search_after_optimize(tmp_path, capsys):
-    root = setup_run(tmp_path)
+    root = setup_run(tmp_path, population=SEARCH_POPULATION)
     config = str(root / "run.ini")
     assert main(["optimize", "--config", config]) == 0
     assert main(["local-search", "--config", config]) == 0
@@ -499,7 +511,7 @@ def site_elite(work):
 
 
 def test_local_search_full_path_with_sited_elite(tmp_path):
-    root = setup_run(tmp_path)
+    root = setup_run(tmp_path, population=SEARCH_POPULATION)
     config = str(root / "run.ini")
     assert main(["optimize", "--config", config]) == 0
     work = root / "work"
@@ -519,7 +531,7 @@ def test_local_search_full_path_with_sited_elite(tmp_path):
 
 
 def test_local_search_adds_its_section_to_stats(tmp_path):
-    root = setup_run(tmp_path)
+    root = setup_run(tmp_path, population=SEARCH_POPULATION)
     config = str(root / "run.ini")
     assert main(["optimize", "--config", config]) == 0
     work = root / "work"
@@ -532,8 +544,9 @@ def test_local_search_adds_its_section_to_stats(tmp_path):
     records = [json.loads(line) for line in (work / "journal.jsonl").read_text().splitlines()]
     texts = [r["prompt"] for r in records if r.get("split") == "train" and r.get("prompt")]
     assert section["config_digest"] == stats["config_digest"]
-    assert section["journal_points"] == len(texts) < 50  # too few to tune: the default hp
-    assert section["distinct_texts"] == len(set(texts)) < len(texts)
+    # Repeated texts collapse to one point each, too few to tune: the default hp.
+    assert section["journal_points"] == len(texts)
+    assert section["distinct_texts"] == len(set(texts)) < min(len(texts), 50)
     embedder = build_embedder(load_config(config))
     assert section["embedding_dims_used"] == np.count_nonzero(embedder.embed_many(texts).any(axis=0))
     assert 0 < section["embedding_dims_used"] < embedder.dim
@@ -546,12 +559,19 @@ def test_local_search_adds_its_section_to_stats(tmp_path):
     assert sorted(json.loads((work / "stats.json").read_text())) == ["local_search"]
 
 
-def write_journal(path, n):
-    """A journal of `n` distinct training points, enough to drive the surrogate alone."""
+def write_journal(path, n, copies=1):
+    """A journal of `n` distinct training texts, enough to drive the surrogate
+    alone; with `copies`, each generation scores every text again."""
     write_jsonl(
         path,
         [
-            {"split": "train", "prompt": f"Answer question {i} with care, case {i * 7}.", "fitness": (i % 5) / 4}
+            {
+                "split": "train",
+                "generation": generation,
+                "prompt": f"Answer question {i} with care, case {i * 7}.",
+                "fitness": ((i + generation) % 5) / 4,
+            }
+            for generation in range(copies)
             for i in range(n)
         ],
     )
@@ -607,6 +627,58 @@ def test_local_search_embeds_each_journal_point_once(tmp_path, monkeypatch):
     assert embedded[60:] == [n.prompt.text for n in neighbors]
 
 
+def test_no_text_is_on_both_sides_of_a_split_or_a_fold(tmp_path, monkeypatch):
+    from promptgp import cli, surrogate
+
+    root = setup_run(tmp_path)
+    config = with_cv(root)
+    assert main(["optimize", "--config", config]) == 0
+    # 60 distinct texts, each scored in 3 generations: enough to tune.
+    journal = write_journal(root / "points.jsonl", 60, copies=3)
+
+    fits, tunes = [], []
+    fit_models, predict_params = surrogate.fit_models, surrogate.predict_params
+    tune_hyperparameters = cli.tune_hyperparameters
+
+    def recording_fit_models(X, *args):
+        fits.append({"X": X, "val": None})
+        return fit_models(X, *args)
+
+    def recording_predict_params(params, X):
+        if fits and fits[-1]["val"] is None:  # a fit's first prediction is its validation loss
+            fits[-1]["val"] = X
+        return predict_params(params, X)
+
+    def recording_tune(X, *args):
+        first = len(fits)
+        hp = tune_hyperparameters(X, *args)
+        tunes.append((X, fits[first:]))
+        return hp
+
+    monkeypatch.setattr(surrogate, "fit_models", recording_fit_models)
+    monkeypatch.setattr(surrogate, "predict_params", recording_predict_params)
+    monkeypatch.setattr(cli, "tune_hyperparameters", recording_tune)
+    assert main(["local-search", "--config", config, "--journal", journal]) == 0
+
+    def rows(X):
+        return Counter(row.tobytes() for row in X)
+
+    def shared(a, b):
+        return len(a.keys() & b.keys())
+
+    assert len(tunes) == 1 and len(fits) == 2 + 1  # 2 folds x 1 combo, then the final fit
+    tuned_on, folds = tunes[0]
+    for fit in folds:
+        inside = rows(fit["X"])
+        outside = rows(tuned_on) - inside
+        assert shared(inside, outside) == 0
+    for fit in fits:
+        held_out = rows(fit["val"])
+        trained = rows(fit["X"]) - held_out
+        assert shared(trained, held_out) == 0
+    assert fits[-1]["X"].shape[0] == 60
+
+
 def test_local_search_needs_ten_journal_points(tmp_path, capsys, monkeypatch):
     from promptgp import cli
 
@@ -619,7 +691,7 @@ def test_local_search_needs_ten_journal_points(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_search_inputs", lambda cfg, workdir: pytest.fail("inputs loaded"))
     capsys.readouterr()
     assert main(["local-search", "--config", config, "--journal", journal]) == 2
-    assert f"error: {journal}: need at least 10 data points, got 9" in capsys.readouterr().err
+    assert f"error: {journal}: need at least 10 distinct training texts, got 9" in capsys.readouterr().err
 
 
 def test_local_search_needs_journal_points_when_journal_is_empty(tmp_path, capsys):
@@ -629,7 +701,7 @@ def test_local_search_needs_journal_points_when_journal_is_empty(tmp_path, capsy
     journal = write_journal(root / "points.jsonl", 0)
     capsys.readouterr()
     assert main(["local-search", "--config", config, "--journal", journal]) == 2
-    assert "need at least 10 data points, got 0" in capsys.readouterr().err
+    assert "need at least 10 distinct training texts, got 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -687,7 +759,7 @@ def test_local_search_rejects_surrogate_settings_that_cannot_train(tmp_path, cap
 def test_local_search_scores_with_gp_eval_workers(tmp_path, monkeypatch):
     from promptgp import cli
 
-    root = setup_run(tmp_path)
+    root = setup_run(tmp_path, population=SEARCH_POPULATION)
     config = root / "run.ini"
     config.write_text(config.read_text().replace("[gp]\n", "[gp]\neval_workers = 3\n"))
     assert main(["optimize", "--config", str(config)]) == 0
@@ -727,7 +799,7 @@ def test_request_pool_changes_no_artifact(tmp_path, monkeypatch):
     works, counts, threads = [], [], []
     alive = threading.active_count()
     for workers in (1, 3):
-        root = setup_run(tmp_path, name=f"workers{workers}", population=8)
+        root = setup_run(tmp_path, name=f"workers{workers}", population=SEARCH_POPULATION)
         config = root / "run.ini"
         config.write_text(config.read_text().replace("[gp]\n", f"[gp]\neval_workers = {workers}\n"))
         gateways.clear()
@@ -769,16 +841,16 @@ def test_request_pool_changes_no_artifact(tmp_path, monkeypatch):
 # The determinism contract: one config and seed give these bytes, wherever
 # the run lives.  A change that moves a file on purpose re-pins it and says why.
 PINNED_SHA256 = {
-    "journal.jsonl": "fca7f4c01156255de1c2ac314edc4d8b1350e1e8ac7e65148806b4aa1c7f8a73",
-    "report.json": "cd10de71d1cb7a0373c16843eec82a022bdc114b8166c9f2082a6c0dfbf7cef1",
-    "curve.tsv": "c2ab16c4c20ca05949b3b2140afd4706c90568cc43008b89a61f87da0f5f1870",
+    "journal.jsonl": "0f5a2099b5a9b2cc5a9dda92b18a01442e72ba4e85d465ff2e59df783cc73dc1",
+    "report.json": "30af318dd8612b3ed2f224b683a2b14935122d66ff55e3dc53fa0328891299d0",
+    "curve.tsv": "3726adf63d22abc6dc8978821ca164a7a89e85b8556314d3dbec619004e6cd9c",
     "elite_prompt.txt": "3845f06464c95b83945eaeabbeb36734c2045d47c98426c2ca97cdc24f797cd2",
     "elite_prompt.meta.json": "022e274b2ff6ddb252b526e9aec5f71e10f215ce2d6746be51483e53979e39de",
-    "candidates.tsv": "e10b4ea09d68394dd5b83dfe9079e834bf196c5b46e7e97effa4896d4c96853b",
+    "candidates.tsv": "a102245a58b0127073a272bf8826baba4d2a043dcd5f8daf8850e6381eca1e57",
     "refined_prompt.txt": "3845f06464c95b83945eaeabbeb36734c2045d47c98426c2ca97cdc24f797cd2",
     "refined_prompt.meta.json": "f3c03708bf4ee08d43f840266e162ce9414e6a51df13c5a5b005d13773e625b5",
-    "cache.tsv": "dc6f6b7805a03bab9a294b807b0740bceb3a636dee417110d260ed1f7df9d804",
-    "checkpoint.json": "27aab365153513a1d366cf9e9ab6d725b885363a0b0854346c293ff7d25a8d02",
+    "cache.tsv": "2ca9299b3470e09f6f25b0c51a178825b99d106f8d9899a1f084a4a9c7a16fce",
+    "checkpoint.json": "1a81021fd801516ed20173cdd2c0fb38e388430c065b4a5c3dd96b9a3cfa2791",
 }
 
 
@@ -795,10 +867,10 @@ def masked_sha256(work, name):
 def test_optimize_then_local_search_artifacts_are_pinned(tmp_path, monkeypatch):
     from promptgp import cli
 
-    root = setup_run(tmp_path, seed=5, generations=4, population=8)
+    # 96 journal points but 18 distinct training texts: too few to tune, so the default hp.
+    root = setup_run(tmp_path, seed=5, generations=4, population=SEARCH_POPULATION)
     config = root / "run.ini"
     config.write_text(config.read_text().replace("[gp]\n", "[gp]\nicl_k = 5\neval_workers = 1\n"))
-    with_cv(root, folds=2, combos=2)  # 64 journal points, so CV tunes the hp too
     build_gateway = cli.build_gateway
 
     def oracle_gateway(cfg, workdir):
@@ -829,7 +901,7 @@ def test_optimize_then_local_search_artifacts_are_pinned(tmp_path, monkeypatch):
     ],
 )
 def test_interrupted_artifact_write_keeps_the_previous_whole_file(tmp_path, monkeypatch, name, command):
-    root = setup_run(tmp_path)
+    root = setup_run(tmp_path, population=SEARCH_POPULATION)
     config = str(root / "run.ini")
     assert main(["optimize", "--config", config]) == 0
     assert main(["local-search", "--config", config]) == 0
@@ -902,13 +974,13 @@ def finish_run(root):
 
 
 def test_run_killed_mid_write_resumes_to_the_uninterrupted_artifacts(tmp_path):
-    reference = setup_run(tmp_path, "reference", generations=3)
+    reference = setup_run(tmp_path, "reference", generations=3, population=SEARCH_POPULATION)
     assert main(["optimize", "--config", str(reference / "run.ini")]) == 0
     finish_run(reference)  # resuming a finished run changes nothing
     expected = {name: masked_sha256(reference / "work", name) for name in RUN_ARTIFACTS}
     env = {**os.environ, "PYTHONPATH": str(Path(promptgp.__file__).parents[1])}
     for point in ("journal", "checkpoint", "cache"):
-        root = setup_run(tmp_path, point, generations=3)
+        root = setup_run(tmp_path, point, generations=3, population=SEARCH_POPULATION)
         work = root / "work"
         argv = ["optimize", "--config", str(root / "run.ini")]
         killed = subprocess.run(
@@ -982,7 +1054,7 @@ def test_http_api_key_variable_unset_or_empty_exits_2_before_any_request(
 
 
 def test_local_search_with_unreachable_embedder_exits_2_naming_it(tmp_path, capsys):
-    root = setup_run(tmp_path)
+    root = setup_run(tmp_path, population=SEARCH_POPULATION)
     config = root / "run.ini"
     assert main(["optimize", "--config", str(config)]) == 0
     endpoint = refused_url("/v1/embed")
@@ -1024,7 +1096,7 @@ def test_evaluate_prompt_file(tmp_path, capsys):
 
 
 def test_commands_warn_when_evaluation_rows_overlap_the_training_file(tmp_path, caplog):
-    root = setup_run(tmp_path)
+    root = setup_run(tmp_path, population=SEARCH_POPULATION)
     config = str(root / "run.ini")
     prompt = str(root / "work" / "elite_prompt.txt")
 

@@ -124,6 +124,45 @@ def test_journal_file_round_trip(tmp_path):
     assert lines[0] == json.dumps(journal.records[0], sort_keys=True)
 
 
+def test_training_points_are_one_mean_per_distinct_text_in_first_seen_order():
+    journal = EvalJournal()
+    for generation, (prompt, fitness) in enumerate(
+        [("b", 0.2), ("a", 1.0), ("b", 0.4), ("", 0.3), ("b", 0.9)]
+    ):
+        journal.append({"split": "train", "generation": generation, "fitness": fitness, "prompt": prompt})
+    journal.append({"split": "val", "generation": 4, "fitness": 0.0, "prompt": "c"})
+    assert journal.training_points() == [("b", pytest.approx(0.5)), ("a", 1.0)]
+    assert journal.training_record_count() == 4  # the empty prompt is no point
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"generation": 0, "prompt": "p"}, "fitness: missing"),
+        ({"generation": 0, "prompt": "p", "fitness": "0.5"}, "fitness: must be number or integer, got string"),
+        ({"generation": 0, "prompt": "p", "fitness": True}, "fitness: must be number or integer, got boolean"),
+        ({"generation": 0, "prompt": "p", "fitness": float("nan")}, "fitness: must be finite, got nan"),
+        ({"generation": 0, "prompt": "p", "fitness": float("inf")}, "fitness: must be finite, got inf"),
+        ({"prompt": "p", "fitness": 0.5}, "generation: missing"),
+        ({"generation": "0", "prompt": "p", "fitness": 0.5}, "generation: must be integer, got string"),
+        ({"generation": False, "prompt": "p", "fitness": 0.5}, "generation: must be integer, got boolean"),
+        ({"generation": 0, "fitness": 0.5}, "prompt: missing"),
+        ({"generation": 0, "prompt": 7, "fitness": 0.5}, "prompt: must be string, got integer"),
+    ],
+)
+def test_journal_load_refuses_a_train_record_it_cannot_use(tmp_path, record, message):
+    path = tmp_path / "journal.jsonl"
+    good = {"split": "train", "generation": 0, "prompt": "p", "fitness": 1}
+    lines = [{"config_digest": "x"}, good, {"split": "train", **record}]
+    path.write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: {message}")):
+        EvalJournal.load(str(path))
+    # A validation record is read as it is: no reader takes a field of it.
+    lines[2]["split"] = "val"
+    path.write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
+    assert len(EvalJournal.load(str(path)).records) == 3
+
+
 def test_journal_append_is_one_write_of_one_whole_line(tmp_path, monkeypatch):
     path = tmp_path / "journal.jsonl"
     journal = EvalJournal(str(path))
