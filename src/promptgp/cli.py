@@ -184,6 +184,14 @@ def _write_curve(path: Path, digest: str, curve) -> None:
     )
 
 
+def _traffic(ctx: EvalContext) -> dict:
+    """The command's gateway counters and degraded LLM edits, for `stats.json`."""
+    return {
+        **asdict(ctx.gateway.stats),
+        "degraded_edits": {op: ctx.degraded[op] for op in ("paraphrase", "summarise")},
+    }
+
+
 def _write_json(path: Path, payload: dict) -> None:
     write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -298,8 +306,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         workdir / "stats.json",
         {
             "config_digest": digest,
-            **asdict(ctx.gateway.stats),
-            "degraded_edits": {op: ctx.degraded[op] for op in ("paraphrase", "summarise")},
+            **_traffic(ctx),
         },
     )
     print(f"elite f_val: {elite.f_val}")
@@ -396,6 +403,7 @@ def cmd_local_search(args: argparse.Namespace) -> int:
     stats = _read_stats(workdir / "stats.json")  # optimize's keys stay
     stats["local_search"] = {
         "config_digest": digest,
+        **_traffic(ctx),
         "journal_points": journal.training_record_count(),
         "distinct_texts": len(points),
         "embedding_dims_used": int(np.count_nonzero(X.any(axis=0))),

@@ -10,6 +10,17 @@ renders, e.g.
 Parsing produces an AST that the edit runtime interprets; the program text
 is never evaluated as host code.  ``index_spans`` finds every index value
 in the text itself, so local search edits a program's digits in place.
+
+One ``findall`` splits the stripped text into tokens, skipping whitespace
+between them: names (``[A-Za-z_][A-Za-z_0-9]*``), numbers (``\\d+`` with an
+optional ``.\\d+``; ``\\d`` is any Unicode decimal digit), the marks
+``( ) [ ] , = +``, and any other single character.  A recursive descent
+then refuses an empty program, an unexpected character, an unknown
+operator, kwargs out of canonical order or without the final ``texts=``,
+a level outside ``LEVELS``, a ``percent`` outside (0, 1), an index value
+that is not an integer, a slice where only an atomic index is allowed,
+and trailing input.  Each refusal names the offending token (an unexpected
+character first) and its offset in the stripped text.
 """
 
 from __future__ import annotations
@@ -74,9 +85,14 @@ OPS: dict[str, OpSpec] = {
     )
 }
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<num>\d+(?:\.\d+)?)|(?P<punct>[()\[\],=+]))"
-)
+# A name, a number or a punctuation mark.  _TOKEN_RE matches one of them or
+# any other single character, which no rule accepts, after any whitespace.
+_VALID_TOKEN = r"[A-Za-z_][A-Za-z_0-9]*|\d+(?:\.\d+)?|[()\[\],=+]"
+_VALID_TOKEN_RE = re.compile(_VALID_TOKEN)
+_TOKEN_RE = re.compile(rf"\s*({_VALID_TOKEN}|\S)")
+_END = ""  # follows the last token; no rule accepts it
+
+_ATOMS = {name: Atom(name) for name in ATOMS}
 
 
 # One index argument, `kwarg=[a]` or `kwarg=[a,b]`, with the whitespace
@@ -95,134 +111,108 @@ def index_spans(text: str) -> Iterator[tuple[str, int, int, int]]:
                 yield m.group(1), slot, m.start(slot + 2), m.end(slot + 2)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ProgramParseError(f"unexpected character {text[pos]!r} at {pos}")
-        if m.lastgroup is None:  # pure whitespace tail
-            break
-        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
-    return tokens
+class _Refusal(Exception):
+    """(what, token position) of a refusal; `parse` adds the token and its offset."""
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
+def _parse_error(text: str, what: str, i: int) -> ProgramParseError:
+    """The error for a refusal at token `i` of `text`, or at its first
+    unexpected character, which every refusal reports first."""
+    matches = list(_TOKEN_RE.finditer(text))
+    bad = [m for m in matches if not _VALID_TOKEN_RE.fullmatch(m[1])]
+    if bad:
+        return ProgramParseError(f"unexpected character {bad[0][1]!r} at {bad[0].start(1)}")
+    if i < len(matches):
+        return ProgramParseError(f"{what}, got {matches[i][1]!r} at {matches[i].start(1)}")
+    return ProgramParseError(f"{what}, got end of program at {len(text)}")
 
-    def _peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
 
-    def _next(self) -> tuple[str, str, int]:
-        tok = self._peek()
-        if tok is None:
-            raise ProgramParseError(f"unexpected end of program: {self.text!r}")
-        self.i += 1
-        return tok
+def _expr(toks: list[str], i: int) -> tuple[Expr, int]:
+    unit, i = _unit(toks, i)
+    if toks[i] != "+":
+        return unit, i
+    parts = [unit]
+    while toks[i] == "+":
+        unit, i = _unit(toks, i + 1)
+        parts.append(unit)
+    return Concat(tuple(parts)), i
 
-    def _expect(self, kind: str, value: str | None = None) -> str:
-        tok = self._next()
-        if tok[0] != kind or (value is not None and tok[1] != value):
-            want = value if value is not None else kind
-            raise ProgramParseError(f"expected {want!r}, got {tok[1]!r} at {tok[2]}")
-        return tok[1]
 
-    def parse(self) -> Expr:
-        expr = self._expr()
-        if self._peek() is not None:
-            tok = self._peek()
-            raise ProgramParseError(f"trailing input {tok[1]!r} at {tok[2]}")
-        return expr
-
-    def _expr(self) -> Expr:
-        parts = [self._unit()]
-        while True:
-            tok = self._peek()
-            if tok is not None and tok[0] == "punct" and tok[1] == "+":
-                self._next()
-                parts.append(self._unit())
-            else:
-                break
-        if len(parts) == 1:
-            return parts[0]
-        return Concat(tuple(parts))
-
-    def _unit(self) -> Expr:
-        tok = self._next()
-        if tok[0] != "name":
-            raise ProgramParseError(f"expected operator or atom, got {tok[1]!r} at {tok[2]}")
-        name = tok[1]
-        if name in ATOMS:
-            return Atom(name)
-        spec = OPS.get(name)
-        if spec is None:
-            raise ProgramParseError(f"unknown operator {name!r} at {tok[2]}")
-        self._expect("punct", "(")
-        args = []
-        for key, kind in spec.params:
-            got = self._expect("name")
-            if got != key:
-                raise ProgramParseError(f"{name}: expected parameter {key!r}, got {got!r}")
-            self._expect("punct", "=")
-            args.append((key, self._value(name, key, kind)))
-            self._expect("punct", ",")
-        got = self._expect("name")
-        if got != "texts":
-            raise ProgramParseError(f"{name}: expected parameter 'texts', got {got!r}")
-        self._expect("punct", "=")
-        texts = self._expr()
-        self._expect("punct", ")")
-        return Call(name, tuple(args), texts)
-
-    def _value(self, op: str, key: str, kind: str) -> object:
-        if kind in ("index", "atomic_index"):
-            return self._index(op, key, atomic_only=(kind == "atomic_index"))
+def _unit(toks: list[str], i: int) -> tuple[Expr, int]:
+    name = toks[i]
+    atom = _ATOMS.get(name)
+    if atom is not None:
+        return atom, i + 1
+    spec = OPS.get(name)
+    if spec is None:
+        raise _Refusal("expected an operator or atom", i)
+    if toks[i + 1] != "(":
+        raise _Refusal(f"{name}: expected '('", i + 1)
+    i += 2
+    args = []
+    for key, kind in spec.params:
+        if toks[i] != key:
+            raise _Refusal(f"{name}: expected parameter {key!r}", i)
+        if toks[i + 1] != "=":
+            raise _Refusal(f"{name}: expected '='", i + 1)
+        i += 2
         if kind == "level":
-            tok = self._next()
-            if tok[0] != "name" or tok[1] not in LEVELS:
-                raise ProgramParseError(f"{op}: {key} must be one of {LEVELS}, got {tok[1]!r}")
-            return tok[1]
-        if kind == "tenths":
-            tok = self._next()
-            if tok[0] != "num":
-                raise ProgramParseError(f"{op}: {key} must be a number, got {tok[1]!r}")
-            value = float(tok[1])
+            if toks[i] not in LEVELS:
+                raise _Refusal(f"{name}: {key} must be one of {LEVELS}", i)
+            args.append((key, toks[i]))
+            i += 1
+        elif kind == "tenths":
+            if not toks[i][:1].isdecimal():
+                raise _Refusal(f"{name}: {key} must be a number", i)
+            value = float(toks[i])
             if not 0.0 < value < 1.0:
-                raise ProgramParseError(f"{op}: {key} must lie in (0, 1), got {tok[1]}")
-            return value
-        raise ProgramParseError(f"{op}: unhandled parameter kind {kind!r}")
+                raise _Refusal(f"{name}: {key} must lie in (0, 1)", i)
+            args.append((key, value))
+            i += 1
+        else:
+            index, i = _index(toks, i, name, key, kind == "atomic_index")
+            args.append((key, index))
+        if toks[i] != ",":
+            raise _Refusal(f"{name}: expected ','", i)
+        i += 1
+    if toks[i] != "texts":
+        raise _Refusal(f"{name}: expected parameter 'texts'", i)
+    if toks[i + 1] != "=":
+        raise _Refusal(f"{name}: expected '='", i + 1)
+    texts, i = _expr(toks, i + 2)
+    if toks[i] != ")":
+        raise _Refusal(f"{name}: expected ')'", i)
+    return Call(name, tuple(args), texts), i + 1
 
-    def _index(self, op: str, key: str, atomic_only: bool) -> ViewIndex:
-        self._expect("punct", "[")
-        a = self._int(op, key)
-        tok = self._peek()
-        if tok is not None and tok[0] == "punct" and tok[1] == ",":
-            if atomic_only:
-                raise ProgramParseError(f"{op}: {key} must be an atomic index, got a slice")
-            self._next()
-            b = self._int(op, key)
-            self._expect("punct", "]")
-            return ViewIndex("slice", a, b)
-        self._expect("punct", "]")
-        return ViewIndex("atomic", a)
 
-    def _int(self, op: str, key: str) -> int:
-        tok = self._next()
-        if tok[0] != "num" or "." in tok[1]:
-            raise ProgramParseError(f"{op}: {key} expects an integer, got {tok[1]!r}")
-        return int(tok[1])
+def _index(toks: list[str], i: int, op: str, key: str, atomic_only: bool) -> tuple[ViewIndex, int]:
+    """`[a]` or, unless `atomic_only`, the slice `[a,b]`, starting at token `i`."""
+    if toks[i] != "[":
+        raise _Refusal(f"{op}: {key} expected '['", i)
+    if not toks[i + 1].isdecimal():
+        raise _Refusal(f"{op}: {key} expects an integer", i + 1)
+    if toks[i + 2] == "]":
+        return ViewIndex("atomic", int(toks[i + 1])), i + 3
+    if toks[i + 2] != ",":
+        raise _Refusal(f"{op}: {key} expected ']'", i + 2)
+    if atomic_only:
+        raise _Refusal(f"{op}: {key} must be an atomic index, not a slice", i + 2)
+    if not toks[i + 3].isdecimal():
+        raise _Refusal(f"{op}: {key} expects an integer", i + 3)
+    if toks[i + 4] != "]":
+        raise _Refusal(f"{op}: {key} expected ']'", i + 4)
+    return ViewIndex("slice", int(toks[i + 1]), int(toks[i + 3])), i + 5
 
 
 def parse(text: str) -> Expr:
     """Parse a program text into its AST."""
     stripped = text.strip()
-    if not stripped:
-        raise ProgramParseError("empty program")
-    return _Parser(stripped).parse()
+    toks = _TOKEN_RE.findall(stripped)
+    toks.append(_END)
+    try:
+        expr, i = _expr(toks, 0)
+        if toks[i] != _END:
+            raise _Refusal("trailing input", i)
+    except _Refusal as refusal:
+        raise _parse_error(stripped, *refusal.args) from None
+    return expr

@@ -369,7 +369,10 @@ class SurrogateEnsemble:
     embedder: Embedder
 
     def predict_many(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        X = self.embedder.embed_many(texts)
+        """Mean and variance over the submodels per text; each distinct text
+        is embedded once, and its row is repeated for every copy."""
+        rows = {text: row for row, text in enumerate(dict.fromkeys(texts))}
+        X = self.embedder.embed_many(list(rows))[[rows[text] for text in texts]]
         outputs = np.stack([predict_params(params, X) for params in self.models])
         return outputs.mean(axis=0), outputs.var(axis=0)
 

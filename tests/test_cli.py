@@ -559,6 +559,35 @@ def test_local_search_adds_its_section_to_stats(tmp_path):
     assert sorted(json.loads((work / "stats.json").read_text())) == ["local_search"]
 
 
+def test_local_search_records_its_own_llm_traffic_in_stats(tmp_path, monkeypatch):
+    from promptgp import cli
+
+    root = setup_run(tmp_path, population=SEARCH_POPULATION)
+    config = str(root / "run.ini")
+    assert main(["optimize", "--config", config]) == 0
+    work = root / "work"
+    site_elite(work)
+    optimize_stats = json.loads((work / "stats.json").read_text())
+    sent = []
+    build_gateway = cli.build_gateway
+
+    def counting_build_gateway(cfg, workdir):
+        gw = build_gateway(cfg, workdir)
+        send = gw.backend.send
+        gw.backend.send = lambda req: sent.append(req) or send(req)
+        return gw
+
+    monkeypatch.setattr(cli, "build_gateway", counting_build_gateway)
+    assert main(["local-search", "--config", config]) == 0
+    stats = json.loads((work / "stats.json").read_text())
+    section = stats.pop("local_search")
+    assert stats == optimize_stats  # optimize's counters stay as they were
+    assert 0 < section["backend_calls"] == len(sent) != stats["backend_calls"]
+    assert section["requests"] == section["cache_hits"] + section["backend_calls"]
+    assert section["failures"] == 0
+    assert sorted(section["degraded_edits"]) == ["paraphrase", "summarise"]
+
+
 def write_journal(path, n, copies=1):
     """A journal of `n` distinct training texts, enough to drive the surrogate
     alone; with `copies`, each generation scores every text again."""
@@ -622,9 +651,10 @@ def test_local_search_embeds_each_journal_point_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "build_embedder", counting_build_embedder)
     monkeypatch.setattr(localsearch, "build_neighborhood", recording_build_neighborhood)
     assert main(["local-search", "--config", config, "--journal", journal]) == 0
-    assert neighbors
-    assert len(embedded) == 60 + len(neighbors)
-    assert embedded[60:] == [n.prompt.text for n in neighbors]
+    # Each distinct neighbour text is embedded once, in first-seen order.
+    distinct = list(dict.fromkeys(n.prompt.text for n in neighbors))
+    assert 0 < len(distinct) < len(neighbors)
+    assert embedded[60:] == distinct
 
 
 def test_no_text_is_on_both_sides_of_a_split_or_a_fold(tmp_path, monkeypatch):

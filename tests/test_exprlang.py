@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from promptgp.chunking import ViewIndex
@@ -150,3 +152,33 @@ def test_empty_or_trailing_input_rejected():
         parse("")
     with pytest.raises(ProgramParseError):
         parse("BASE extra")
+
+
+@pytest.mark.parametrize(
+    "program, token, offset",
+    [
+        ("reverse_elements(index=[0], level=word, texts=BASE)", "'reverse_elements'", 0),
+        ("BASE #", "'#'", 5),
+        ("  BASE #", "'#'", 5),  # offsets count in the stripped text
+        ("foo(#)", "'#'", 4),  # an unexpected character is named first
+        (".5", "'.'", 0),
+        ("summarise(percent=.5, index=[0], level=word, texts=BASE)", "'.'", 18),
+        ("summarise(percent=1.5, index=[0], level=word, texts=BASE)", "'1.5'", 18),
+        ("readd_element(index=[1,2], level=word, texts=BASE)", "','", 22),
+        ("remove_element(index=[0.5], level=word, texts=BASE)", "'0.5'", 22),
+        ("remove_element(index=[2], level=word, texts=BASE", "end of program", 48),
+        ("remove_element(index=[2], level=word)", "')'", 36),
+        ("BASE extra", "'extra'", 5),
+        ("", "end of program", 0),
+        (" \n ", "end of program", 0),
+    ],
+)
+def test_refusal_names_the_offending_token_and_its_offset(program, token, offset):
+    with pytest.raises(ProgramParseError, match=rf"{re.escape(token)} at {offset}$"):
+        parse(program)
+
+
+def test_unicode_decimal_digits_are_numbers():
+    assert parse("summarise(percent=٠.٥, index=[٣], level=word, texts=BASE)") == Call(
+        "summarise", (("percent", 0.5), ("index", A(3)), ("level", "word")), Atom("BASE")
+    )

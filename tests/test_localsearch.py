@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -151,9 +152,11 @@ def test_text_sites_and_neighbours_match_the_ast_reference():
     assert sited > 900
 
 
+SPACED_PROGRAM = " swap_elements( index1 = [ 3 ] ,index2=[5 , 17],\n level=phrase, texts= BASE )+ICL_LIST "
+
+
 def test_spaced_program_keeps_its_spacing_and_mutates_like_the_ast():
-    spaced = " swap_elements( index1 = [ 3 ] ,index2=[5 , 17],\n level=phrase, texts= BASE )+ICL_LIST "
-    ph = make_phenotype(icl=spaced)
+    ph = make_phenotype(icl=SPACED_PROGRAM)
     sites, (ref, parsed) = enumerate_sites(ph), reference_sites(ph)
     assert [(s.param, s.slot, s.value) for s in sites] == [
         ("index1", 0, 3), ("index2", 0, 5), ("index2", 1, 17)
@@ -161,13 +164,36 @@ def test_spaced_program_keeps_its_spacing_and_mutates_like_the_ast():
     assert [(param, slot, value) for _, _, param, slot, value in ref] == [
         (s.param, s.slot, s.value) for s in sites
     ]
-    pattern = spaced.replace("3", "{}").replace("5", "{}").replace("17", "{}")
+    pattern = SPACED_PROGRAM.replace("3", "{}").replace("5", "{}").replace("17", "{}")
     for n in build_neighborhood(ph, sites, bound=30, seed=4, per_site=3).neighbors:
         i = sites.index(n.site)
         digits = [s.value for s in sites]
         digits[i] = n.value
         assert n.phenotype.programs["icl"] == pattern.format(*digits)
         assert parse(n.phenotype.programs["icl"]) == parse(reference_neighbour(ph, parsed, ref[i], n.value)["icl"])
+
+
+PARSED_ASTS_SHA256 = "5a9099090597a162b1b58cf27be08f8ef028db881d9fd32cf31e9b1e95434ef4"
+
+
+def test_parsed_asts_are_pinned():
+    # Every section program of the 300 phenotypes that
+    # test_template.py::test_ptc2_renders_are_pinned renders, each of their
+    # neighbours' mutated programs, and a spaced program: a change to any AST
+    # the parser builds shows.
+    digest = hashlib.sha256()
+    programs = [SPACED_PROGRAM]
+    for seed in range(300):
+        ph = render_phenotype(sample_ptc2(default_grammar(), 1024, seed))
+        programs.extend(ph.programs[s] for s in SECTIONS)
+        sites = enumerate_sites(ph)
+        if sites:
+            neighbors = build_neighborhood(ph, sites, bound=20, seed=seed, per_site=1).neighbors
+            programs.extend(n.phenotype.programs[n.site.section] for n in neighbors)
+    for program in programs:
+        digest.update(f"{parse(program)!r}\x1e".encode("utf-8"))
+    assert len(programs) == 14468
+    assert digest.hexdigest() == PARSED_ASTS_SHA256
 
 
 def constant_ensemble(value, dim=8):

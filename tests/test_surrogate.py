@@ -89,6 +89,28 @@ def test_remote_embedder_posts_one_text_and_normalises(server):
     assert server.wait_all_closed()  # no connection outlives its POST
 
 
+def test_predict_many_embeds_each_distinct_text_once():
+    embedder = HashingEmbedder(dim=32, seed=1)
+    models = [init_params(32, (8, 1), np.random.default_rng(seed)) for seed in range(3)]
+    texts = ["b c", "a b", "b c", "c d", "a b", "b c"]
+    embedded, embed = [], embedder.embed
+    embedder.embed = lambda text: embedded.append(text) or embed(text)
+    means, variances = SurrogateEnsemble(models, embedder).predict_many(texts)
+    assert embedded == ["b c", "a b", "c d"]  # first-seen order
+    # Bitwise what embedding every text and predicting on those rows gives.
+    outputs = np.stack([predict_params(p, np.array([embed(t) for t in texts])) for p in models])
+    assert means.tobytes() == outputs.mean(axis=0).tobytes()
+    assert variances.tobytes() == outputs.var(axis=0).tobytes()
+
+
+def test_predict_many_posts_each_distinct_text_once(server):
+    embedder = remote_replying(server, {"embeddings": [[3.0, 0.0, 4.0], [0.0, 1.0, 0.0]]})
+    models = [[[np.array([[1.0], [2.0], [3.0]]), np.array([0.5])]]]
+    means, _ = SurrogateEnsemble(models, embedder).predict_many(["x", "y", "x"])
+    assert server.bodies == [{"texts": ["x", "y"]}]
+    assert means.tolist() == pytest.approx([3.5, 2.5, 3.5])
+
+
 def test_remote_embedder_rejects_wrong_dimension(server):
     with pytest.raises(SurrogateError, match="dimension"):
         remote_replying(server, {"embeddings": [[1.0, 2.0]]}).embed_many(["text"])
