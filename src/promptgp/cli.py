@@ -32,8 +32,6 @@ from .lexicons import Lexicons, default_lexicons, load_stopwords, load_synonyms
 from .localsearch import run_local_search
 from .seeds import derive_seed
 from .surrogate import (
-    MIN_TRAIN_POINTS,
-    MIN_TUNE_POINTS,
     HashingEmbedder,
     RemoteEmbedder,
     SurrogateHp,
@@ -312,6 +310,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     print(f"elite f_val: {elite.f_val}")
     print(f"artifacts: {workdir}")
     return 0
+
+
+# Distinct journal training texts needed to fit the surrogate, and to tune it by CV.
+MIN_TRAIN_POINTS = 10
+MIN_TUNE_POINTS = 50
 
 
 def cmd_local_search(args: argparse.Namespace) -> int:

@@ -159,8 +159,10 @@ class ResponseCache:
                 if not line:
                     continue
                 try:
-                    digest, _, blob = line.decode("utf-8").partition("\t")
-                    self._mem[digest] = base64.b64decode(blob).decode("utf-8")
+                    digest, tab, blob = line.decode("utf-8").partition("\t")
+                    if not tab:
+                        raise ValueError("expected digest<TAB>base64, found no tab")
+                    self._mem[digest] = base64.b64decode(blob, validate=True).decode("utf-8")
                 except ValueError as exc:
                     raise ValueError(f"{path}: line {lineno}: {exc}") from exc
 

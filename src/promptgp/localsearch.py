@@ -3,13 +3,13 @@
 Every value of every view index in the incumbent's programs is a mutation
 site, found in the program text.  A neighbour is the incumbent with one
 site's digits replaced, so every other byte of its programs is the
-incumbent's.  Each site receives up to 10 distinct replacement values
-drawn from {1, ..., U}, where U is twice the largest chunk count the
-incumbent's ops saw during execution.  The surrogate screens the
-neighborhood down to the 25 highest-mean plus 25 highest-variance
-predictions; survivors and the incumbent are LLM-scored on the validation
-set plus an equally sized training sample, and the best combined score
-wins.
+incumbent's.  Each site receives up to `per_site` distinct replacement
+values drawn from {1, ..., U}, where U is twice the largest chunk count
+the incumbent's ops saw during execution.  The surrogate screens the
+neighborhood: it keeps the `top_variance` highest-variance predictions and
+fills up with the highest means until `screen_limit` are kept.  Survivors
+and the incumbent are LLM-scored on the validation set plus an equally
+sized training sample, and the best combined score wins.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ log = logging.getLogger(__name__)
 class LocalSearchSettings:
     per_site: int = 10
     screen_limit: int = 50
-    top_mean: int = 25
+    top_mean: int = 25  # bounded by config, read by nothing else
     top_variance: int = 25
 
 
@@ -89,8 +89,6 @@ def build_neighborhood(
     ph: Phenotype, sites: list[IndexSite], bound: int, seed: int, per_site: int
 ) -> Neighborhood:
     """Per site, up to `per_site` distinct values from {1..bound} minus current."""
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
     rng = random.Random(seed)
     neighbors: list[Candidate] = []
     for site in sites:
@@ -106,28 +104,23 @@ def build_neighborhood(
 def screen(
     neighbors: list[Candidate], ensemble: SurrogateEnsemble, settings: LocalSearchSettings
 ) -> list[Candidate]:
-    """Union of the `top_mean` and `top_variance` predictions, backfilled by
-    mean rank to `screen_limit`."""
-    if not neighbors:
-        return []
+    """The `top_variance` highest-variance predictions, filled up in mean
+    order until `screen_limit` are chosen; returned in mean order.  Both
+    rankings break ties by digest."""
     if any(n.prompt is None for n in neighbors):
         raise ValueError("neighbors must be rendered before screening")
     means, variances = ensemble.predict_many([n.prompt.text for n in neighbors])
     for n, m, v in zip(neighbors, means, variances):
         n.mean = float(m)
         n.variance = float(v)
-    if len(neighbors) <= settings.screen_limit:
-        return list(neighbors)
     indices = range(len(neighbors))
     by_mean = sorted(indices, key=lambda i: (-neighbors[i].mean, neighbors[i].digest))
     by_variance = sorted(indices, key=lambda i: (-neighbors[i].variance, neighbors[i].digest))
-    chosen = dict.fromkeys(by_mean[: settings.top_mean])
-    for i in by_variance[: settings.top_variance]:
-        chosen.setdefault(i)
-    for i in by_mean[settings.top_mean :]:
+    chosen = set(by_variance[: settings.top_variance])
+    for i in by_mean:
         if len(chosen) >= settings.screen_limit:
             break
-        chosen.setdefault(i)
+        chosen.add(i)
     return [neighbors[i] for i in by_mean if i in chosen]
 
 

@@ -50,9 +50,6 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-MIN_TRAIN_POINTS = 10
-MIN_TUNE_POINTS = 50
-
 
 class SurrogateError(ValueError):
     pass
@@ -381,11 +378,6 @@ class SurrogateEnsemble:
         return float(means[0]), float(variances[0])
 
 
-def require_points(n: int, minimum: int) -> None:
-    if n < minimum:
-        raise SurrogateError(f"need at least {minimum} data points, got {n}")
-
-
 def train(
     X: np.ndarray,
     y: np.ndarray,
@@ -395,7 +387,6 @@ def train(
     settings: Optional[SurrogateSettings] = None,
 ) -> SurrogateEnsemble:
     """Fit on embedded points `X` (one row per text of `embedder`) and targets `y`."""
-    require_points(len(y), MIN_TRAIN_POINTS)
     settings = settings or SurrogateSettings()
     return SurrogateEnsemble(fit_models(X, y, hp, seed, settings, settings.epochs), embedder)
 
@@ -420,7 +411,6 @@ def tune_hyperparameters(
 ) -> SurrogateHp:
     """Sample `cv_combos` unique grid combos; pick the one with the lowest
     `cv_folds`-fold CV MSE."""
-    require_points(len(y), MIN_TUNE_POINTS)
     settings = settings or SurrogateSettings()
 
     grid = hp_grid()

@@ -91,6 +91,9 @@ def parse_dataset(text: str) -> Dataset:
                     f"line {lineno}: field '{name}' must be text or a number, got {json.dumps(value)}"
                 )
             fields[name] = str(value)
+        # Ids are cells of the eval_<split>.tsv artifact.
+        if "\t" in fields["id"] or "".join(fields["id"].splitlines()) != fields["id"]:
+            raise DatasetError(f"line {lineno}: id {json.dumps(fields['id'])} holds a tab or a line break")
         rows.append(DataRow(**fields))
     return Dataset(rows=rows)
 

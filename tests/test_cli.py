@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from promptgp.config import load_config, config_digest
 from promptgp.gateway import LabelOracleBackend, TransportError
 from promptgp.grammar import decode, default_grammar, render_phenotype
 from promptgp.lexicons import Lexicons
+from promptgp.surrogate import SurrogateHp
 from promptgp.tasks import Dataset
 from promptgp.template import apply_phenotype
 
@@ -376,9 +378,11 @@ def test_checkpoint_or_journal_record_that_is_not_an_object_exits_2(
          "line 2: fitness: must be number or integer, got string"),
         ("optimize", "cache.tsv", f"a\t{base64.b64encode(b'ok').decode()}\nb\tabc\n", "line 2: "),
         ("optimize", "cache.tsv", f"a\t{base64.b64encode(b'ok').decode()}\nb\t/w==\n", "line 2: "),
+        ("optimize", "cache.tsv", f"a\t{base64.b64encode(b'ok').decode()}\nb\n", "line 2: "),
+        ("optimize", "cache.tsv", f"a\t{base64.b64encode(b'ok').decode()}\nb\t%%%%\n", "line 2: "),
     ],
     ids=["checkpoint", "journal-local-search", "journal-report", "train-record-report",
-         "train-record-local-search", "cache-base64", "cache-utf8"],
+         "train-record-local-search", "cache-base64", "cache-utf8", "cache-no-tab", "cache-alphabet"],
 )
 def test_workdir_file_that_does_not_parse_exits_2_naming_it(tmp_path, capsys, command, name, text, where):
     root = setup_run(tmp_path)
@@ -732,6 +736,28 @@ def test_local_search_needs_journal_points_when_journal_is_empty(tmp_path, capsy
     capsys.readouterr()
     assert main(["local-search", "--config", config, "--journal", journal]) == 2
     assert "need at least 10 distinct training texts, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("below", [True, False], ids=["below", "at"])
+def test_local_search_tunes_only_from_min_tune_points(tmp_path, monkeypatch, below):
+    from promptgp import cli
+
+    root = setup_run(tmp_path)
+    config = with_cv(root)
+    assert main(["optimize", "--config", config]) == 0
+    journal = write_journal(root / "points.jsonl", cli.MIN_TUNE_POINTS - below)
+    tuned = []
+    tune_hyperparameters = cli.tune_hyperparameters
+
+    def recording_tune(*args):
+        tuned.append(tune_hyperparameters(*args))
+        return tuned[-1]
+
+    monkeypatch.setattr(cli, "tune_hyperparameters", recording_tune)
+    assert main(["local-search", "--config", config, "--journal", journal]) == 0
+    hp = json.loads((root / "work" / "stats.json").read_text())["local_search"]["hp"]
+    assert len(tuned) == (0 if below else 1)
+    assert hp == json.loads(json.dumps(asdict(SurrogateHp() if below else tuned[0])))
 
 
 @pytest.mark.parametrize(
@@ -1197,6 +1223,7 @@ BAD_ROWS = {
         '{"id": "a", "input": "q?", "label": "yes"}\n{"id": "a", "input": "r?", "label": "no"}\n',
         "duplicate row id 'a'",
     ),
+    "tab-in-id": ('{"id": "a\\tb", "input": "q?", "label": "yes"}\n', 'line 1: id "a\\tb" holds a tab'),
 }
 
 

@@ -87,8 +87,7 @@ def test_build_neighborhood_deterministic_and_pool_limited():
     # bound 4 leaves only {1, 3, 4} once the current value is excluded.
     small = build_neighborhood(ph, sites, bound=4, seed=5, per_site=10)
     assert sorted(n.value for n in small.neighbors) == [1, 3, 4]
-    with pytest.raises(ValueError):
-        build_neighborhood(ph, sites, bound=0, seed=5, per_site=10)
+    assert build_neighborhood(ph, sites, bound=0, seed=5, per_site=10).neighbors == []
 
 
 def test_build_neighborhood_multi_digit_values_render():
@@ -291,29 +290,41 @@ class TiedRandomEnsemble:
         return rng.integers(0, 6, len(texts)).astype(float), rng.integers(0, 6, len(texts)).astype(float)
 
 
+def union_and_backfill(neighbors, settings):
+    """The screen's former rule, over predicted neighbours: every neighbour
+    under the limit, in neighbourhood order; else the union of the `top_mean`
+    and `top_variance` tops, backfilled by mean rank to `screen_limit`."""
+    if len(neighbors) <= settings.screen_limit:
+        return list(neighbors)
+    by_mean = sorted(neighbors, key=lambda n: (-n.mean, n.digest))
+    by_variance = sorted(neighbors, key=lambda n: (-n.variance, n.digest))
+    chosen = {n.digest for n in by_mean[: settings.top_mean] + by_variance[: settings.top_variance]}
+    for n in by_mean[settings.top_mean :]:
+        if len(chosen) >= settings.screen_limit:
+            break
+        chosen.add(n.digest)
+    return [n for n in by_mean if n.digest in chosen]
+
+
 def test_screen_is_the_same_for_every_top_mean():
-    # The backfill takes mean ranks in order until the union fills
-    # screen_limit, and top_mean + top_variance <= screen_limit, so the
-    # result is the variance tops plus the shortest mean prefix that fills
-    # the limit, whatever top_mean is.  LengthEnsemble ties every neighbour
-    # here, so the predictions are drawn at random.
+    # The screen takes the variance tops, then mean ranks in order until
+    # screen_limit; top_mean + top_variance <= screen_limit, so the former
+    # union and backfill stopped at the same mean prefix, whatever top_mean
+    # was.  LengthEnsemble ties every neighbour here, so the predictions are
+    # drawn at random.
     neighbors = rendered_neighbors(per_site=10)
     by_variance = set()
     for seed in range(40):
         for top_variance in range(11):
-            screens = {
-                tuple(
-                    n.digest
-                    for n in screen(
-                        neighbors,
-                        TiedRandomEnsemble(seed),
-                        LocalSearchSettings(screen_limit=10, top_mean=top_mean, top_variance=top_variance),
-                    )
-                )
-                for top_mean in range(11 - top_variance)
-            }
-            assert len(screens) == 1
-            by_variance |= screens
+            for top_mean in range(11 - top_variance):
+                settings = LocalSearchSettings(screen_limit=10, top_mean=top_mean, top_variance=top_variance)
+                out = [n.digest for n in screen(neighbors, TiedRandomEnsemble(seed), settings)]
+                assert out == [n.digest for n in union_and_backfill(neighbors, settings)]
+                # No larger than the limit, the former rule kept neighbourhood order.
+                few = neighbors[: seed % 11]
+                kept = {n.digest for n in screen(few, TiedRandomEnsemble(seed), settings)}
+                assert kept == {n.digest for n in union_and_backfill(few, settings)}
+            by_variance.add(tuple(out))
     assert len(by_variance) > 40  # top_variance, unlike top_mean, does change the screen
 
 
@@ -408,6 +419,22 @@ def test_run_local_search_no_sites_returns_incumbent():
     assert result.best.is_incumbent
     assert "no index sites" in result.notice
     assert result.ranking == [result.best]
+
+
+def test_run_local_search_degenerate_bound_returns_incumbent(monkeypatch):
+    from promptgp import localsearch
+
+    # The one site's op edits the context section, which BASE_TEXT lacks: it
+    # sees no chunk, so the bound is 0 and no neighbourhood is built.
+    monkeypatch.setattr(localsearch, "build_neighborhood", lambda *a, **k: pytest.fail("built"))
+    ctx, val = make_task_setup()
+    ph = make_phenotype(context="remove_element(index=[1], level=word, texts=BASE)")
+    result = run_local_search(ph, parse_template(BASE_TEXT), constant_ensemble(0.0), ctx, val)
+    assert result.best.is_incumbent
+    assert result.notice == "degenerate chunk bound; incumbent returned"
+    assert (result.bound, len(result.sites)) == (0, 1)
+    assert result.ranking == [result.best]
+    assert result.best.combined is None
 
 
 def test_run_local_search_parses_each_neighbour_section_once(monkeypatch):

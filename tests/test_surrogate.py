@@ -455,13 +455,6 @@ def test_fit_models_is_bitwise_the_reference_trainer(hp):
     assert unreached_rows["val-only-column"] >= 1
 
 
-def test_train_requires_min_points():
-    emb = HashingEmbedder()
-    X, y = embed_points(make_points(9), emb)
-    with pytest.raises(SurrogateError, match="at least 10 data points"):
-        train(X, y, SurrogateHp(), seed=0, embedder=emb)
-
-
 def test_train_returns_working_ensemble():
     emb = HashingEmbedder(dim=32)
     X, y = embed_points(make_points(20), emb)
@@ -504,6 +497,4 @@ def test_tune_hyperparameters_deterministic_choice_from_grid():
     hp_b = tune_hyperparameters(X, y, seed=3, **kwargs)
     assert hp_a == hp_b
     assert hp_a in hp_grid()
-    with pytest.raises(SurrogateError):
-        tune_hyperparameters(X[:49], y[:49], seed=3, **kwargs)
 

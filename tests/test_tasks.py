@@ -1,3 +1,5 @@
+import json
+import re
 import threading
 import time
 
@@ -57,6 +59,13 @@ def test_parse_dataset_errors():
         line = "{" + ", ".join(f'"{k}": {v}' for k, v in row.items()) + "}"
         with pytest.raises(DatasetError, match=f"line 2: field '{field}'"):
             parse_dataset('{"id": "z", "input": "w", "label": "v"}\n' + line + "\n")
+
+
+@pytest.mark.parametrize("id_", ["a\tb", "a\nb", "a\r", "\u2028a"])
+def test_parse_dataset_refuses_an_id_that_would_break_a_tsv_row(id_):
+    line = json.dumps({"id": id_, "input": "x", "label": "y"})
+    with pytest.raises(DatasetError, match=f"line 2: id {re.escape(json.dumps(id_))} holds a tab or a line break"):
+        parse_dataset('{"id": "z", "input": "w", "label": "v"}\n' + line + "\n")
 
 
 def test_parse_dataset_reads_numbers_as_text_and_a_null_context_as_absent():
