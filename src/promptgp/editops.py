@@ -8,6 +8,11 @@ queued span.  A FIFO removal queue and the largest chunk count any operator
 saw are scoped to one program execution.  Errors in LLM-backed operations
 degrade to identity with a warning; they never abort an execution.  A
 transport failure is also counted per op, for the execution it hit.
+
+An execution may fill a `CallRecord` with each op call's outcome, and a
+later execution of a program that shares the recorded AST nodes reuses
+those outcomes, so only the calls that the two programs do not share run
+again.
 """
 
 from __future__ import annotations
@@ -17,11 +22,11 @@ import re
 import string
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from . import chunking
 from .chunking import ChunkList, EditedChunk, ViewIndex, join_span, rejoin, resolve
-from .exprlang import OPS, Atom, Call, Concat, Expr
+from .exprlang import OPS, Atom, Call, Concat, Expr, with_index
 from .gateway import GatewayError, TransportError, paraphrase_call, summarise_call
 
 if TYPE_CHECKING:
@@ -40,11 +45,41 @@ def placeholders(text: str) -> set[str]:
     return set(PLACEHOLDER_RE.findall(text))
 
 
+class CallRecord:
+    """Each op call's outcome in one render, for renders of programs that
+    share its AST nodes (see `execute_program`).
+
+    An outcome (the call's value, the removal queue after it and the largest
+    chunk count seen under it) depends only on the call's subtree, its
+    section's base text and demonstration items, and the queue on entry.  So
+    it is keyed by the node's identity and the entry queue, and holds the
+    node, which keeps that identity the node's own.  `asts` holds, by
+    section, the ASTs of the render that filled the record.  Executions fill
+    the record until it is `sealed` and only read it after, so renders on
+    several threads share it without a lock.
+    """
+
+    def __init__(self) -> None:
+        self.asts: dict[str, Expr] = {}
+        self.sealed = False
+        self._calls: dict[tuple[int, tuple[str, ...]], tuple] = {}
+
+    def edited(self, section: str, ordinal: int, value: int) -> CallRecord:
+        """This record, sealed, with `section`'s AST given `value` as its
+        `ordinal`-th index value (see `exprlang.with_index`)."""
+        view = CallRecord()
+        view.asts = {**self.asts, section: with_index(self.asts[section], ordinal, value)}
+        view.sealed = True
+        view._calls = self._calls
+        return view
+
+
 @dataclass
 class _ExecState:
     base_text: str
     icl_items: Sequence[str]
     ctx: EvalContext
+    record: Optional[CallRecord]
     queue: deque[str] = field(default_factory=deque)
     max_chunks: int = 0
     degraded: Counter = field(default_factory=Counter)
@@ -55,12 +90,22 @@ def execute_program(
     base_text: str,
     ctx: EvalContext,
     icl_items: Sequence[str] = (),
+    record: Optional[CallRecord] = None,
 ) -> tuple[Union[str, list[str]], int, Counter]:
     """Run one parsed section program with the lexicons, gateway, edit model
     and placeholder guard of `ctx`; returns (edited text or list, largest
     chunk count any operator saw, LLM edits per op that degraded after a
-    transport failure)."""
-    state = _ExecState(base_text, icl_items, ctx)
+    transport failure).
+
+    With a `record`, a call whose node and entry queue the record holds
+    takes the recorded outcome and does not run.  An unsealed record is
+    filled, once, with every other call's outcome, except a call under which
+    an LLM edit degraded after a transport failure, so that a later
+    execution retries the edit; a recorded list is handed out as a new list.
+    `expr`, `base_text` and `icl_items` must be those of the section that
+    the record's nodes came from.
+    """
+    state = _ExecState(base_text, icl_items, ctx, record)
     return _eval(expr, state), state.max_chunks, state.degraded
 
 
@@ -80,25 +125,56 @@ def _eval(expr: Expr, state: _ExecState) -> Union[str, list[str]]:
                 parts.append(text)
         return "\n".join(parts)
     if isinstance(expr, Call):
-        value = _eval(expr.texts, state)
-        if isinstance(value, list):
-            if OPS[expr.name].kind != "list":
-                raise ProgramExecutionError(f"{expr.name} cannot operate on a demonstration list")
-            # Items one space apart: join_span of any span is " ".join of its items.
-            cl = ChunkList(value, ["", *[" "] * (len(value) - 1), ""] if value else [""])
-        else:
-            cl = chunking.chunk(value, expr.arg("level"))
-        n = len(cl.chunks)
-        state.max_chunks = max(state.max_chunks, n)
-        items: list[EditedChunk] = [(c, i) for i, c in enumerate(cl.chunks)]
-        spans = [_as_span(resolve(v, n)) for _, v in expr.args if isinstance(v, ViewIndex)]
-        result = _edit_chunks(expr, items, spans, state, cl)
-        if isinstance(value, list):
-            return [text for text, _ in result]
-        if result is items:
-            return value  # identity fast path keeps original bytes
-        return rejoin(result, cl)
+        if state.record is None:
+            return _call(expr, state)
+        return _recorded_call(expr, state)
     raise ProgramExecutionError(f"not an expression node: {expr!r}")
+
+
+def _recorded_call(expr: Call, state: _ExecState) -> Union[str, list[str]]:
+    """The recorded outcome of `expr` on the current queue, or its evaluation,
+    recorded unless the record is sealed or an LLM edit under it degraded."""
+    record = state.record
+    key = (id(expr), tuple(state.queue))
+    outcome = record._calls.get(key)
+    if outcome is not None:
+        _, value, queue, chunks = outcome
+        state.queue = deque(queue)
+        state.max_chunks = max(state.max_chunks, chunks)
+        return list(value) if isinstance(value, tuple) else value
+    if record.sealed:
+        return _call(expr, state)
+    outer, degraded = state.max_chunks, state.degraded.total()
+    state.max_chunks = 0
+    value = _call(expr, state)
+    chunks = state.max_chunks
+    state.max_chunks = max(outer, chunks)
+    if state.degraded.total() == degraded:
+        frozen = tuple(value) if isinstance(value, list) else value
+        record._calls[key] = (expr, frozen, tuple(state.queue), chunks)
+    return value
+
+
+def _call(expr: Call, state: _ExecState) -> Union[str, list[str]]:
+    """Evaluate one op call: its texts, then its edit."""
+    value = _eval(expr.texts, state)
+    if isinstance(value, list):
+        if OPS[expr.name].kind != "list":
+            raise ProgramExecutionError(f"{expr.name} cannot operate on a demonstration list")
+        # Items one space apart: join_span of any span is " ".join of its items.
+        cl = ChunkList(value, ["", *[" "] * (len(value) - 1), ""] if value else [""])
+    else:
+        cl = chunking.chunk(value, expr.arg("level"))
+    n = len(cl.chunks)
+    state.max_chunks = max(state.max_chunks, n)
+    items: list[EditedChunk] = [(c, i) for i, c in enumerate(cl.chunks)]
+    spans = [_as_span(resolve(v, n)) for _, v in expr.args if isinstance(v, ViewIndex)]
+    result = _edit_chunks(expr, items, spans, state, cl)
+    if isinstance(value, list):
+        return [text for text, _ in result]
+    if result is items:
+        return value  # identity fast path keeps original bytes
+    return rejoin(result, cl)
 
 
 def _as_span(resolved: Union[int, tuple[int, int], None]) -> tuple[int, int]:

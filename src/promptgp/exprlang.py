@@ -9,7 +9,9 @@ renders, e.g.
 
 Parsing produces an AST that the edit runtime interprets; the program text
 is never evaluated as host code.  ``index_spans`` finds every index value
-in the text itself, so local search edits a program's digits in place.
+in the text itself, so local search edits a program's digits in place,
+and ``with_index`` builds that edit's AST from the original's, sharing
+every node the edit does not reach.
 
 One ``findall`` splits the stripped text into tokens, skipping whitespace
 between them: names (``[A-Za-z_][A-Za-z_0-9]*``), numbers (``\\d+`` with an
@@ -109,6 +111,39 @@ def index_spans(text: str) -> Iterator[tuple[str, int, int, int]]:
         for slot in (0, 1):
             if m.group(slot + 2) is not None:
                 yield m.group(1), slot, m.start(slot + 2), m.end(slot + 2)
+
+
+def with_index(expr: Expr, ordinal: int, value: int) -> Expr:
+    """`expr` with its `ordinal`-th index value, in the pre-order that
+    `index_spans` yields, set to `value`.  Every node off the path from the
+    root to that value is `expr`'s own node, shared by identity."""
+    edited, left = _with_index(expr, ordinal, value)
+    if left >= 0:
+        raise IndexError(f"program has no index value {ordinal}")
+    return edited
+
+
+def _with_index(expr: Expr, k: int, value: int) -> tuple[Expr, int]:
+    """(`expr` with its `k`-th index value set, -1) when it holds that value;
+    else (`expr`, `k` less the index values it holds)."""
+    if isinstance(expr, Concat):
+        for i, part in enumerate(expr.parts):
+            edited, k = _with_index(part, k, value)
+            if k < 0:
+                return Concat(expr.parts[:i] + (edited,) + expr.parts[i + 1 :]), k
+        return expr, k
+    if isinstance(expr, Atom):
+        return expr, k
+    for j, (key, v) in enumerate(expr.args):
+        if not isinstance(v, ViewIndex):
+            continue
+        slots = 2 if v.kind == "slice" else 1
+        if k < slots:
+            v = ViewIndex(v.kind, value, v.b) if k == 0 else ViewIndex(v.kind, v.a, value)
+            return Call(expr.name, expr.args[:j] + ((key, v),) + expr.args[j + 1 :], expr.texts), -1
+        k -= slots
+    texts, k = _with_index(expr.texts, k, value)
+    return (Call(expr.name, expr.args, texts) if k < 0 else expr), k
 
 
 class _Refusal(Exception):

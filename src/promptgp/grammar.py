@@ -174,9 +174,10 @@ def _parse_rhs(rhs: str, name: str, lineno: int) -> list[tuple[Sym, ...]]:
 
 
 def load_grammar(text: str) -> Grammar:
-    """Parse a rule file: one `name ::= alt | alt` per line, '#' comments."""
+    """Parse a rule file: one `name ::= alt | alt` per `\n`-ended line, '#'
+    comments; a quoted terminal may hold any other line break."""
     productions: dict[str, list[tuple[Sym, ...]]] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.split("\n"), 1):
         line = _strip_comment(raw).strip()
         if not line:
             continue

@@ -19,6 +19,8 @@ class Lexicons:
 
 def _lines(text: str) -> list[str]:
     out = []
+    # An entry is one word, matched against whitespace-split tokens, which
+    # never hold a line break; so every line break `splitlines` knows ends one.
     for raw in text.splitlines():
         line = raw.strip()
         if line and not line.startswith("#"):

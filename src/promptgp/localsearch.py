@@ -10,6 +10,17 @@ neighborhood: it keeps the `top_variance` highest-variance predictions and
 fills up with the highest means until `screen_limit` are kept.  Survivors
 and the incumbent are LLM-scored on the validation set plus an equally
 sized training sample, and the best combined score wins.
+
+Neighbours render incrementally from the incumbent.  The incumbent's six
+programs are parsed once, and its render records each op call's outcome
+in an `editops.CallRecord`.  A neighbour's edited section is the
+incumbent's AST with one index value replaced (`exprlang.with_index`), so
+it is never parsed, and every node off the path from that value to the
+section's root is the incumbent's own.  Executed against the record, only
+the op calls on that path run again, with any later call whose removal
+queue on entry differs from the incumbent's.  A site's ordinal among its
+section's index values is its AST slot in pre-order, the order that
+`index_spans` yields.
 """
 
 from __future__ import annotations
@@ -20,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import SECTIONS
+from .editops import CallRecord
 from .exprlang import index_spans
 from .grammar import Phenotype
 from .seeds import derive_seed
@@ -45,6 +57,7 @@ class IndexSite:
     param: str
     slot: int
     value: int
+    ordinal: int  # the value's place among its section's index values
 
 
 @dataclass
@@ -74,8 +87,8 @@ def enumerate_sites(ph: Phenotype) -> list[IndexSite]:
     sites: list[IndexSite] = []
     for section in SECTIONS:
         program = ph.programs[section]
-        for param, slot, start, end in index_spans(program):
-            sites.append(IndexSite(section, (start, end), param, slot, int(program[start:end])))
+        for k, (param, slot, start, end) in enumerate(index_spans(program)):
+            sites.append(IndexSite(section, (start, end), param, slot, int(program[start:end]), k))
     return sites
 
 
@@ -165,7 +178,8 @@ def run_local_search(
     master_seed: int = 0,
 ) -> LocalSearchResult:
     settings = settings or LocalSearchSettings()
-    prompt = apply_phenotype(base, incumbent_ph, ctx)
+    record = CallRecord()
+    prompt = apply_phenotype(base, incumbent_ph, ctx, record)
     incumbent = Candidate(
         incumbent_ph, prompt, phenotype_digest(incumbent_ph), is_incumbent=True
     )
@@ -183,7 +197,12 @@ def run_local_search(
     nb = build_neighborhood(
         incumbent_ph, sites, bound, derive_seed(master_seed, "neighborhood"), settings.per_site
     )
-    prompts = ctx.map(lambda n: apply_phenotype(base, n.phenotype, ctx), nb.neighbors)
+    prompts = ctx.map(
+        lambda n: apply_phenotype(
+            base, n.phenotype, ctx, record.edited(n.site.section, n.site.ordinal, n.value)
+        ),
+        nb.neighbors,
+    )
     for neighbor, rendered in zip(nb.neighbors, prompts):
         neighbor.prompt = rendered
     candidates = screen(nb.neighbors, ensemble, settings)

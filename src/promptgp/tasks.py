@@ -68,9 +68,10 @@ class Dataset:
 
 def parse_dataset(text: str) -> Dataset:
     """Parse JSONL rows with fields id, input, label and an optional context,
-    each text or a number; a null context reads as absent."""
+    each text or a number; a null context reads as absent.  Rows end at
+    `\n` only: JSON allows a raw U+2028, U+2029 or U+0085 inside a string."""
     rows: list[DataRow] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

@@ -18,7 +18,7 @@ from importlib import resources
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import SECTIONS
-from .editops import PLACEHOLDER_RE, execute_program
+from .editops import PLACEHOLDER_RE, CallRecord, execute_program
 from .exprlang import parse
 from .grammar import Phenotype
 
@@ -53,11 +53,13 @@ class BaseTemplate:
 
 
 def parse_template(text: str) -> BaseTemplate:
-    """Split a template file into sections on `== NAME ==` header lines."""
+    """Split a template file into sections on `== NAME ==` header lines.
+    Lines end at `\n` only, so any other line break is a byte of its
+    section's text."""
     sections: dict[str, str] = {}
     current: Optional[str] = None
     buffers: dict[str, list[str]] = {}
-    for line in text.splitlines():
+    for line in text.split("\n"):
         m = _HEADER_RE.match(line)
         if m:
             name = m.group(1)
@@ -109,7 +111,9 @@ class RenderedPrompt:
     max_chunks: int = 0
 
 
-def apply_phenotype(base: BaseTemplate, ph: Phenotype, ctx: EvalContext) -> RenderedPrompt:
+def apply_phenotype(
+    base: BaseTemplate, ph: Phenotype, ctx: EvalContext, record: Optional[CallRecord] = None
+) -> RenderedPrompt:
     """Execute each section's program on its base text with the edit
     settings of `ctx`; join with newlines.  The ICL section's program sees
     `ctx.task.icl_slot_count` demonstration placeholders.
@@ -121,6 +125,14 @@ def apply_phenotype(base: BaseTemplate, ph: Phenotype, ctx: EvalContext) -> Rend
     section at once both execute it; their LLM edits are identical
     requests, which the gateway sends once.
 
+    With an unsealed `record` (an `editops.CallRecord`), all six programs
+    are parsed into `record.asts`, the sections that miss the memo fill the
+    record as they execute, and the render seals it; it runs on the thread
+    that made the record, before any render reads it.  With a sealed record
+    nothing is parsed: the sections that miss the memo execute
+    `record.asts`, which must be the ASTs of `ph`'s programs, against the
+    record (see `execute_program`).
+
     Raises ProgramParseError if any section program is malformed; callers
     treat that as a whole-prompt failure.
     """
@@ -130,15 +142,24 @@ def apply_phenotype(base: BaseTemplate, ph: Phenotype, ctx: EvalContext) -> Rend
     keys = {s: (s, base.sections[s], ph.programs[s]) for s in SECTIONS}
     with ctx._lock:
         found = {s: ctx._sections.get(keys[s]) for s in SECTIONS}
-    parsed = {s: parse(ph.programs[s]) for s in SECTIONS if found[s] is None}
-    for section, expr in parsed.items():
+    if record is None:
+        exprs = {s: parse(ph.programs[s]) for s in SECTIONS if found[s] is None}
+    else:
+        if not record.sealed:
+            record.asts = {s: parse(ph.programs[s]) for s in SECTIONS}
+        exprs = {s: record.asts[s] for s in SECTIONS if found[s] is None}
+    for section, expr in exprs.items():
         icl_items = icl_placeholders(ctx.task.icl_slot_count) if section == "icl" else ()
-        result, chunks, degraded = execute_program(expr, base.sections[section], ctx, icl_items)
+        result, chunks, degraded = execute_program(
+            expr, base.sections[section], ctx, icl_items, record
+        )
         found[section] = ("\n".join(result) if isinstance(result, list) else result), chunks
         with ctx._lock:
             ctx.degraded.update(degraded)
             if not degraded:
                 ctx._sections[keys[section]] = found[section]
+    if record is not None:
+        record.sealed = True
     return RenderedPrompt(
         "\n".join(found[s][0] for s in SECTIONS), max(chunks for _, chunks in found.values())
     )

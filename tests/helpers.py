@@ -58,6 +58,25 @@ def replace_index_slot(expr, path, key, slot, new_value):
     return Call(expr.name, tuple(args), expr.texts)
 
 
+def assert_shares_off_path(edited, expr, path, key):
+    """Every node of `edited` off (path, key), which `replace_index_slot`
+    takes, is `expr`'s own node, and every node on it is a new one."""
+    assert edited is not expr
+    if path:
+        if isinstance(expr, Concat):
+            for i, (new, old) in enumerate(zip(edited.parts, expr.parts)):
+                if i == path[0]:
+                    assert_shares_off_path(new, old, path[1:], key)
+                else:
+                    assert new is old
+            return
+        assert_shares_off_path(edited.texts, expr.texts, path[1:], key)
+    else:
+        assert edited.texts is expr.texts
+    for (k, new), (_, old) in zip(edited.args, expr.args):
+        assert (new is not old) if (k == key and not path) else (new is old)
+
+
 def render_program(expr):
     """Canonical program text: the grammar's own spelling of `expr`."""
     if isinstance(expr, Atom):

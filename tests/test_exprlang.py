@@ -10,6 +10,7 @@ from promptgp.exprlang import (
     ProgramParseError,
     index_spans,
     parse,
+    with_index,
 )
 
 
@@ -182,3 +183,11 @@ def test_unicode_decimal_digits_are_numbers():
     assert parse("summarise(percent=٠.٥, index=[٣], level=word, texts=BASE)") == Call(
         "summarise", (("percent", 0.5), ("index", A(3)), ("level", "word")), Atom("BASE")
     )
+
+
+def test_with_index_refuses_an_ordinal_past_the_last_index_value():
+    expr = parse("swap_elements(index1=[3], index2=[5,7], level=word, texts=BASE)+NULL")
+    assert with_index(expr, 2, 9) == parse("swap_elements(index1=[3], index2=[5,9], level=word, texts=BASE)+NULL")
+    for program, ordinal in ((expr, 3), (parse("BASE+ICL_LIST"), 0)):
+        with pytest.raises(IndexError):
+            with_index(program, ordinal, 1)

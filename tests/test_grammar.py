@@ -81,6 +81,11 @@ def test_load_grammar_comments_and_quoted_hash():
     assert g.productions["root"][0][0].name == "lit#eral"
 
 
+def test_load_grammar_keeps_a_unicode_line_break_inside_a_terminal():
+    g = load_grammar("root ::= 'a\u2028b' | other\nother ::= 'c'\n")
+    assert g.productions["root"][0][0].name == "a\u2028b"
+
+
 def test_minimal_budget_forces_null_heavy_prompt():
     tree = sample_ptc2(G, max_nodes=20, rng_seed=7)
     assert tree.node_count == 20

@@ -1,13 +1,20 @@
 import hashlib
+import json
 import random
 
 import numpy as np
 import pytest
 
-from helpers import ast_index_slots, identity_phenotype, render_program, replace_index_slot
+from helpers import (
+    assert_shares_off_path,
+    ast_index_slots,
+    identity_phenotype,
+    render_program,
+    replace_index_slot,
+)
 from promptgp import SECTIONS
-from promptgp.exprlang import parse
-from promptgp.gateway import LabelOracleBackend, LlmGateway
+from promptgp.exprlang import parse, with_index
+from promptgp.gateway import LabelOracleBackend, LlmGateway, TransportError
 from promptgp.grammar import Phenotype, default_grammar, render_phenotype, sample_ptc2
 from promptgp.lexicons import default_lexicons
 from promptgp.localsearch import (
@@ -20,7 +27,7 @@ from promptgp.localsearch import (
 )
 from promptgp.surrogate import HashingEmbedder, SurrogateEnsemble
 from promptgp.tasks import DataRow, Dataset, EvalContext, TaskSettings
-from promptgp.template import apply_phenotype, parse_template, phenotype_digest
+from promptgp.template import apply_phenotype, builtin_template, parse_template, phenotype_digest
 
 
 def make_phenotype(**overrides):
@@ -143,10 +150,18 @@ def test_text_sites_and_neighbours_match_the_ast_reference():
             (section, param, slot, value) for section, _, param, slot, value in ref
         ]
         ref_of = dict(zip(sites, ref))
+        edited = set()
         for n in build_neighborhood(ph, sites, bound=20, seed=seed, per_site=10).neighbors:
             programs = reference_neighbour(ph, parsed, ref_of[n.site], n.value)
             assert n.phenotype.programs == programs
             assert n.digest == phenotype_digest(Phenotype(programs))
+            if n.site not in edited:  # with_index builds the edit's AST from the incumbent's
+                edited.add(n.site)
+                section, path, param = ref_of[n.site][:3]
+                expr = with_index(parsed[section], n.site.ordinal, n.value)
+                assert expr == parse(programs[section])
+                assert_shares_off_path(expr, parsed[section], path, param)
+        assert edited == set(sites)
         sited += bool(sites)
     assert sited > 900
 
@@ -437,7 +452,7 @@ def test_run_local_search_degenerate_bound_returns_incumbent(monkeypatch):
     assert result.best.combined is None
 
 
-def test_run_local_search_parses_each_neighbour_section_once(monkeypatch):
+def test_run_local_search_parses_only_the_incumbents_programs(monkeypatch):
     from promptgp import localsearch, template
 
     assert not hasattr(localsearch, "parse")  # sites are read from the text
@@ -459,10 +474,126 @@ def test_run_local_search_parses_each_neighbour_section_once(monkeypatch):
     )
     neighbours = [c for c in result.ranking if not c.is_incumbent]
     assert len(neighbours) == 12  # 3 sites x 4 values, all under the screen limit
-    # The incumbent's six programs once, to render it; then one mutated
-    # program per neighbour.
-    incumbent = len(ph.programs)
-    assert len(parsed) == incumbent + len(neighbours)
-    assert sorted(parsed[incumbent:]) == sorted(n.phenotype.programs["task"] for n in neighbours)
+    # The incumbent's six programs once, to render it and to build every
+    # neighbour's AST from; no neighbour program is parsed.
+    assert sorted(parsed) == sorted(ph.programs.values())
     for n in neighbours:
         assert n.prompt == apply_phenotype(base, n.phenotype, make_task_setup()[0])
+
+
+class ReversingBackend:
+    """Answers an edit request with its source's words in reverse order, and
+    any other request with no answer.  The first `failures` edit requests
+    fail in transport; `sources` lists the source of every edit request."""
+
+    def __init__(self, failures=0):
+        self.failures = failures
+        self.sources = []
+
+    def send(self, req):
+        content = req.last_user_content()
+        if not content.startswith(("Paraphrase", "Reduce")):
+            return "no answer"
+        source = content.split("```\n", 1)[1].rsplit("\n```", 1)[0]
+        self.sources.append(source)
+        if self.failures:
+            self.failures -= 1
+            raise TransportError("connection reset")
+        return json.dumps({"answer": " ".join(reversed(source.split()))})
+
+
+def edit_context(backend):
+    train = Dataset(rows=[DataRow(id=f"t{i}", input=f"train q {i}", label="yes") for i in range(6)])
+    gateway = LlmGateway(backend, max_attempts=1)
+    return EvalContext(TaskSettings(), gateway, train, icl_k=0, lexicons=default_lexicons())
+
+
+def searched_neighbours(monkeypatch, ph, base, ctx, per_site, seed=0):
+    """Every neighbour that `run_local_search` renders, taken at its screen,
+    which passes none on."""
+    from promptgp import localsearch
+
+    seen = []
+    monkeypatch.setattr(localsearch, "screen", lambda neighbors, *_: seen.extend(neighbors) or [])
+    val = Dataset(rows=[DataRow(id="v0", input="val q 0", label="yes")])
+    settings = LocalSearchSettings(per_site=per_site)
+    run_local_search(ph, base, constant_ensemble(0.0), ctx, val, settings=settings, master_seed=seed)
+    return seen
+
+
+def assert_render_fresh(base, neighbours):
+    """Each neighbour's text and chunk count are a fresh context's render."""
+    for n in neighbours:
+        assert n.prompt == apply_phenotype(base, n.phenotype, edit_context(ReversingBackend()))
+
+
+# A site in the first part of the ICL section's Concat; removal queues that
+# cross an edited op, both across Concat parts and down one nesting.
+EXPLICIT_CASES = {
+    "icl": "swap_elements(index1=[1], index2=[3], level=word, texts=BASE)"
+    "+duplicate_element(index1=[0], index2=[2], level=word, texts=ICL_LIST)",
+    "task": "remove_element(index=[1], level=word, texts=BASE)"
+    "+swap_elements(index1=[0], index2=[2], level=word, texts=BASE)"
+    "+readd_element(index=[0], level=word, texts=BASE)",
+    "persona": "readd_element(index=[2], level=word, texts=paraphrase(index=[0,1], level=word, "
+    "texts=remove_element(index=[4], level=word, texts=BASE)))",
+}
+
+
+def test_every_searched_neighbour_renders_as_a_fresh_context_does(monkeypatch):
+    base = builtin_template("pubmedqa")
+    explicit = make_phenotype(**EXPLICIT_CASES)
+    neighbours = searched_neighbours(monkeypatch, explicit, base, edit_context(ReversingBackend()), 4)
+    assert {n.site.section for n in neighbours} == set(EXPLICIT_CASES)
+    assert any(n.site.section == "icl" and n.site.ordinal < 2 for n in neighbours)
+    assert_render_fresh(base, neighbours)
+    grammar, rng, checked = default_grammar(), random.Random(17), 0
+    for seed in range(5000, 5060):
+        ph = render_phenotype(sample_ptc2(grammar, max_nodes=rng.randint(20, 600), rng_seed=seed))
+        neighbours = searched_neighbours(monkeypatch, ph, base, edit_context(ReversingBackend()), 3, seed)
+        assert_render_fresh(base, neighbours)
+        checked += len(neighbours)
+    assert checked > 2000
+
+
+def test_an_edit_degraded_in_the_incumbent_is_retried_by_a_neighbour(monkeypatch):
+    backend = ReversingBackend(failures=1)
+    ctx = edit_context(backend)
+    base = parse_template(BASE_TEXT)
+    ph = make_phenotype(
+        task="remove_element(index=[1], level=word, texts=paraphrase(index=[0], level=sentence, texts=BASE))"
+    )
+    neighbours = searched_neighbours(monkeypatch, ph, base, ctx, 3)
+    assert ctx.degraded == {"paraphrase": 1}
+    assert backend.sources.count(backend.sources[0]) == 2  # failed, then retried once
+    assert_render_fresh(base, neighbours)
+
+
+def test_a_neighbour_edited_above_an_llm_edit_does_not_ask_for_it(monkeypatch):
+    from promptgp import editops, localsearch
+
+    rendering, asked = [], []
+    apply, paraphrase = localsearch.apply_phenotype, editops.paraphrase_call
+
+    def tracking_apply(base, ph, ctx, *record):
+        rendering.append(ph.programs["task"])
+        return apply(base, ph, ctx, *record)
+
+    def tracking_paraphrase(gateway, text, model):
+        asked.append(rendering[-1])
+        return paraphrase(gateway, text, model=model)
+
+    monkeypatch.setattr(localsearch, "apply_phenotype", tracking_apply)
+    monkeypatch.setattr(editops, "paraphrase_call", tracking_paraphrase)
+    base = parse_template(BASE_TEXT)
+    ph = make_phenotype(
+        task="remove_element(index=[1], level=word, texts=paraphrase(index=[0], level=sentence, texts=BASE))"
+    )
+    neighbours = searched_neighbours(monkeypatch, ph, base, edit_context(ReversingBackend()), 3)
+    above = {n.phenotype.programs["task"] for n in neighbours if n.site.ordinal == 0}
+    on_it = {n.phenotype.programs["task"] for n in neighbours if n.site.ordinal == 1}
+    assert len(above) == len(on_it) == 3
+    assert asked.count(ph.programs["task"]) == 1  # the incumbent's render
+    assert not above & set(asked)
+    assert on_it <= set(asked)
+    assert_render_fresh(base, neighbours)

@@ -68,6 +68,13 @@ def test_parse_dataset_refuses_an_id_that_would_break_a_tsv_row(id_):
         parse_dataset('{"id": "z", "input": "w", "label": "v"}\n' + line + "\n")
 
 
+@pytest.mark.parametrize("brk", ["\u2028", "\u2029", "\x85"])
+def test_parse_dataset_keeps_a_raw_unicode_line_break_inside_a_string(brk):
+    line = json.dumps({"id": "a", "input": f"x{brk}y", "label": "y"}, ensure_ascii=False)
+    assert brk in line
+    assert parse_dataset(line + "\n").rows == [DataRow(id="a", input=f"x{brk}y", label="y")]
+
+
 def test_parse_dataset_reads_numbers_as_text_and_a_null_context_as_absent():
     ds = parse_dataset('{"id": 7, "input": 2.5, "label": 1, "context": null}\n')
     assert ds.rows == [DataRow(id="7", input="2.5", label="1", context="")]

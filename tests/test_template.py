@@ -74,6 +74,12 @@ def test_parse_template_missing_sections_default_empty():
     assert t.sections["context"] == ""
 
 
+@pytest.mark.parametrize("brk", ["\u2028", "\u2029", "\x85", "\x0c", "\x1c"])
+def test_parse_template_keeps_a_non_newline_line_break_in_its_section(brk):
+    t = parse_template(f"== TASK ==\nRead{brk}this __TASK_INPUT_0__\n")
+    assert t.sections["task"] == f"Read{brk}this __TASK_INPUT_0__"
+
+
 def test_parse_template_rejects_bad_input():
     with pytest.raises(TemplateError):
         parse_template("leading text\n== TASK ==\n__TASK_INPUT_0__\n")
@@ -316,9 +322,9 @@ def count_section_work(monkeypatch):
         work["parsed"].append(text)
         return parse(text)
 
-    def counting_execute(expr, base_text, ctx, icl_items=()):
+    def counting_execute(expr, base_text, ctx, icl_items=(), record=None):
         work["executed"].append(base_text)
-        return execute(expr, base_text, ctx, icl_items)
+        return execute(expr, base_text, ctx, icl_items, record)
 
     monkeypatch.setattr(template, "parse", counting_parse)
     monkeypatch.setattr(template, "execute_program", counting_execute)
