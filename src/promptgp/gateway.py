@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
 from urllib.parse import urlsplit
 
-from .textparse import extract_key
+from .textparse import answer_object, extract_key
 
 log = logging.getLogger(__name__)
 
@@ -247,9 +247,9 @@ class LabelOracleBackend:
     """Answers task prompts from a hidden truth table.
 
     The longest truth-table key found inside the prompt selects the case;
-    `answer_fn(label, prompt)` formats the reply (default: the dict shape
-    the shipped templates ask for).  Unmatched prompts get an unparseable
-    reply, which scores zero downstream.
+    `answer_fn(label, prompt)` formats the reply (default:
+    `textparse.answer_object`).  Unmatched prompts get an unparseable reply,
+    which scores zero downstream.
     """
 
     name = "label_oracle"
@@ -272,7 +272,7 @@ class LabelOracleBackend:
                 label = self.truth[key]
                 if self.answer_fn is not None:
                     return self.answer_fn(label, content)
-                return "{'%s': '%s'}" % (self.answer_key, label)
+                return answer_object(self.answer_key, label)
         return "UNKNOWN CASE"
 
 
@@ -380,11 +380,14 @@ class HttpBackend:
             retry_after = _retry_after(response.headers) if status in (429, 503) else None
             raise TransportError(f"chat endpoint failure: {failure}", retry_after)
         try:
-            return json.loads(data)["choices"][0]["message"]["content"]
+            content = json.loads(data)["choices"][0]["message"]["content"]
         except ValueError as exc:
             raise TransportError(f"chat endpoint failure: {exc}") from exc
         except (KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed chat response: {exc!r}") from exc
+        if not isinstance(content, str):
+            raise TransportError(f"malformed chat response: content is {type(content).__name__}")
+        return content
 
     def close(self) -> None:
         self._http.close()

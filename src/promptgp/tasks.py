@@ -1,11 +1,10 @@
-"""Datasets, answer extraction, metrics, and prompt evaluation."""
+"""Datasets, metrics, and prompt evaluation."""
 
 from __future__ import annotations
 
 import json
 import logging
 import random
-import re
 import string
 import threading
 from collections import Counter
@@ -13,10 +12,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+from . import textparse
 from .gateway import GatewayError, LlmGateway
 from .lexicons import Lexicons
 from .template import IclPool, RenderedPrompt, format_demo, instantiate, retrieve_icl
-from .textparse import extract_key
 
 log = logging.getLogger(__name__)
 
@@ -130,25 +129,6 @@ def sample_rows(dataset: Dataset, n: int, seed: int) -> list[DataRow]:
     return rng.sample(dataset.rows, min(n, len(dataset.rows)))
 
 
-_FALLBACK_TEMPLATE = r"{key}\s*[:=]\s*(.+)"
-
-
-def extract_answer(raw: str, key: str = "Answer") -> Optional[str]:
-    """Pull the answer value from a reply: balanced-JSON spans, then regex."""
-    found = extract_key(raw, key)
-    if found is not None:
-        return found
-    pattern = re.compile(_FALLBACK_TEMPLATE.format(key=re.escape(key)), re.IGNORECASE)
-    matches = list(pattern.finditer(raw))
-    if not matches:
-        return None
-    value = matches[-1].group(1).strip()
-    value = value.rstrip("}").strip()
-    if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
-        value = value[1:-1]
-    return value.strip()
-
-
 _PUNCT_TABLE = str.maketrans({c: " " for c in string.punctuation})
 
 
@@ -207,7 +187,7 @@ def evaluate_prompt(
         except GatewayError as exc:
             log.warning("case %s: gateway failure: %s", row.id, exc)
             return 0.0, False
-        pred = extract_answer(reply, task.answer_key)
+        pred = textparse.extract_answer(reply, task.answer_key)
         return score_case(pred, row.label, task.metric), pred is None
 
     outcomes = ctx.map(eval_case, rows)

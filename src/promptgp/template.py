@@ -21,6 +21,7 @@ from . import SECTIONS
 from .editops import PLACEHOLDER_RE, CallRecord, execute_program
 from .exprlang import parse
 from .grammar import Phenotype
+from .textparse import answer_object
 
 if TYPE_CHECKING:
     from .tasks import EvalContext
@@ -207,7 +208,7 @@ def retrieve_icl(case_input: str, pool: IclPool, k: int) -> list:
 
 
 def format_demo(row, answer_key: str = "Answer") -> str:
-    return f"Input: {row.input}\nOutput: {{'{answer_key}': '{row.label}'}}"
+    return f"Input: {row.input}\nOutput: {answer_object(answer_key, row.label)}"
 
 
 def instantiate(rp: RenderedPrompt, case, demos: Sequence[str]) -> str:

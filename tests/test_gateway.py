@@ -293,8 +293,15 @@ def test_redirect_is_rejected_not_followed(server, backend):
 
 @pytest.mark.parametrize(
     "body",
-    [b"not json", b'{"id": "chat-1"}', b'{"choices": []}', b"\xff\xfe"],
-    ids=["not-json", "no-choices", "empty-choices", "not-utf8"],
+    [
+        b"not json",
+        b'{"id": "chat-1"}',
+        b'{"choices": []}',
+        b"\xff\xfe",
+        b'{"choices": [{"message": {"role": "assistant", "content": null}}]}',
+        b'{"choices": [{"message": {"role": "assistant", "content": [{"type": "text", "text": "hi"}]}}]}',
+    ],
+    ids=["not-json", "no-choices", "empty-choices", "not-utf8", "null-content", "list-content"],
 )
 def test_unusable_reply_body_is_a_retried_transport_error(server, backend, body):
     delays = []

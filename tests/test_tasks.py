@@ -16,7 +16,6 @@ from promptgp.tasks import (
     FitnessReport,
     TaskSettings,
     evaluate_prompt,
-    extract_answer,
     normalize_answer,
     parse_dataset,
     sample_rows,
@@ -98,18 +97,6 @@ def test_sample_rows_deterministic_without_replacement():
     assert sample_rows(ds, 0, seed=1) == []
     all_rows = sample_rows(ds, 10, seed=1)
     assert sorted(r.id for r in all_rows) == ["a", "b", "c"]
-
-
-def test_extract_answer_dict_and_fallback():
-    assert extract_answer("{'Answer': 'yes'}") == "yes"
-    assert extract_answer("Answer: maybe so") == "maybe so"
-    assert extract_answer("ANSWER = 'quoted'") == "quoted"
-    assert extract_answer("The Answer: first\nanswer: last one") == "last one"
-    assert extract_answer("nothing to find") is None
-
-
-def test_extract_answer_fallback_strips_brace_noise():
-    assert extract_answer("{Answer: yes}") == "yes"
 
 
 def test_normalize_answer():
