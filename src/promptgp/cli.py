@@ -128,11 +128,14 @@ def build_context(
     train: Dataset,
     lexicons: Lexicons,
 ) -> EvalContext:
-    """The one evaluation context of a command; builds its gateway."""
+    """The one evaluation context of a command.  It builds the gateway, the last
+    input read, then makes the workdir, so a refused command leaves none."""
     gw = cfg.gateway
+    gateway = build_gateway(cfg, workdir)
+    workdir.mkdir(parents=True, exist_ok=True)
     return EvalContext(
         task=cfg.task,
-        gateway=build_gateway(cfg, workdir),
+        gateway=gateway,
         train=train,
         icl_k=cfg.gp.icl_k,
         model=gw.model,
@@ -207,13 +210,11 @@ def _read_stats(path: Path) -> dict:
 
 
 def _load_run(args: argparse.Namespace) -> tuple[RunConfig, str, Path]:
-    """The command's config (with `--seed` applied), its digest and its workdir, made if missing."""
+    """The command's config (with `--seed` applied), its digest and its workdir."""
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.master_seed = args.seed
-    workdir = Path(cfg.paths.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    return cfg, config_digest(cfg), workdir
+    return cfg, config_digest(cfg), Path(cfg.paths.workdir)
 
 
 def _search_inputs(cfg: RunConfig, workdir: Path) -> tuple[BaseTemplate, Dataset, EvalContext]:

@@ -9,10 +9,12 @@ saw are scoped to one program execution.  Errors in LLM-backed operations
 degrade to identity with a warning; they never abort an execution.  A
 transport failure is also counted per op, for the execution it hit.
 
-An execution may fill a `CallRecord` with each op call's outcome, and a
-later execution of a program that shares the recorded AST nodes reuses
-those outcomes, so only the calls that the two programs do not share run
-again.
+A node's outcome (its value, the removal queue after it and the largest
+chunk count under it) depends only on its subtree, its section's base text
+and demonstration items, and the queue on entry.  So the context's outcome
+table keys it on node identity and entry queue, and holds the node, which
+keeps that identity the node's own.  Executions of programs that share AST
+nodes share outcomes, and only the nodes they do not share run.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from . import chunking
 from .chunking import ChunkList, EditedChunk, ViewIndex, join_span, rejoin, resolve
-from .exprlang import OPS, Atom, Call, Concat, Expr, with_index
+from .exprlang import OPS, Atom, Call, Concat, Expr
 from .gateway import GatewayError, TransportError, paraphrase_call, summarise_call
 
 if TYPE_CHECKING:
@@ -45,41 +47,12 @@ def placeholders(text: str) -> set[str]:
     return set(PLACEHOLDER_RE.findall(text))
 
 
-class CallRecord:
-    """Each op call's outcome in one render, for renders of programs that
-    share its AST nodes (see `execute_program`).
-
-    An outcome (the call's value, the removal queue after it and the largest
-    chunk count seen under it) depends only on the call's subtree, its
-    section's base text and demonstration items, and the queue on entry.  So
-    it is keyed by the node's identity and the entry queue, and holds the
-    node, which keeps that identity the node's own.  `asts` holds, by
-    section, the ASTs of the render that filled the record.  Executions fill
-    the record until it is `sealed` and only read it after, so renders on
-    several threads share it without a lock.
-    """
-
-    def __init__(self) -> None:
-        self.asts: dict[str, Expr] = {}
-        self.sealed = False
-        self._calls: dict[tuple[int, tuple[str, ...]], tuple] = {}
-
-    def edited(self, section: str, ordinal: int, value: int) -> CallRecord:
-        """This record, sealed, with `section`'s AST given `value` as its
-        `ordinal`-th index value (see `exprlang.with_index`)."""
-        view = CallRecord()
-        view.asts = {**self.asts, section: with_index(self.asts[section], ordinal, value)}
-        view.sealed = True
-        view._calls = self._calls
-        return view
-
-
 @dataclass
 class _ExecState:
     base_text: str
     icl_items: Sequence[str]
     ctx: EvalContext
-    record: Optional[CallRecord]
+    keep: bool
     queue: deque[str] = field(default_factory=deque)
     max_chunks: int = 0
     degraded: Counter = field(default_factory=Counter)
@@ -90,26 +63,67 @@ def execute_program(
     base_text: str,
     ctx: EvalContext,
     icl_items: Sequence[str] = (),
-    record: Optional[CallRecord] = None,
+    keep: bool = False,
 ) -> tuple[Union[str, list[str]], int, Counter]:
     """Run one parsed section program with the lexicons, gateway, edit model
     and placeholder guard of `ctx`; returns (edited text or list, largest
     chunk count any operator saw, LLM edits per op that degraded after a
     transport failure).
 
-    With a `record`, a call whose node and entry queue the record holds
-    takes the recorded outcome and does not run.  An unsealed record is
-    filled, once, with every other call's outcome, except a call under which
-    an LLM edit degraded after a transport failure, so that a later
-    execution retries the edit; a recorded list is handed out as a new list.
-    `expr`, `base_text` and `icl_items` must be those of the section that
-    the record's nodes came from.
+    The root and every call or concat node take their outcome from the
+    context's outcome table when it holds one for the node and the removal
+    queue on entry, and do not run.  With `keep`, every other outcome is
+    stored, except one under which an LLM edit degraded after a transport
+    failure, so that a later execution retries the edit.  The table keys
+    on node identity, so an AST whose outcomes are kept must never run on
+    another base text or demonstration list.
     """
-    state = _ExecState(base_text, icl_items, ctx, record)
-    return _eval(expr, state), state.max_chunks, state.degraded
+    state = _ExecState(base_text, icl_items, ctx, keep)
+    return _outcome(expr, state), state.max_chunks, state.degraded
+
+
+def kept_outcome(expr: Expr, ctx: EvalContext) -> Optional[tuple[Union[str, list[str]], int]]:
+    """(edited text or list, largest chunk count) that the outcome table
+    holds for `expr` run as a whole program, or None."""
+    outcome = ctx._outcomes.get((id(expr), ()))
+    if outcome is None:
+        return None
+    _, value, _, chunks = outcome
+    return (list(value) if isinstance(value, tuple) else value), chunks
+
+
+def _outcome(expr: Expr, state: _ExecState) -> Union[str, list[str]]:
+    """The table's outcome of `expr` on the current queue, or its value,
+    stored if the execution keeps and no LLM edit under it degraded."""
+    table = state.ctx._outcomes
+    key = (id(expr), tuple(state.queue))
+    outcome = table.get(key)
+    if outcome is not None:
+        _, value, queue, chunks = outcome
+        state.queue = deque(queue)
+        state.max_chunks = max(state.max_chunks, chunks)
+        return list(value) if isinstance(value, tuple) else value
+    if not state.keep:
+        return _value(expr, state)
+    outer, degraded = state.max_chunks, state.degraded.total()
+    state.max_chunks = 0
+    value = _value(expr, state)
+    chunks = state.max_chunks
+    state.max_chunks = max(outer, chunks)
+    if state.degraded.total() == degraded:
+        frozen = tuple(value) if isinstance(value, list) else value
+        table[key] = (expr, frozen, tuple(state.queue), chunks)
+    return value
 
 
 def _eval(expr: Expr, state: _ExecState) -> Union[str, list[str]]:
+    """An operand's value: an atom's directly, any other node's through the table."""
+    if isinstance(expr, Atom):
+        return _value(expr, state)
+    return _outcome(expr, state)
+
+
+def _value(expr: Expr, state: _ExecState) -> Union[str, list[str]]:
     if isinstance(expr, Atom):
         if expr.name == "BASE":
             return state.base_text
@@ -125,34 +139,8 @@ def _eval(expr: Expr, state: _ExecState) -> Union[str, list[str]]:
                 parts.append(text)
         return "\n".join(parts)
     if isinstance(expr, Call):
-        if state.record is None:
-            return _call(expr, state)
-        return _recorded_call(expr, state)
-    raise ProgramExecutionError(f"not an expression node: {expr!r}")
-
-
-def _recorded_call(expr: Call, state: _ExecState) -> Union[str, list[str]]:
-    """The recorded outcome of `expr` on the current queue, or its evaluation,
-    recorded unless the record is sealed or an LLM edit under it degraded."""
-    record = state.record
-    key = (id(expr), tuple(state.queue))
-    outcome = record._calls.get(key)
-    if outcome is not None:
-        _, value, queue, chunks = outcome
-        state.queue = deque(queue)
-        state.max_chunks = max(state.max_chunks, chunks)
-        return list(value) if isinstance(value, tuple) else value
-    if record.sealed:
         return _call(expr, state)
-    outer, degraded = state.max_chunks, state.degraded.total()
-    state.max_chunks = 0
-    value = _call(expr, state)
-    chunks = state.max_chunks
-    state.max_chunks = max(outer, chunks)
-    if state.degraded.total() == degraded:
-        frozen = tuple(value) if isinstance(value, list) else value
-        record._calls[key] = (expr, frozen, tuple(state.queue), chunks)
-    return value
+    raise ProgramExecutionError(f"not an expression node: {expr!r}")
 
 
 def _call(expr: Call, state: _ExecState) -> Union[str, list[str]]:

@@ -271,17 +271,20 @@ class EvolutionEngine:
             self.journal.append_evaluation(gen, "train", ind, ind.f_train)
 
     def _champion(self, pop: list[Individual]) -> Individual:
-        return min(pop, key=lambda ind: (-(ind.f_train or 0.0), ind.genotype))
+        """The best `f_train`, rendered before unrendered; ties by genotype."""
+        return min(pop, key=lambda ind: (ind.prompt is None, -(ind.f_train or 0.0), ind.genotype))
 
     def _validate_champion(self, champion: Individual, gen: int) -> None:
+        """Validate the champion; it becomes the elite if it beats it or there
+        is none.  An unrendered champion scores 0 and is never the elite."""
         if self.elite is not None and champion.genotype == self.elite.genotype:
             champion.f_val = self.elite.f_val
             return
         if champion.prompt is None:
             champion.f_val = 0.0
-        else:
-            champion.f_val = evaluate_prompt(champion.prompt, self.val_dataset.rows, self.ctx).fitness
-            self.journal.append_evaluation(gen, "val", champion, champion.f_val)
+            return
+        champion.f_val = evaluate_prompt(champion.prompt, self.val_dataset.rows, self.ctx).fitness
+        self.journal.append_evaluation(gen, "val", champion, champion.f_val)
         if self.elite is None or champion.f_val > (self.elite.f_val or 0.0):
             self.elite = champion.clone()
 

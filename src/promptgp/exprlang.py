@@ -8,10 +8,12 @@ renders, e.g.
     swap_elements(index1=[3], index2=[5,7], level=phrase, texts=BASE)
 
 Parsing produces an AST that the edit runtime interprets; the program text
-is never evaluated as host code.  ``index_spans`` finds every index value
-in the text itself, so local search edits a program's digits in place,
-and ``with_index`` builds that edit's AST from the original's, sharing
-every node the edit does not reach.
+is never evaluated as host code.  Every node of a parsed AST is a new
+object, atoms too, so a node's identity names one place in one parse.
+``index_spans`` finds every index value in the text itself, so local
+search edits a program's digits in place, and ``with_index`` builds that
+edit's AST from the original's, sharing every node the edit does not
+reach.
 
 One ``findall`` splits the stripped text into tokens, skipping whitespace
 between them: names (``[A-Za-z_][A-Za-z_0-9]*``), numbers (``\\d+`` with an
@@ -94,9 +96,6 @@ _VALID_TOKEN_RE = re.compile(_VALID_TOKEN)
 _TOKEN_RE = re.compile(rf"\s*({_VALID_TOKEN}|\S)")
 _END = ""  # follows the last token; no rule accepts it
 
-_ATOMS = {name: Atom(name) for name in ATOMS}
-
-
 # One index argument, `kwarg=[a]` or `kwarg=[a,b]`, with the whitespace
 # between tokens that _TOKEN_RE allows.
 _INDEX_RE = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)\s*=\s*\[\s*(\d+)\s*(?:,\s*(\d+)\s*)?\]")
@@ -175,9 +174,8 @@ def _expr(toks: list[str], i: int) -> tuple[Expr, int]:
 
 def _unit(toks: list[str], i: int) -> tuple[Expr, int]:
     name = toks[i]
-    atom = _ATOMS.get(name)
-    if atom is not None:
-        return atom, i + 1
+    if name in ATOMS:
+        return Atom(name), i + 1  # a node of its own: outcomes are keyed on identity
     spec = OPS.get(name)
     if spec is None:
         raise _Refusal("expected an operator or atom", i)

@@ -14,7 +14,6 @@ import hashlib
 import http.client
 import json
 import logging
-import math
 import os
 import re
 import select
@@ -336,12 +335,13 @@ class JsonEndpoint:
 
 def _retry_after(headers) -> Optional[float]:
     """Seconds from a `Retry-After` header given as a number; None when the
-    header is missing or an HTTP date."""
+    header is missing, an HTTP date, or too long to sleep: `time.sleep`
+    adds it to the monotonic clock, which overflows near `TIMEOUT_MAX`."""
     try:
         seconds = float(headers.get("Retry-After", ""))
     except ValueError:
         return None
-    return seconds if 0 <= seconds < math.inf else None
+    return seconds if 0 <= seconds <= threading.TIMEOUT_MAX / 2 else None
 
 
 class HttpBackend:

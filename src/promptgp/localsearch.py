@@ -11,16 +11,16 @@ fills up with the highest means until `screen_limit` are kept.  Survivors
 and the incumbent are LLM-scored on the validation set plus an equally
 sized training sample, and the best combined score wins.
 
-Neighbours render incrementally from the incumbent.  The incumbent's six
-programs are parsed once, and its render records each op call's outcome
-in an `editops.CallRecord`.  A neighbour's edited section is the
-incumbent's AST with one index value replaced (`exprlang.with_index`), so
-it is never parsed, and every node off the path from that value to the
-section's root is the incumbent's own.  Executed against the record, only
-the op calls on that path run again, with any later call whose removal
-queue on entry differs from the incumbent's.  A site's ordinal among its
-section's index values is its AST slot in pre-order, the order that
-`index_spans` yields.
+Neighbours render incrementally from the incumbent.  The incumbent renders
+like any prompt, which keeps its ASTs in the context's parse memo and each
+node's outcome in its outcome table (see `template.apply_phenotype`).  A
+neighbour's edited section is the incumbent's AST with one index value
+replaced (`exprlang.with_index`), so it is never parsed, and every node
+off the path from that value to the section's root is the incumbent's
+own.  So only the op calls on that path run again, with any later call
+whose removal queue on entry differs from the incumbent's.  A site's
+ordinal among its section's index values is its AST slot in pre-order,
+the order that `index_spans` yields.
 """
 
 from __future__ import annotations
@@ -31,13 +31,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import SECTIONS
-from .editops import CallRecord
-from .exprlang import index_spans
+from .exprlang import index_spans, with_index
 from .grammar import Phenotype
 from .seeds import derive_seed
 from .surrogate import SurrogateEnsemble
 from .tasks import Dataset, EvalContext, evaluate_prompt, sample_rows
-from .template import BaseTemplate, RenderedPrompt, apply_phenotype, phenotype_digest
+from .template import BaseTemplate, RenderedPrompt, apply_phenotype, phenotype_digest, section_asts
 
 log = logging.getLogger(__name__)
 
@@ -178,8 +177,7 @@ def run_local_search(
     master_seed: int = 0,
 ) -> LocalSearchResult:
     settings = settings or LocalSearchSettings()
-    record = CallRecord()
-    prompt = apply_phenotype(base, incumbent_ph, ctx, record)
+    prompt = apply_phenotype(base, incumbent_ph, ctx)
     incumbent = Candidate(
         incumbent_ph, prompt, phenotype_digest(incumbent_ph), is_incumbent=True
     )
@@ -197,9 +195,10 @@ def run_local_search(
     nb = build_neighborhood(
         incumbent_ph, sites, bound, derive_seed(master_seed, "neighborhood"), settings.per_site
     )
+    asts = section_asts(base, incumbent_ph, ctx)
     prompts = ctx.map(
         lambda n: apply_phenotype(
-            base, n.phenotype, ctx, record.edited(n.site.section, n.site.ordinal, n.value)
+            base, n.phenotype, ctx, {n.site.section: with_index(asts[n.site.section], n.site.ordinal, n.value)}
         ),
         nb.neighbors,
     )

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from . import textparse
+from .exprlang import Expr
 from .gateway import GatewayError, LlmGateway
 from .lexicons import Lexicons
 from .template import IclPool, RenderedPrompt, format_demo, instantiate, retrieve_icl
@@ -223,16 +224,19 @@ class EvalContext:
     retrieval ranks against, so a command tokenizes its pool once however
     many cases it retrieves for.  Each case's demonstrations are retrieved
     once per context, by `demos`, and kept in `_demos`, keyed on the row
-    itself: ids are unique only within one file.  Each rendered section is
-    memoised in `_sections` (see `apply_phenotype`); `degraded` counts, per
-    op, the LLM edits that fell back to identity after a transport failure.
+    itself: ids are unique only within one file.  Renders share the parse
+    memo `_asts` (see `template.section_asts`) and the outcome table
+    `_outcomes`, which only `editops` reads or writes (see
+    `execute_program`).  `degraded` counts, per op, the LLM edits that fell
+    back to identity after a transport failure.
 
     Independent renders and scores go through `map`, which runs them on the
     context's one pool of `max_workers` threads; maps nested inside it run
     inline, so at most `max_workers` LLM requests are in flight.  The
     pool's threads start on the first map and end at `close`, which also
-    closes the gateway's connections.  `_lock` guards `_sections`,
-    `degraded` and `_demos`.
+    closes the gateway's connections.  `_lock` guards `_asts`, `degraded`
+    and `_demos`.  `_outcomes` needs no lock: each read and write is one
+    dict operation, and two renders that store one key store equal outcomes.
     """
 
     task: TaskSettings
@@ -246,9 +250,8 @@ class EvalContext:
     placeholder_guard: bool = True
     degraded: Counter = field(default_factory=Counter, init=False, repr=False, compare=False)
     _demos: dict[DataRow, list[str]] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _sections: dict[tuple[str, str, str], tuple[str, int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _asts: dict[tuple[str, str, str], Expr] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _outcomes: dict[tuple, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
     _pool: Optional[ThreadPoolExecutor] = field(default=None, init=False, repr=False, compare=False)
     _icl: IclPool = field(default=IclPool((), ()), init=False, repr=False, compare=False)

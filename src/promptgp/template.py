@@ -18,8 +18,8 @@ from importlib import resources
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import SECTIONS
-from .editops import PLACEHOLDER_RE, CallRecord, execute_program
-from .exprlang import parse
+from .editops import PLACEHOLDER_RE, execute_program, kept_outcome
+from .exprlang import Expr, parse
 from .grammar import Phenotype
 from .textparse import answer_object
 
@@ -112,58 +112,63 @@ class RenderedPrompt:
     max_chunks: int = 0
 
 
+def section_asts(
+    base: BaseTemplate, ph: Phenotype, ctx: EvalContext, given: Optional[dict[str, Expr]] = None
+) -> dict[str, Expr]:
+    """Each section's AST: from `given`, else from the parse memo on `ctx`,
+    keyed by section, base text and program text.  Every miss is parsed
+    before any is stored, so a malformed program stores nothing."""
+    given = given or {}
+    keys = {s: (s, base.sections[s], ph.programs[s]) for s in SECTIONS if s not in given}
+    with ctx._lock:
+        asts = {s: ctx._asts.get(key) for s, key in keys.items()}
+    parsed = {s: parse(ph.programs[s]) for s, expr in asts.items() if expr is None}
+    if parsed:
+        with ctx._lock:
+            asts.update({s: ctx._asts.setdefault(keys[s], expr) for s, expr in parsed.items()})
+    return {**asts, **given}
+
+
 def apply_phenotype(
-    base: BaseTemplate, ph: Phenotype, ctx: EvalContext, record: Optional[CallRecord] = None
+    base: BaseTemplate, ph: Phenotype, ctx: EvalContext, given: Optional[dict[str, Expr]] = None
 ) -> RenderedPrompt:
     """Execute each section's program on its base text with the edit
     settings of `ctx`; join with newlines.  The ICL section's program sees
     `ctx.task.icl_slot_count` demonstration placeholders.
 
-    Each section's (text, chunk count) is memoised on `ctx` by section,
-    base text and program text, unless one of its LLM edits degraded after
-    a transport failure, so that a later render retries that edit.  Every
-    miss is parsed before any section executes.  Two renders that miss one
-    section at once both execute it; their LLM edits are identical
-    requests, which the gateway sends once.
+    Each section runs its AST from `section_asts`, against the context's
+    outcome table (see `editops.execute_program`): a section whose outcome
+    the table holds does not execute, and in one that does, only the nodes
+    the table lacks run.  The outcomes of ASTs from the parse memo are
+    kept.  Those of a `given` AST, such as a local-search neighbour's edited
+    section, are read but not kept, since no later render holds its nodes.
+    Two renders that miss one node at once both run it; their LLM edits are
+    identical requests, which the gateway sends once.
 
-    With an unsealed `record` (an `editops.CallRecord`), all six programs
-    are parsed into `record.asts`, the sections that miss the memo fill the
-    record as they execute, and the render seals it; it runs on the thread
-    that made the record, before any render reads it.  With a sealed record
-    nothing is parsed: the sections that miss the memo execute
-    `record.asts`, which must be the ASTs of `ph`'s programs, against the
-    record (see `execute_program`).
-
-    Raises ProgramParseError if any section program is malformed; callers
-    treat that as a whole-prompt failure.
+    Raises ProgramParseError if any section program is malformed, before
+    any section executes; callers treat that as a whole-prompt failure.
     """
     missing = [s for s in SECTIONS if s not in ph.programs]
     if missing:
         raise TemplateError(f"phenotype lacks sections: {missing}")
-    keys = {s: (s, base.sections[s], ph.programs[s]) for s in SECTIONS}
-    with ctx._lock:
-        found = {s: ctx._sections.get(keys[s]) for s in SECTIONS}
-    if record is None:
-        exprs = {s: parse(ph.programs[s]) for s in SECTIONS if found[s] is None}
-    else:
-        if not record.sealed:
-            record.asts = {s: parse(ph.programs[s]) for s in SECTIONS}
-        exprs = {s: record.asts[s] for s in SECTIONS if found[s] is None}
-    for section, expr in exprs.items():
-        icl_items = icl_placeholders(ctx.task.icl_slot_count) if section == "icl" else ()
-        result, chunks, degraded = execute_program(
-            expr, base.sections[section], ctx, icl_items, record
-        )
-        found[section] = ("\n".join(result) if isinstance(result, list) else result), chunks
-        with ctx._lock:
-            ctx.degraded.update(degraded)
-            if not degraded:
-                ctx._sections[keys[section]] = found[section]
-    if record is not None:
-        record.sealed = True
-    return RenderedPrompt(
-        "\n".join(found[s][0] for s in SECTIONS), max(chunks for _, chunks in found.values())
-    )
+    given = given or {}
+    asts = section_asts(base, ph, ctx, given)
+    texts, max_chunks = [], 0
+    for section in SECTIONS:
+        outcome = kept_outcome(asts[section], ctx)
+        if outcome is not None:
+            value, chunks = outcome
+        else:
+            icl_items = icl_placeholders(ctx.task.icl_slot_count) if section == "icl" else ()
+            value, chunks, degraded = execute_program(
+                asts[section], base.sections[section], ctx, icl_items, section not in given
+            )
+            if degraded:
+                with ctx._lock:
+                    ctx.degraded.update(degraded)
+        texts.append("\n".join(value) if isinstance(value, list) else value)
+        max_chunks = max(max_chunks, chunks)
+    return RenderedPrompt("\n".join(texts), max_chunks)
 
 
 _WORD_RE = re.compile(r"[a-z0-9]+")

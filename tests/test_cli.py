@@ -1195,12 +1195,50 @@ def test_report_matches_curve(tmp_path):
     assert out.read_text() == (work / "curve.tsv").read_text()
 
 
+def test_optimize_never_makes_an_unrendered_individual_the_elite(tmp_path):
+    # Persona alternative 0 runs a lexicon op on the demonstration list, so
+    # it never renders; it has the least genotype, and every rendered prompt
+    # scores 0 as well, so it would win every tie.
+    root = setup_run(tmp_path)
+    grammar = Path(promptgp.__file__).with_name("data").joinpath("edit_grammar.bnf").read_text()
+    grammar = grammar.replace(
+        "sec_persona ::= persona_expr",
+        "sec_persona ::= 'synonimise(index=[0], level=word, texts=ICL_LIST)' | persona_expr",
+    )
+    (root / "grammar.bnf").write_text(grammar)
+    (root / "table.json").write_text(json.dumps({"__default__": "{'Answer': 'maybe'}"}))
+    config = root / "run.ini"
+    config.write_text(
+        config.read_text()
+        .replace("backend = label_oracle\n", "backend = scripted\n")
+        .replace(str(root / "truth.json"), str(root / "table.json"))
+        .replace("[paths]\n", f"[paths]\ngrammar = {root / 'grammar.bnf'}\n")
+        .replace("init_retries = 3", "init_retries = 0")
+    )
+    assert main(["optimize", "--config", str(config)]) == 0
+    work = root / "work"
+    report = json.loads((work / "report.json").read_text())
+    assert (work / "elite_prompt.txt").read_text() == report["final"]["prompt"]
+    assert report["final"]["f_val"] == 0.0
+    assert "synonimise" not in report["final"]["programs"]["persona"]
+
+
 def test_main_returns_2_on_bad_input(tmp_path):
     assert main(["optimize", "--config", str(tmp_path / "missing.ini")]) == 2
     bad = tmp_path / "bad.ini"
     bad.write_text("[task]\ntemplate = builtin:pubmedqa\n")
     # No train_data configured.
     assert main(["optimize", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("command", ["optimize", "local-search", "evaluate"])
+def test_a_refused_command_makes_no_workdir(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)  # the default workdir is runs/default
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[task]\ntemplate = builtin:pubmedqa\n")  # no data files
+    argv = [command, "--config", str(bad)] + (["--prompt", "p.txt"] if command == "evaluate" else [])
+    assert main(argv) == 2
+    assert not (tmp_path / "runs").exists()
 
 
 def test_evaluate_requires_configured_split(tmp_path):

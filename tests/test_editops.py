@@ -209,6 +209,15 @@ def test_execution_reports_its_own_transport_degradations():
     assert execute("paraphrase(index=[0], level=sentence, texts=BASE)", SENTENCE)[2] == {}
 
 
+def test_one_ast_run_on_two_base_texts_answers_for_each():
+    # Direct executions keep no outcome, so the node never answers for
+    # another base text.
+    ctx = context()
+    expr = parse("remove_element(index=[0], level=word, texts=BASE)")
+    assert [execute_program(expr, base, ctx)[0] for base in ("a b", "c d")] == ["b", "d"]
+    assert [execute_program(expr.texts, base, ctx)[0] for base in ("a b", "c d")] == ["a b", "c d"]
+
+
 def test_placeholders_helper():
     assert placeholders("x __ICL_0__ y __TASK_INPUT_0__ __ICL_0__") == {
         "__ICL_0__",

@@ -269,6 +269,20 @@ def test_champion_revalidation_skipped_when_unchanged():
     assert len(digests) == len(set(digests))
 
 
+def test_an_unrendered_individual_is_never_champion_or_elite():
+    engine = make_engine(seed=4)
+    pop = engine.initialise()
+    for ind in pop:
+        ind.f_train = 0.0
+    first = min(pop, key=lambda ind: ind.genotype)
+    first.prompt = None  # failed to render; it ties with every other individual
+    champion = engine._champion(pop)
+    assert champion is not first and champion.prompt is not None
+    engine._validate_champion(first, gen=0)
+    assert first.f_val == 0.0
+    assert engine.elite is None
+
+
 def test_reinsert_elite_replaces_worst():
     engine = make_engine(seed=4)
     pop = engine.initialise()

@@ -269,6 +269,9 @@ def test_timeouts_rate_limits_and_server_errors_are_retried(server, backend, sta
         (429, "Wed, 21 Oct 2026 07:28:00 GMT", [1.0, 2.0]),
         (429, "nan", [1.0, 2.0]),
         (500, "5", [1.0, 2.0]),
+        (429, "10000000000", [1.0, 2.0]),
+        (503, "1e300", [1.0, 2.0]),
+        (429, "9223372036", [1.0, 2.0]),  # threading.TIMEOUT_MAX on Linux
     ],
 )
 def test_numeric_retry_after_extends_the_backoff(server, backend, status, retry_after, delays):

@@ -13,7 +13,7 @@ from helpers import (
     replace_index_slot,
 )
 from promptgp import SECTIONS
-from promptgp.exprlang import parse, with_index
+from promptgp.exprlang import Call, Concat, parse, with_index
 from promptgp.gateway import LabelOracleBackend, LlmGateway, TransportError
 from promptgp.grammar import Phenotype, default_grammar, render_phenotype, sample_ptc2
 from promptgp.lexicons import default_lexicons
@@ -597,3 +597,23 @@ def test_a_neighbour_edited_above_an_llm_edit_does_not_ask_for_it(monkeypatch):
     assert not above & set(asked)
     assert on_it <= set(asked)
     assert_render_fresh(base, neighbours)
+
+
+def ast_nodes(expr):
+    """`expr` and every node under it."""
+    yield expr
+    children = expr.parts if isinstance(expr, Concat) else (expr.texts,) if isinstance(expr, Call) else ()
+    for child in children:
+        yield from ast_nodes(child)
+
+
+def test_neighbour_renders_keep_no_outcome_of_a_node_only_a_neighbour_holds(monkeypatch):
+    ctx = edit_context(ReversingBackend())
+    ph = make_phenotype(**EXPLICIT_CASES)
+    neighbours = searched_neighbours(monkeypatch, ph, builtin_template("pubmedqa"), ctx, 4)
+    assert len(neighbours) > 20
+    # The parse memo holds the incumbent's six ASTs and nothing else.
+    assert sorted(program for _, _, program in ctx._asts) == sorted(ph.programs.values())
+    held = {id(node) for ast in ctx._asts.values() for node in ast_nodes(ast)}
+    kept = [outcome[0] for outcome in ctx._outcomes.values()]
+    assert kept and all(id(node) in held for node in kept)

@@ -156,17 +156,19 @@ def test_apply_phenotype_edit_section():
     assert rp.max_chunks == 1  # the one persona sentence
 
 
-def test_apply_phenotype_fails_before_any_edit_on_parse_error():
+def test_apply_phenotype_fails_before_any_edit_on_parse_error(monkeypatch):
     t = make_template()
     backend = CountingBackend("Be careful.")
     ctx = fresh_context(LlmGateway(backend))
+    work = count_section_work(monkeypatch)
     ph = identity_phenotype()
     ph.programs["persona"] = "paraphrase(index=[0], level=sentence, texts=BASE)"
     ph.programs["cot"] = "bogus_op(texts=BASE)"
     with pytest.raises(ProgramParseError):
         apply_phenotype(t, ph, ctx)
     assert ctx.gateway.stats.requests == backend.calls == 0
-    assert ctx._sections == {}
+    assert work["executed"] == []
+    assert ctx._asts == ctx._outcomes == {}  # nothing executed or kept
 
 
 def test_apply_phenotype_missing_section_rejected():
@@ -322,9 +324,9 @@ def count_section_work(monkeypatch):
         work["parsed"].append(text)
         return parse(text)
 
-    def counting_execute(expr, base_text, ctx, icl_items=(), record=None):
+    def counting_execute(expr, base_text, ctx, icl_items=(), keep=False):
         work["executed"].append(base_text)
-        return execute(expr, base_text, ctx, icl_items, record)
+        return execute(expr, base_text, ctx, icl_items, keep)
 
     monkeypatch.setattr(template, "parse", counting_parse)
     monkeypatch.setattr(template, "execute_program", counting_execute)
